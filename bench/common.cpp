@@ -50,13 +50,6 @@ std::string default_policy() {
     return "lru";
 }
 
-bool default_prefetch() {
-    if (const char* env = std::getenv("PGF_PREFETCH")) {
-        return std::string(env) != "0" && std::string(env) != "off";
-    }
-    return false;
-}
-
 /// Minimal JSON string escaping (paths and sweep names only).
 std::string json_escape(const std::string& s) {
     std::string out;
@@ -97,19 +90,16 @@ Options::Options(int argc, const char* const* argv) {
     policy = cli.get_string("policy", default_policy());
     if (!parse_policy(policy).has_value()) {
         std::cerr << "unknown --policy '" << policy
-                  << "' (expected lru|lru-k|clock|2q|lfu)\n";
+                  << "' (expected lru|lru-k)\n";
         std::exit(2);
     }
-    prefetch = cli.get_bool("prefetch", default_prefetch());
     const char* env = std::getenv("PGF_FULL_SCALE");
     full_scale = cli.get_bool("full", env != nullptr &&
                                           std::string(env) == "1");
 }
 
-BufferPoolConfig Options::pool_config() const {
-    BufferPoolConfig cfg;
-    cfg.policy = parse_policy(policy).value();
-    return cfg;
+ReplacementPolicy Options::pool_policy() const {
+    return parse_policy(policy).value();
 }
 
 unsigned Options::resolved_threads() const {

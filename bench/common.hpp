@@ -26,22 +26,16 @@
 //                       Paged builds the workbench's dataset into a real
 //                       one-bucket-per-page disk file too; experiments
 //                       that support it (table45_sp2) then run the
-//                       parallel server disk-backed, with physical
-//                       reads / cache hits counted by per-node buffer
-//                       pools. (PGF_BACKEND in the environment sets the
-//                       default.) Response-block columns are identical
-//                       across backends by construction.
-//   --node-pool-pages <n>  buffer-pool frames per simulated node in the
-//                       disk-backed mode (default 1024)
-//   --policy <p>        node-pool replacement policy: lru (default), lru-k,
-//                       clock, or 2q (PGF_POLICY in the environment sets
-//                       the default). Non-default policies apply to the
+//                       parallel server over the paged file. (PGF_BACKEND
+//                       in the environment sets the default.) Every
+//                       column is identical across backends.
+//   --node-pool-pages <n>  buffer-pool frames per serving node
+//                       (ext_serving; default 1024)
+//   --policy <p>        node-pool replacement policy: lru (default) or
+//                       lru-k (PGF_POLICY in the environment sets the
+//                       default). Non-default policies apply to the
 //                       serving-side node pools only; stdout is
 //                       byte-identical when unset.
-//   --prefetch[=on|off] declustering-aware read-ahead: the coordinator
-//                       stages each node's bucket pages into that node's
-//                       pool before the workers scan (default off;
-//                       PGF_PREFETCH=1 in the environment enables).
 //   --full              full paper scale for the SP-2 experiment
 //                       (also enabled by PGF_FULL_SCALE=1 in the environment)
 #pragma once
@@ -76,23 +70,22 @@ struct Options {
     std::string bench_json;
     bool build_cache = true;
     std::string backend = "memory";  ///< "memory" or "paged"
-    std::size_t node_pool_pages = 1024;  ///< disk-backed per-node pool frames
+    std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
     std::string policy = "lru";  ///< node-pool replacement policy
-    bool prefetch = false;       ///< declustering-aware read-ahead
     bool full_scale = false;
 
     Options(int argc, const char* const* argv);
 
     bool paged() const { return backend == "paged"; }
 
-    /// True when --policy/--prefetch (or their env vars) deviate from the
-    /// historical behavior — the benches print an extra config line then,
-    /// keeping default stdout byte-identical.
-    bool caching_tuned() const { return policy != "lru" || prefetch; }
+    /// True when --policy (or PGF_POLICY) deviates from the historical
+    /// LRU — the benches print an extra config line then, keeping default
+    /// stdout byte-identical.
+    bool caching_tuned() const { return policy != "lru"; }
 
-    /// The parsed node-pool configuration (--policy validated at option
-    /// parse time, so this cannot fail).
-    BufferPoolConfig pool_config() const;
+    /// The parsed node-pool policy (--policy validated at option parse
+    /// time, so this cannot fail).
+    ReplacementPolicy pool_policy() const;
 
     /// Thread count after resolving 0 to the hardware concurrency.
     unsigned resolved_threads() const;
@@ -186,6 +179,11 @@ private:
     std::vector<Entry> entries_;
 };
 
+/// Builder-pool frames of a paged workbench: enough to keep every
+/// default-scale file resident, so servers that read bucket records
+/// through the file (table45_sp2 --backend=paged) hit the pool.
+inline constexpr std::size_t kWorkbenchPoolPages = 4096;
+
 /// A dataset loaded into a grid file with its structural snapshot — the
 /// starting state of every simulation experiment. With `with_paged` the
 /// same dataset is also bulk-loaded into a disk-backed grid file whose
@@ -205,6 +203,7 @@ struct Workbench {
             typename PagedGridFile<D>::Config cfg;
             cfg.page_size = PagedBucketStore<D>::page_size_for(
                 dataset.bucket_capacity);
+            cfg.pool_pages = kWorkbenchPoolPages;
             paged = std::shared_ptr<PagedGridFile<D>>(
                 new PagedGridFile<D>(unique_backing_path(dataset.name),
                                      dataset.domain, cfg),

@@ -1,8 +1,8 @@
 // Extension experiment — buffer-pool hit rates across replacement
-// policies and declustering-aware prefetch.
+// policies.
 //
 // The pluggable-policy pool (pgf/storage/replacement.hpp) claims LRU-K
-// and 2Q resist exactly the access patterns that hurt plain LRU on the
+// resists exactly the access patterns that hurt plain LRU on the
 // paper's workloads: skewed traffic (most queries revisit the hot-spot
 // clusters' buckets) and repeated ranges interleaved with large polluting
 // scans. This bench measures that directly: a single-node QueryEngine
@@ -16,12 +16,11 @@
 //              large polluting scan (the scan-resistance stressor: one
 //              scan floods a small pool and evicts the hot set under LRU),
 //
-// sweeping policy {lru, lru-k, clock, 2q, lfu} x prefetch {off, on} x
-// pool-pages {16, 64, 256}. Every configuration starts cold (fresh
-// engine) and serves the whole workload once; the reported hit rate is
-// the demand hit fraction over the full pass and io/q is physical page
-// reads (misses + prefetch reads) per query — read-ahead cannot hide
-// I/O in that column. Correctness anchor: for a fixed workload every
+// sweeping policy {lru, lru-k} x pool-pages {16, 64, 256}. Every
+// configuration starts cold (fresh engine) and serves the whole workload
+// once; the reported hit rate is the demand hit fraction over the full
+// pass and io/q is physical page reads (misses) per query. Correctness
+// anchor: for a fixed workload every
 // configuration must return the same total record count (policies may
 // only change *when* pages are read, never what the queries see); any
 // divergence aborts with exit 1.
@@ -45,19 +44,18 @@ namespace {
 
 /// One measured cell of the sweep.
 struct CellResult {
-    std::string name;      ///< "<workload>/p=<pages>/<policy>/pf=<on|off>"
+    std::string name;      ///< "<workload>/p=<pages>/<policy>"
     std::string workload;
     std::string policy;
-    bool prefetch = false;
     std::size_t pool_pages = 0;
     ServingReport report;
     BufferPool::Stats pool;  ///< the single node pool's counters
 };
 
-/// Physical page reads per query: demand misses plus read-ahead reads.
+/// Physical page reads (demand misses) per query.
 double io_per_query(const CellResult& r) {
     if (r.report.queries == 0) return 0.0;
-    return static_cast<double>(r.pool.misses + r.pool.prefetch_issued) /
+    return static_cast<double>(r.pool.misses) /
            static_cast<double>(r.report.queries);
 }
 
@@ -138,14 +136,11 @@ bool write_caching_json(const Options& opt, const std::string& path,
         const CellResult& r = results[i];
         out << "    {\"name\": \"" << r.name << "\", \"workload\": \""
             << r.workload << "\", \"policy\": \"" << r.policy
-            << "\", \"prefetch\": " << (r.prefetch ? "true" : "false")
-            << ", \"pool_pages\": " << r.pool_pages
+            << "\", \"pool_pages\": " << r.pool_pages
             << ", \"hit_rate\": " << r.pool.hit_rate()
             << ", \"hits\": " << r.pool.hits
             << ", \"misses\": " << r.pool.misses
             << ", \"evictions\": " << r.pool.evictions
-            << ", \"prefetch_issued\": " << r.pool.prefetch_issued
-            << ", \"prefetch_hits\": " << r.pool.prefetch_hits
             << ", \"io_per_query\": " << io_per_query(r)
             << ", \"qps\": " << r.report.qps
             << ", \"p50_ms\": " << r.report.p50_ms
@@ -166,10 +161,10 @@ int run(int argc, char** argv) {
     paged_opt.backend = "paged";
 
     print_banner(opt,
-                 "Extension — replacement policies and prefetch vs hit rate",
+                 "Extension — replacement policies vs hit rate",
                  "hotspot.2d paged grid file, 1-node QueryEngine; demand "
                  "hit rate, physical reads/query and p50/p99 latency vs "
-                 "policy x prefetch x pool-pages x workload");
+                 "policy x pool-pages x workload");
     Rng rng(opt.seed);
     auto wb = cached_workbench<2>(paged_opt, "hotspot.2d", 10000, rng,
                                   [](Rng& r) {
@@ -202,60 +197,51 @@ int run(int argc, char** argv) {
         {"scan-mix", scan_mix_queries(bench.dataset, opt.queries, qrng)});
 
     const std::vector<std::size_t> pool_sweep{16, 64, 256};
-    const std::vector<ReplacementPolicy> policies{
-        ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-        ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-        ReplacementPolicy::kLfu};
+    const std::vector<ReplacementPolicy> policies{ReplacementPolicy::kLru,
+                                                  ReplacementPolicy::kLruK};
 
     std::vector<CellResult> results;
     bool consistent = true;
     for (const Workload& wl : workloads) {
         std::vector<QueryEngine<2>::Query> engine_queries(
             wl.queries.begin(), wl.queries.end());
-        TextTable table({"pool", "policy", "prefetch", "hit rate", "io/q",
-                         "p50 ms", "p99 ms"});
+        TextTable table(
+            {"pool", "policy", "hit rate", "io/q", "p50 ms", "p99 ms"});
         std::uint64_t expected_records = 0;
         bool have_expected = false;
         for (std::size_t pool_pages : pool_sweep) {
             for (ReplacementPolicy policy : policies) {
-                for (bool prefetch : {false, true}) {
-                    ServingConfig cfg;
-                    cfg.nodes = 1;
-                    cfg.workers_per_node = 1;
-                    cfg.pool_pages = pool_pages;
-                    cfg.concurrency = 1;
-                    cfg.pool_config.policy = policy;
-                    cfg.prefetch = prefetch;
-                    // Fresh engine per cell: every configuration starts
-                    // cold and serves the whole workload once.
-                    QueryEngine<2> engine(pgf2, assignment, cfg);
-                    auto out = engine.run(engine_queries);
+                ServingConfig cfg;
+                cfg.nodes = 1;
+                cfg.workers_per_node = 1;
+                cfg.pool_pages = pool_pages;
+                cfg.concurrency = 1;
+                cfg.pool_policy = policy;
+                // Fresh engine per cell: every configuration starts cold
+                // and serves the whole workload once.
+                QueryEngine<2> engine(pgf2, assignment, cfg);
+                auto out = engine.run(engine_queries);
 
-                    CellResult r;
-                    r.workload = wl.name;
-                    r.policy = to_string(policy);
-                    r.prefetch = prefetch;
-                    r.pool_pages = pool_pages;
-                    r.name = wl.name + "/p=" + std::to_string(pool_pages) +
-                             "/" + r.policy +
-                             (prefetch ? "/pf=on" : "/pf=off");
-                    r.report = out.report;
-                    r.pool = out.report.node_pools.at(0);
-                    if (!have_expected) {
-                        expected_records = r.report.records_returned;
-                        have_expected = true;
-                    } else if (r.report.records_returned !=
-                               expected_records) {
-                        consistent = false;
-                    }
-                    table.add(pool_pages, r.policy,
-                              prefetch ? "on" : "off",
-                              format_double(r.pool.hit_rate(), 3),
-                              format_double(io_per_query(r)),
-                              format_double(r.report.p50_ms, 3),
-                              format_double(r.report.p99_ms, 3));
-                    results.push_back(std::move(r));
+                CellResult r;
+                r.workload = wl.name;
+                r.policy = to_string(policy);
+                r.pool_pages = pool_pages;
+                r.name = wl.name + "/p=" + std::to_string(pool_pages) + "/" +
+                         r.policy;
+                r.report = out.report;
+                r.pool = out.report.node_pools.at(0);
+                if (!have_expected) {
+                    expected_records = r.report.records_returned;
+                    have_expected = true;
+                } else if (r.report.records_returned != expected_records) {
+                    consistent = false;
                 }
+                table.add(pool_pages, r.policy,
+                          format_double(r.pool.hit_rate(), 3),
+                          format_double(io_per_query(r)),
+                          format_double(r.report.p50_ms, 3),
+                          format_double(r.report.p99_ms, 3));
+                results.push_back(std::move(r));
             }
         }
         emit(opt, table, "ext_caching_" + wl.name);

@@ -74,8 +74,6 @@ struct ConfigResult {
     ServingReport report;
     std::uint64_t pool_hits = 0;
     std::uint64_t pool_misses = 0;
-    std::uint64_t prefetch_issued = 0;
-    std::uint64_t prefetch_hits = 0;
 };
 
 bool write_serving_json(const Options& opt, const std::string& path,
@@ -94,7 +92,6 @@ bool write_serving_json(const Options& opt, const std::string& path,
         << "  \"nodes\": " << nodes << ",\n"
         << "  \"pool_pages\": " << pool_pages << ",\n"
         << "  \"policy\": \"" << opt.policy << "\",\n"
-        << "  \"prefetch\": " << (opt.prefetch ? "true" : "false") << ",\n"
         << "  \"configs\": [\n";
     for (std::size_t i = 0; i < results.size(); ++i) {
         const ConfigResult& r = results[i];
@@ -111,9 +108,7 @@ bool write_serving_json(const Options& opt, const std::string& path,
             << ", \"total_blocks\": " << r.report.total_blocks
             << ", \"records\": " << r.report.records_returned
             << ", \"pool_hits\": " << r.pool_hits
-            << ", \"pool_misses\": " << r.pool_misses
-            << ", \"prefetch_issued\": " << r.prefetch_issued
-            << ", \"prefetch_hits\": " << r.prefetch_hits << "}"
+            << ", \"pool_misses\": " << r.pool_misses << "}"
             << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
@@ -143,10 +138,9 @@ int run(int argc, char** argv) {
     const PagedGridFile<4>& pgf4 = *bench.paged;
     std::cout << bench.summary() << "\n";
     if (opt.caching_tuned()) {
-        // Printed only when --policy/--prefetch deviate from the default,
-        // so unset runs stay byte-identical with earlier revisions.
-        std::cout << "caching: policy=" << opt.policy << " prefetch="
-                  << (opt.prefetch ? "on" : "off") << "\n";
+        // Printed only when --policy deviates from the default, so unset
+        // runs stay byte-identical with earlier revisions.
+        std::cout << "caching: policy=" << opt.policy << "\n";
     }
 
     Rng qrng(opt.seed + 14000);
@@ -188,8 +182,7 @@ int run(int argc, char** argv) {
             cfg.nodes = kNodes;
             cfg.workers_per_node = workers;
             cfg.pool_pages = opt.node_pool_pages;
-            cfg.pool_config = opt.pool_config();
-            cfg.prefetch = opt.prefetch;
+            cfg.pool_policy = opt.pool_policy();
             for (std::size_t conc : concurrency_sweep) {
                 cfg.concurrency = conc;
                 QueryEngine<4> engine(pgf4, a, cfg);
@@ -209,13 +202,9 @@ int run(int argc, char** argv) {
                 method_hist.record_all(out.latencies_ms);
                 std::uint64_t hits = 0;
                 std::uint64_t misses = 0;
-                std::uint64_t issued = 0;
-                std::uint64_t pf_hits = 0;
                 for (const BufferPool::Stats& s : out.report.node_pools) {
                     hits += s.hits;
                     misses += s.misses;
-                    issued += s.prefetch_issued;
-                    pf_hits += s.prefetch_hits;
                 }
                 const double accesses = static_cast<double>(hits + misses);
                 ConfigResult r;
@@ -228,8 +217,6 @@ int run(int argc, char** argv) {
                 r.report = out.report;
                 r.pool_hits = hits;
                 r.pool_misses = misses;
-                r.prefetch_issued = issued;
-                r.prefetch_hits = pf_hits;
                 results.push_back(r);
                 table.add(workers, conc, format_double(out.report.qps),
                           format_double(out.report.p50_ms, 3),

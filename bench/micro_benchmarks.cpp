@@ -443,22 +443,16 @@ BENCHMARK(BM_PagedQueryRecords)->Arg(1024)->Arg(16);
 // round touches one random frame, asks for a victim, evicts it, and
 // installs a new page in its place — the replacement-metadata hot path of
 // an eviction-bound build. The indexed policies (lru's intrusive list,
-// lru-k's and lfu's ordered sets) keep this O(log F) or better; a linear
+// lru-k's ordered set) keep this O(log F) or better; a linear
 // argmin scan would be O(F) per round and dominate eviction cost at
 // 4096-frame pools (the flat scaling across the frame sweep is the point).
 void BM_PoolVictimSelection(benchmark::State& state) {
     const auto frames = static_cast<std::size_t>(state.range(0));
-    BufferPoolConfig cfg;
-    cfg.policy = static_cast<ReplacementPolicy>(state.range(1));
-    auto replacer = make_replacer(cfg, frames);
+    const auto policy = static_cast<ReplacementPolicy>(state.range(1));
+    auto replacer = make_replacer(policy, frames);
     Mutex latch;
     MutexLock lock(latch);
-    std::uint64_t next_page = 0;
-    std::vector<std::uint64_t> page_of(frames);
-    for (std::size_t f = 0; f < frames; ++f) {
-        page_of[f] = next_page;
-        replacer->on_insert(f, next_page++, latch);
-    }
+    for (std::size_t f = 0; f < frames; ++f) replacer->on_insert(f, latch);
     const std::vector<bool> evictable(frames, true);
     const EvictableView view(evictable);
     Rng rng(6);
@@ -466,20 +460,18 @@ void BM_PoolVictimSelection(benchmark::State& state) {
         replacer->on_access(rng.below(static_cast<std::uint32_t>(frames)),
                             latch);
         const std::size_t victim = replacer->victim(view, latch);
-        replacer->on_evict(victim, page_of[victim], latch);
-        page_of[victim] = next_page;
-        replacer->on_insert(victim, next_page++, latch);
+        replacer->on_evict(victim, latch);
+        replacer->on_insert(victim, latch);
         benchmark::DoNotOptimize(victim);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-    state.SetLabel(std::string(to_string(cfg.policy)) + ", " +
+    state.SetLabel(to_string(policy) + ", " +
                    std::to_string(frames) + " frames");
 }
 BENCHMARK(BM_PoolVictimSelection)
     ->ArgsProduct({{256, 1024, 4096},
                    {static_cast<std::int64_t>(ReplacementPolicy::kLru),
-                    static_cast<std::int64_t>(ReplacementPolicy::kLruK),
-                    static_cast<std::int64_t>(ReplacementPolicy::kLfu)}});
+                    static_cast<std::int64_t>(ReplacementPolicy::kLruK)}});
 
 void BM_EvaluateWorkload(benchmark::State& state) {
     // The inner loop of every sweep configuration: precollected bucket

@@ -77,19 +77,18 @@ bp='src/include/pgf/storage/buffer_pool.hpp'
 require "${bp}" 'frames_ PGF_GUARDED_BY\(latch_\)'     'BufferPool::frames_ guarded by latch_'
 require "${bp}" 'PGF_GUARDED_BY\(latch_\);  // page -> frame' 'BufferPool::table_ guarded by latch_'
 require "${bp}" 'policy_ PGF_GUARDED_BY\(latch_\)'     'BufferPool::policy_ guarded by latch_'
-require "${bp}" 'prefetch_clock_ PGF_GUARDED_BY\(latch_\)' 'BufferPool::prefetch_clock_ guarded'
 require "${bp}" 'grab_frame\(\) PGF_REQUIRES\(latch_\)' 'BufferPool::grab_frame requires latch_'
 
 # Replacement policies run entirely under the pool's latch, expressed as a
 # capability-by-parameter: every Replacer hook (4 base virtuals + the 4
-# overrides in each of the 4 policies = 20 declarations) must demand the
+# overrides in each of the 2 policies = 12 declarations) must demand the
 # caller-held latch via PGF_REQUIRES(latch).
 rp='src/include/pgf/storage/replacement.hpp'
 require "${rp}" 'Mutex& latch\b'                       'Replacer hooks take the pool latch by parameter'
 requires_count=$(grep -cE 'PGF_REQUIRES\(latch\)' "${rp}" || true)
-if [ "${requires_count}" -lt 20 ]; then
+if [ "${requires_count}" -lt 12 ]; then
     echo "check_locks.sh: ${rp}: only ${requires_count} PGF_REQUIRES(latch)" \
-         "annotations (expected >= 20 — every Replacer hook and override)." >&2
+         "annotations (expected >= 12 — every Replacer hook and override)." >&2
     fail=1
 fi
 

@@ -2,12 +2,6 @@
 
 namespace pgf {
 
-double tree_cost(const std::vector<std::size_t>& parent,
-                 const std::function<double(std::size_t, std::size_t)>& cost) {
-    return tree_cost<std::function<double(std::size_t, std::size_t)>>(parent,
-                                                                      cost);
-}
-
 std::vector<std::size_t> preorder(const std::vector<std::size_t>& parent) {
     const std::size_t n = parent.size();
     std::size_t root = n;

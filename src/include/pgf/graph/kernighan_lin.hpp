@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "pgf/graph/weight_traits.hpp"
@@ -54,11 +53,6 @@ double internal_weight(const std::vector<std::uint32_t>& disk_of,
     }
     return total;
 }
-
-/// std::function wrapper kept for ABI/test compatibility.
-double internal_weight(
-    const std::vector<std::uint32_t>& disk_of,
-    const std::function<double(std::size_t, std::size_t)>& weight);
 
 /// Refines `disk_of` in place. `weight(i, j)` must be symmetric and is
 /// interpreted as co-access likelihood (higher = the pair should be
@@ -193,11 +187,5 @@ KlResult kl_refine(std::vector<std::uint32_t>& disk_of, std::uint32_t num_disks,
     }
     return result;
 }
-
-/// std::function wrapper kept for ABI/test compatibility; new code should
-/// pass the functor directly to the template above.
-KlResult kl_refine(std::vector<std::uint32_t>& disk_of, std::uint32_t num_disks,
-                   const std::function<double(std::size_t, std::size_t)>& weight,
-                   std::size_t max_passes = 8);
 
 }  // namespace pgf

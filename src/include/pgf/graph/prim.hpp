@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -130,11 +129,6 @@ double tree_cost(const std::vector<std::size_t>& parent, const Cost& cost) {
     }
     return total;
 }
-
-/// std::function wrapper kept for ABI/test compatibility; new code should
-/// pass the functor directly to the template above.
-double tree_cost(const std::vector<std::size_t>& parent,
-                 const std::function<double(std::size_t, std::size_t)>& cost);
 
 /// Vertices of the tree in depth-first preorder from the root. Children are
 /// visited in increasing vertex order.

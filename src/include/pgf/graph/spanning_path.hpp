@@ -16,7 +16,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "pgf/graph/weight_traits.hpp"
@@ -110,11 +110,5 @@ double path_similarity(const std::vector<std::size_t>& path,
     }
     return total;
 }
-
-/// std::function wrapper kept for ABI/test compatibility; new code should
-/// pass the functor directly to the template above.
-double path_similarity(
-    const std::vector<std::size_t>& path,
-    const std::function<double(std::size_t, std::size_t)>& similarity);
 
 }  // namespace pgf

@@ -33,14 +33,6 @@ public:
     /// sequential-access state.
     sim::SimTime read(std::uint64_t block);
 
-    /// Service time for reading `block` when the caller already knows
-    /// whether it was resident (`cached`): the model's internal LRU is
-    /// bypassed entirely — the disk-backed server substitutes a real
-    /// buffer pool's hits and misses for the simulated block cache — but
-    /// the counters and sequential-access state update exactly as in
-    /// read().
-    sim::SimTime read_with(std::uint64_t block, bool cached);
-
     std::uint64_t physical_reads() const { return physical_reads_; }
     std::uint64_t cache_hits() const { return cache_hits_; }
 
@@ -51,7 +43,6 @@ public:
 
 private:
     void cache_insert(std::uint64_t block);
-    sim::SimTime miss_service(std::uint64_t block);
 
     DiskParams params_;
     std::uint64_t physical_reads_ = 0;

@@ -1,9 +1,8 @@
 // A worker node's private view of the shared page image: its own file
 // handle plus its own latched buffer pool. Shared-nothing nodes cache
-// independently, so every consumer of a paged grid file's disk image —
-// the DES server's disk-backed mode (pgf_server.hpp) and the real
-// concurrent QueryEngine (query_engine.hpp) — opens one NodeBacking per
-// cluster node over the same backing path.
+// independently, so a consumer of a paged grid file's disk image — the
+// concurrent QueryEngine (query_engine.hpp) or a per-node serial replay —
+// opens one NodeBacking per cluster node over the same backing path.
 //
 // The backing file must be flushed (PagedGridFile::flush) before any
 // NodeBacking opens it, so the node pools read current page images.
@@ -20,9 +19,8 @@ struct NodeBacking {
     PageFile file;
     BufferPool pool;
     NodeBacking(const std::string& path, std::size_t pool_pages,
-                BufferPoolConfig pool_config = {})
-        : file(PageFile::open(path)),
-          pool(file, pool_pages, pool_config) {}
+                ReplacementPolicy policy = ReplacementPolicy::kLru)
+        : file(PageFile::open(path)), pool(file, pool_pages, policy) {}
 };
 
 }  // namespace pgf

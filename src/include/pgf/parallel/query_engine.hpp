@@ -30,7 +30,7 @@
 //     walks scales/directory (immutable after build) and workers read
 //     pages through their node's own pool, never the file's builder pool;
 //   - construction requires gf.flush() first so node pools see current
-//     page images (checked shape as DiskBackedConfig);
+//     page images;
 //   - each worker pins at most one page at a time, so a node pool with
 //     pool_pages >= workers_per_node can never throw "pool exhausted"
 //     (checked in the constructor);
@@ -79,11 +79,7 @@ struct ServingConfig {
     /// queries are in flight — the bench's concurrency knob.
     std::size_t concurrency = 16;
     /// Replacement policy of every node pool (default: historical LRU).
-    BufferPoolConfig pool_config{};
-    /// Declustering-aware read-ahead: the dispatcher stages each node's
-    /// bucket pages (in assignment order) into that node's pool before
-    /// pushing the node task, so the team scans warm frames.
-    bool prefetch = false;
+    ReplacementPolicy pool_policy = ReplacementPolicy::kLru;
 };
 
 /// Aggregate outcome of a served batch (see QueryEngine::run).
@@ -163,7 +159,7 @@ public:
         node_queues_.reserve(config_.nodes);
         for (std::uint32_t n = 0; n < config_.nodes; ++n) {
             backing_.push_back(std::make_unique<NodeBacking>(
-                gf_.path(), config_.pool_pages, config_.pool_config));
+                gf_.path(), config_.pool_pages, config_.pool_policy));
             // A query occupies at most one slot per node queue, so the
             // admission window bounds every queue's depth: the dispatcher
             // can never deadlock pushing node tasks.
@@ -297,7 +293,7 @@ public:
         }
         for (auto& nb : backing_) {
             nb = std::make_unique<NodeBacking>(
-                gf_.path(), config_.pool_pages, config_.pool_config);
+                gf_.path(), config_.pool_pages, config_.pool_policy);
         }
     }
 
@@ -324,7 +320,6 @@ private:
     void dispatch_loop() {
         QueryScratch scratch;
         std::vector<std::uint32_t> buckets;
-        std::vector<std::uint64_t> pages;  // prefetch staging list
         QueryState* qs = nullptr;
         while (admission_.pop(qs)) {
             std::visit(
@@ -349,18 +344,6 @@ private:
             qs->outstanding.store(fanout, std::memory_order_relaxed);
             for (std::uint32_t n = 0; n < config_.nodes; ++n) {
                 if (qs->node_blocks[n].empty()) continue;
-                if (config_.prefetch) {
-                    // The declustering already tells us exactly which
-                    // bucket pages node n is about to scan — stage them
-                    // in assignment order before the team gets the task.
-                    // (Safe vs drop_caches: backing_ is only swapped
-                    // while no query is in flight.)
-                    pages.clear();
-                    for (std::uint32_t b : qs->node_blocks[n]) {
-                        pages.push_back(gf_.bucket_page(b));
-                    }
-                    backing_[n]->pool.prefetch(pages);
-                }
                 PGF_CHECK(node_queues_[n]->push(qs),
                           "node queue closed while dispatching");
             }

@@ -1,13 +1,11 @@
 // Latched, thread-safe buffer pool over a PageFile with a pluggable
-// replacement policy (LRU / LRU-K / CLOCK / 2Q, see
-// pgf/storage/replacement.hpp) and declustering-aware prefetch.
+// replacement policy (LRU / LRU-K, see pgf/storage/replacement.hpp).
 //
 // Pages are pinned through RAII PageRef handles; unpinned pages stay
 // cached until the policy evicts them (only pin == 0 frames are
 // evictable). Dirty pages are written back on eviction and on
-// flush_all(). Statistics (hits/misses/evictions/writebacks plus
-// prefetch_issued/prefetch_hits) feed the storage micro-benchmarks,
-// the serving reports and tests.
+// flush_all(). Statistics (hits/misses/evictions/writebacks) feed the
+// storage micro-benchmarks, the serving reports and tests.
 //
 // Durability: frames hold full pages including the 16-byte header of
 // pgf/storage/page.hpp, but PageRef::data() exposes only the *payload* —
@@ -21,38 +19,27 @@
 // Replacement: the pool owns frames, page table and pins; the Replacer
 // owns recency metadata and the victim choice, with every policy call
 // made under the pool latch (the Replacer interface requires the latch
-// by parameter — see replacement.hpp). The default-constructed config is
-// plain LRU with an access-stamp sequence identical to the pool's
-// historical built-in LRU, so existing callers see the exact same
-// eviction/writeback order (golden-tested). Victim selection is O(log
-// frames) or better for LRU/LRU-K/LFU: the pool hands the policy a lazy
+// by parameter — see replacement.hpp). Every eviction is the policy's
+// choice. The default policy is plain LRU with an access-stamp sequence
+// identical to the pool's historical built-in LRU, so existing callers
+// see the exact same eviction/writeback order (golden-tested). Victim
+// selection is O(log frames) or better: the pool hands the policy a lazy
 // EvictableView (pin-state probe) instead of materializing an O(frames)
 // eligibility vector per eviction, and free frames come off a stack
 // instead of a scan.
-//
-// Prefetch: prefetch(pages) reads not-yet-resident pages into unpinned
-// frames ahead of demand — the declustering assignment tells the serving
-// layer exactly which bucket pages a node is about to scan, so the
-// dispatcher can stage them before the workers arrive. Prefetched pages
-// are speculative until first pinned: they form a *first-eviction class*
-// (evicted FIFO before the policy is even consulted), and a prefetch
-// never evicts another prefetched-but-unused frame — one misjudged
-// read-ahead batch cannot cascade into evicting the previous one.
-// A fetch() that lands on a prefetched frame counts as a pool hit and a
-// prefetch hit, and graduates the frame into the policy's normal order.
 //
 // Concurrency (lock discipline machine-checked via pgf/util/annotations.hpp):
 //   - One pool latch guards the page table, the frame metadata (pin
 //     counts, dirty bits, policy recency state) and all PageFile I/O — the
 //     PageFile's seek+read/write stream is not independently thread-safe,
-//     so misses, prefetches, evictions and flushes serialize on the latch.
+//     so misses, evictions and flushes serialize on the latch.
 //   - A PageRef captures its frame's payload span at pin time; readers of
 //     a pinned page touch no shared pool state at all. A frame's bytes are
 //     stable while pinned because eviction skips pin > 0 frames and the
 //     backing vector is only reallocated when a frame is re-grabbed.
 //   - Concurrent access to one page's *bytes* is the caller's problem
 //     (page-level latching lives above this layer); concurrent fetch /
-//     prefetch / mark_dirty / unpin / allocate on the pool itself are safe.
+//     mark_dirty / unpin / allocate on the pool itself are safe.
 //   - Lock ordering: the pool latch may be held while the WAL's own latch
 //     is taken (the write-back ordering flush); the WAL never calls back
 //     into a pool, so the order is acyclic.
@@ -63,7 +50,6 @@
 // exhausted") rather than wait — a deliberate choice: the single-threaded
 // engine treats exhaustion as a configuration bug, and concurrent callers
 // bound their in-flight pins (see tests/storage/test_buffer_pool_concurrent).
-// prefetch() never throws on pressure; it simply stops staging.
 #pragma once
 
 #include <atomic>
@@ -85,12 +71,13 @@ namespace pgf {
 
 class BufferPool {
 public:
-    /// `capacity` = maximum resident pages; must be >= 1. `config` picks
-    /// the replacement policy; the default is the historical LRU. `wal`,
-    /// when given, is the log whose durable horizon gates dirty-page
-    /// write-back (WAL-before-data); the pool does not own it.
+    /// `capacity` = maximum resident pages; must be >= 1. The default
+    /// `policy` is the historical LRU. `wal`, when given, is the log whose
+    /// durable horizon gates dirty-page write-back (WAL-before-data); the
+    /// pool does not own it.
     BufferPool(PageFile& file, std::size_t capacity,
-               BufferPoolConfig config = {}, WriteAheadLog* wal = nullptr);
+               ReplacementPolicy policy = ReplacementPolicy::kLru,
+               WriteAheadLog* wal = nullptr);
 
     BufferPool(const BufferPool&) = delete;
     BufferPool& operator=(const BufferPool&) = delete;
@@ -147,16 +134,6 @@ public:
     /// Allocates a fresh zeroed page in the file and pins it.
     PageRef allocate() PGF_EXCLUDES(latch_);
 
-    /// Stages `pages` into the pool without pinning, in the given order
-    /// (the declustering layer passes a node's bucket block in assignment
-    /// order). Already-resident pages are skipped. Staging stops — without
-    /// throwing — once the only reusable frames are pinned or hold an
-    /// earlier prefetch that has not been consumed yet: read-ahead never
-    /// cannibalizes itself or blocks demand traffic. Each page actually
-    /// read counts in prefetch_issued; a later fetch() of a still-staged
-    /// page counts in both hits and prefetch_hits.
-    void prefetch(std::span<const std::uint64_t> pages) PGF_EXCLUDES(latch_);
-
     /// Writes back every dirty page and syncs the file, flushing the WAL
     /// past the dirtiest LSN first (write-back ordering). Pinned pages are
     /// no obstacle: they are flushed like any other dirty page and stay
@@ -168,7 +145,7 @@ public:
 
     std::size_t capacity() const { return capacity_; }
     /// The construction-time policy selection (immutable).
-    const BufferPoolConfig& config() const { return config_; }
+    ReplacementPolicy policy() const { return policy_kind_; }
     std::size_t resident() const PGF_EXCLUDES(latch_);
     /// Number of frames currently holding at least one pin. A quiescent
     /// pool (no live PageRef) reports 0 — the audit layer checks this.
@@ -189,12 +166,6 @@ public:
     std::uint64_t writebacks() const {
         return writebacks_.load(std::memory_order_relaxed);
     }
-    std::uint64_t prefetch_issued() const {
-        return prefetch_issued_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t prefetch_hits() const {
-        return prefetch_hits_.load(std::memory_order_relaxed);
-    }
 
     /// Counter snapshot (see stats()/reset()).
     struct Stats {
@@ -202,8 +173,6 @@ public:
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
         std::uint64_t writebacks = 0;
-        std::uint64_t prefetch_issued = 0;
-        std::uint64_t prefetch_hits = 0;
 
         /// Demand hit fraction in [0, 1]; 0 when the pool saw no fetches.
         double hit_rate() const {
@@ -216,13 +185,12 @@ public:
     };
 
     Stats stats() const {
-        return {hits(),       misses(),          evictions(),
-                writebacks(), prefetch_issued(), prefetch_hits()};
+        return {hits(), misses(), evictions(), writebacks()};
     }
 
     /// Snapshot-and-zero: returns the counters accumulated since the last
     /// reset and clears them, so callers measuring per-phase deltas (e.g.
-    /// the disk-backed server's per-batch I/O) need no external
+    /// QueryEngine's per-batch node-pool I/O) need no external
     /// bookkeeping. Page contents and recency are untouched. Each counter
     /// is exchanged atomically; take the snapshot at a phase boundary (no
     /// in-flight operations) when the four values must be mutually
@@ -236,30 +204,18 @@ private:
         std::uint32_t pin_count = 0;
         bool dirty = false;
         bool in_use = false;
-        /// Staged by prefetch() and not pinned since — the first-eviction
-        /// class. Cleared by the first fetch() of the page.
-        bool prefetched = false;
-        /// FIFO order within the first-eviction class.
-        std::uint64_t prefetch_stamp = 0;
     };
 
-    /// EvictableView probes: lazy pin-state checks handed to the policy,
+    /// EvictableView probe: a lazy pin-state check handed to the policy,
     /// called only from inside victim() (which requires the latch), so
     /// the frames vector access is latch-protected by construction.
-    static bool demand_evictable(const void* frames, std::size_t i);
-    static bool prefetch_evictable(const void* frames, std::size_t i);
+    static bool unpinned(const void* frames, std::size_t i);
 
-    /// Returns a frame ready for reuse for a *demand* fill: a never-used
-    /// frame off the free stack if one exists, then the oldest
-    /// prefetched-but-unused frame (first-eviction class, FIFO; skipped
-    /// entirely when staged_count_ == 0), then the policy's victim among
-    /// unpinned frames (written back first when dirty). Throws CheckError
-    /// when every frame is pinned.
+    /// Returns a frame ready for reuse: a never-used frame off the free
+    /// stack if one exists, else the policy's victim among unpinned frames
+    /// (written back first when dirty). Throws CheckError when every frame
+    /// is pinned.
     std::size_t grab_frame() PGF_REQUIRES(latch_);
-    /// grab_frame for prefetch staging: free frame, else policy victim —
-    /// but never another prefetched-unused frame, and never throws;
-    /// returns frames_.size() when staging must stop.
-    std::size_t grab_frame_for_prefetch() PGF_REQUIRES(latch_);
     /// Evicts the page held by `frame` (WAL flush per write-back ordering,
     /// writeback if dirty, table erase, policy notification, counters).
     void evict_frame(std::size_t frame) PGF_REQUIRES(latch_);
@@ -277,7 +233,7 @@ private:
 
     PageFile& file_ PGF_PT_GUARDED_BY(latch_);
     const std::size_t capacity_;
-    const BufferPoolConfig config_;
+    const ReplacementPolicy policy_kind_;
     /// Write-back ordering gate; nullptr = durability off. The pointer is
     /// immutable after construction; the WAL has its own latch.
     WriteAheadLog* const wal_;
@@ -287,14 +243,10 @@ private:
         PGF_GUARDED_BY(latch_);  // page -> frame
     std::unique_ptr<Replacer> policy_ PGF_GUARDED_BY(latch_);
     std::vector<std::size_t> free_ PGF_GUARDED_BY(latch_);  // never-used frames
-    std::size_t staged_count_ PGF_GUARDED_BY(latch_) = 0;  // prefetched-unused
-    std::uint64_t prefetch_clock_ PGF_GUARDED_BY(latch_) = 0;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
     std::atomic<std::uint64_t> writebacks_{0};
-    std::atomic<std::uint64_t> prefetch_issued_{0};
-    std::atomic<std::uint64_t> prefetch_hits_{0};
 };
 
 }  // namespace pgf

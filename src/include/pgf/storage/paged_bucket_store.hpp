@@ -97,18 +97,18 @@ public:
         return kPageHeaderBytes + kCountBytes + capacity * kRecordBytes;
     }
 
-    /// Creates (truncating) the backing file at `path`. `pool_config`
+    /// Creates (truncating) the backing file at `path`. `pool_policy`
     /// selects the builder pool's replacement policy (default LRU — the
     /// historical behavior; serving-side node pools pick their own policy
     /// via NodeBacking). A non-empty `wal.path` turns on write-ahead
     /// logging (and truncates any log already there).
     PagedBucketStore(const std::string& path, std::size_t page_size,
                      std::size_t pool_pages,
-                     BufferPoolConfig pool_config = {},
+                     ReplacementPolicy pool_policy = ReplacementPolicy::kLru,
                      WalSetup<D> wal_setup = {})
         : file_(make_file(path, page_size, wal_setup.injector)),
           wal_(make_wal(wal_setup)),
-          pool_(*file_, pool_pages, pool_config, wal_.get()),
+          pool_(*file_, pool_pages, pool_policy, wal_.get()),
           capacity_(capacity_for(page_size)) {
         if (wal_ != nullptr) log_genesis(page_size, wal_setup);
     }
@@ -120,10 +120,11 @@ public:
     PagedBucketStore(OpenTag, std::unique_ptr<PageFile> file,
                      std::vector<Meta> metas,
                      std::unique_ptr<WriteAheadLog> wal,
-                     std::size_t pool_pages, BufferPoolConfig pool_config = {})
+                     std::size_t pool_pages,
+                     ReplacementPolicy pool_policy = ReplacementPolicy::kLru)
         : file_(std::move(file)),
           wal_(std::move(wal)),
-          pool_(*file_, pool_pages, pool_config, wal_.get()),
+          pool_(*file_, pool_pages, pool_policy, wal_.get()),
           capacity_(capacity_for(file_->page_size())),
           metas_(std::move(metas)) {}
 
@@ -282,7 +283,7 @@ public:
     // -- paged-only surface --------------------------------------------------
 
     /// Page id backing bucket `b` (for partitioned-storage experiments and
-    /// the disk-backed parallel server).
+    /// the per-node pools of the concurrent QueryEngine).
     std::uint64_t page(std::uint32_t b) const { return metas_[b].page; }
 
     const BufferPool& pool() const { return pool_; }
@@ -334,8 +335,8 @@ public:
     }
 
     /// Decodes a raw page payload (count header + records) into `out`.
-    /// Usable on any copy of a bucket page — the disk-backed server reads
-    /// pages through its own per-node pools and decodes with this.
+    /// Usable on any copy of a bucket page — QueryEngine workers read
+    /// pages through their own per-node pools and decode with this.
     static void decode_page(std::span<const std::byte> data, Records& out) {
         const std::byte* p = data.data();
         const std::uint64_t count = read_u64(p);

@@ -47,7 +47,7 @@ public:
         std::size_t pool_pages = 128;
         SplitPolicy split_policy = SplitPolicy::kMidpoint;
         /// Builder-pool replacement policy (default: historical LRU).
-        BufferPoolConfig pool_config{};
+        ReplacementPolicy pool_policy = ReplacementPolicy::kLru;
         /// Write-ahead log path; empty (the default) disables durability —
         /// the historical behavior, with on-disk output byte-identical to
         /// the same build without this field.
@@ -62,7 +62,7 @@ public:
                   Config config = {})
         : Core(domain, checked_capacity(config.page_size),
                config.split_policy, path, config.page_size,
-               config.pool_pages, config.pool_config,
+               config.pool_pages, config.pool_policy,
                wal_setup(domain, config)),
           config_(std::move(config)) {
         if (this->store_.wal() != nullptr) {
@@ -97,7 +97,7 @@ public:
     std::size_t capacity() const { return this->bucket_capacity_; }
 
     /// Page id backing bucket `b` (for partitioned-storage experiments and
-    /// the disk-backed parallel server).
+    /// QueryEngine's per-node pools).
     std::uint64_t bucket_page(BucketId b) const {
         return this->store_.page(b);
     }
@@ -109,8 +109,7 @@ public:
     const std::string& path() const { return this->store_.path(); }
 
     /// Writes back every dirty page and syncs the file. Call before other
-    /// readers (e.g. the disk-backed server's per-node pools) open the
-    /// backing file.
+    /// readers (e.g. QueryEngine's per-node pools) open the backing file.
     void flush() { this->store_.flush(); }
 
     /// Copies the raw payload bytes of bucket `b`'s page into `out`
@@ -156,7 +155,7 @@ private:
         : Core(typename Core::RestoreTag{}, rec.domain, rec.bucket_capacity,
                rec.split_policy, rec.refines, typename Store::OpenTag{},
                std::move(rec.file), std::move(rec.metas), std::move(rec.wal),
-               config.pool_pages, config.pool_config),
+               config.pool_pages, config.pool_policy),
           config_(std::move(config)),
           recovery_stats_(rec.stats) {
         config_.page_size = rec.page_size;

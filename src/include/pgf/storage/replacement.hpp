@@ -1,8 +1,8 @@
 // Pluggable replacement policies for the BufferPool.
 //
 // The pool owns the frames, the page table, the pin counts and the latch;
-// a Replacer owns only the *recency metadata* and the victim choice. Five
-// policies (the classic caching-literature set) ship behind one interface:
+// a Replacer owns only the *recency metadata* and the victim choice. Two
+// policies ship behind one interface:
 //
 //   - LRU    — least-recently-used, kept as an intrusive doubly-linked
 //              list in access order. Victim = first evictable frame from
@@ -12,24 +12,19 @@
 //              with increasing access stamps, so the eviction sequence
 //              is identical to the pool's historical built-in LRU
 //              (golden-tested).
-//   - LRU-K  — evict the page whose K-th-most-recent access is oldest
-//              (O'Neil et al.). Pages with fewer than K recorded accesses
-//              have infinite backward-K distance and are evicted first,
-//              LRU among themselves — one touch is not evidence of reuse,
-//              which is what makes LRU-K scan-resistant. Victims come off
-//              an ordered index (std::set keyed by backward-K distance):
-//              O(log frames) per access/eviction.
-//   - CLOCK  — second-chance ring: a reference bit per frame, a sweeping
-//              hand that clears set bits and evicts the first clear one.
-//   - 2Q     — Johnson & Shasha's two queues: first-touch pages enter a
-//              small FIFO (A1in); only pages re-fetched after leaving it
-//              (remembered in the A1out ghost list of page ids) are
-//              promoted to the protected LRU main queue (Am). A sequential
-//              scan drains through A1in without ever displacing Am.
-//   - LFU    — least-frequently-used: a per-frame reference count (reset
-//              on eviction — "in-cache LFU"), LRU among ties so stale
-//              once-hot pages still age out of a small pool. Victims come
-//              off an ordered index keyed (count, stamp): O(log frames).
+//   - LRU-2  — evict the page whose second-most-recent access is oldest
+//              (O'Neil et al.'s LRU-K with K = 2). Pages with a single
+//              recorded access have infinite backward-2 distance and are
+//              evicted first, LRU among themselves — one touch is not
+//              evidence of reuse, which is what makes LRU-K
+//              scan-resistant. Victims come off an ordered index
+//              (std::set keyed by backward-2 distance): O(log frames) per
+//              access/eviction.
+//
+// Only policies the caching artifact (bench/ext_caching) shows winning
+// somewhere are kept: LRU-K beats LRU on the scan-heavy mixes at small
+// pools, while CLOCK, 2Q and LFU never beat the better of the two by more
+// than 0.002 hit rate.
 //
 // Locking contract: a Replacer has no latch of its own — its state is an
 // extension of the pool's frame metadata and is guarded by the pool latch.
@@ -45,20 +40,16 @@
 // nothing and ordered policies only probe the frames they actually
 // inspect. victim() returns an index with view[i] == true, or view.size()
 // when it declines every candidate (the pool treats that as exhaustion).
-// Prefetched-but-never-pinned pages are *not* the policy's concern: the
-// pool evicts those first, FIFO, before consulting the policy (see
-// buffer_pool.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -66,32 +57,20 @@
 
 namespace pgf {
 
+/// Replacement policy of a BufferPool. The default-initialized value is
+/// kLru, the historical pool: eviction sequence byte-identical to the
+/// pre-policy implementation.
 enum class ReplacementPolicy : std::uint8_t {
     kLru,
     kLruK,
-    kClock,
-    kTwoQ,
-    kLfu,
 };
 
-/// Short stable tag ("lru", "lru-k", "clock", "2q", "lfu") — used by
-/// bench CLI flags, JSON artifacts and test names.
+/// Short stable tag ("lru", "lru-k") — used by bench CLI flags, JSON
+/// artifacts and test names.
 std::string to_string(ReplacementPolicy policy);
 
-/// Inverse of to_string (also accepts "lruk"/"lru2" and "twoq" aliases);
-/// nullopt on unknown text.
+/// Inverse of to_string; nullopt on any other text.
 std::optional<ReplacementPolicy> parse_policy(std::string_view text);
-
-/// Construction-time knobs of a BufferPool beyond its frame count.
-/// Default-constructed == the historical pool: plain LRU, no read-ahead
-/// tracking surprises — eviction sequence byte-identical to the pre-policy
-/// implementation.
-struct BufferPoolConfig {
-    ReplacementPolicy policy = ReplacementPolicy::kLru;
-    /// History depth for kLruK (ignored otherwise). Must be >= 1; K = 1
-    /// degenerates to LRU.
-    std::size_t lru_k = 2;
-};
 
 /// Lazy victim-eligibility view the pool hands to victim(): size() frames,
 /// view[i] true when frame i may be evicted right now. A context + plain
@@ -122,15 +101,15 @@ private:
 };
 
 /// Replacement-policy interface (see file comment for the contract).
-/// Frames are dense indices [0, capacity); pages are PageFile ids.
+/// Frames are dense indices [0, capacity).
 class Replacer {
 public:
     virtual ~Replacer() = default;
 
-    /// Page `page` was installed in `frame` (miss fill, allocation, or
-    /// prefetch read-ahead). Counts as the page's first access.
-    virtual void on_insert(std::size_t frame, std::uint64_t page,
-                           Mutex& latch) PGF_REQUIRES(latch) = 0;
+    /// A page was installed in `frame` (miss fill or allocation). Counts
+    /// as the page's first access.
+    virtual void on_insert(std::size_t frame, Mutex& latch)
+        PGF_REQUIRES(latch) = 0;
 
     /// fetch() hit `frame` (a demand access to a resident page).
     virtual void on_access(std::size_t frame, Mutex& latch)
@@ -141,9 +120,9 @@ public:
     virtual std::size_t victim(const EvictableView& view, Mutex& latch)
         PGF_REQUIRES(latch) = 0;
 
-    /// `frame`'s page left the pool (evicted); `page` is the id it held.
-    virtual void on_evict(std::size_t frame, std::uint64_t page,
-                          Mutex& latch) PGF_REQUIRES(latch) = 0;
+    /// `frame`'s page left the pool (evicted).
+    virtual void on_evict(std::size_t frame, Mutex& latch)
+        PGF_REQUIRES(latch) = 0;
 };
 
 /// LRU as an intrusive doubly-linked list in access order (head = least
@@ -156,13 +135,13 @@ class LruReplacer final : public Replacer {
 public:
     explicit LruReplacer(std::size_t capacity);
 
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
+    void on_insert(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
     void on_access(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
     std::size_t victim(const EvictableView& view, Mutex& latch)
         PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
+    void on_evict(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
 
 private:
@@ -177,7 +156,7 @@ private:
     std::size_t tail_ = kNil;  // most recently used
 };
 
-/// LRU-K (default K = 2): per frame, the last K access stamps, and an
+/// LRU-K with K = kK = 2: per frame, the last K access stamps, and an
 /// ordered index keyed by backward-K distance. Victim = the index's first
 /// eligible entry: frames with fewer than K accesses sort before every
 /// full-history frame (infinite distance), LRU among themselves by most
@@ -186,24 +165,26 @@ private:
 /// historical linear argmin scan's choice exactly.
 class LruKReplacer final : public Replacer {
 public:
-    LruKReplacer(std::size_t capacity, std::size_t k);
+    static constexpr std::size_t kK = 2;
 
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
+    explicit LruKReplacer(std::size_t capacity);
+
+    void on_insert(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
     void on_access(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
     std::size_t victim(const EvictableView& view, Mutex& latch)
         PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
+    void on_evict(std::size_t frame, Mutex& latch)
         PGF_REQUIRES(latch) override;
 
 private:
     /// Ring of the last K stamps of one frame. count < K means the frame
     /// has not yet shown K-fold reuse.
     struct History {
-        std::vector<std::uint64_t> stamps;  // size K, ring
-        std::size_t next = 0;               // ring write position
-        std::size_t count = 0;              // accesses recorded (capped at K)
+        std::array<std::uint64_t, kK> stamps{};
+        std::size_t next = 0;   // ring write position
+        std::size_t count = 0;  // accesses recorded (capped at K)
     };
 
     /// (0 = infinite backward-K distance first, then the distance stamp).
@@ -213,104 +194,14 @@ private:
     void record(std::size_t frame);
     void reindex(std::size_t frame);
 
-    const std::size_t k_;
     std::vector<History> history_;
     std::vector<bool> resident_;
     std::set<std::pair<Key, std::size_t>> order_;  // (key, frame), ascending
     std::uint64_t clock_ = 0;
 };
 
-/// CLOCK (second chance): one reference bit per frame and a sweeping
-/// hand. The hand skips ineligible frames, clears set bits, and evicts
-/// the first eligible frame with a clear bit — at most two sweeps.
-class ClockReplacer final : public Replacer {
-public:
-    explicit ClockReplacer(std::size_t capacity)
-        : referenced_(capacity, false) {}
-
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_access(std::size_t frame, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    std::size_t victim(const EvictableView& view, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-
-private:
-    std::vector<bool> referenced_;
-    std::size_t hand_ = 0;
-};
-
-/// 2Q (full version): resident frames live in A1in (FIFO, first touch) or
-/// Am (LRU, proven reuse); the A1out ghost list remembers page ids
-/// recently evicted from A1in. A fetch of a ghost page re-enters at Am —
-/// reuse across a window wider than A1in is the promotion signal. Victim:
-/// A1in front while A1in exceeds its target share of the pool (capacity/4,
-/// the paper's tuning), else Am's LRU frame. (Victim selection stays a
-/// linear scan here — 2Q is not on the large-pool build path; see the
-/// LRU/LRU-K/LFU indices for the O(log) treatment.)
-class TwoQReplacer final : public Replacer {
-public:
-    explicit TwoQReplacer(std::size_t capacity);
-
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_access(std::size_t frame, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    std::size_t victim(const EvictableView& view, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-
-private:
-    enum class Queue : std::uint8_t { kNone, kA1, kAm };
-
-    const std::size_t a1_target_;    ///< max A1in frames before FIFO evict
-    const std::size_t ghost_limit_;  ///< max remembered evicted page ids
-    std::vector<Queue> queue_;       ///< per-frame membership
-    std::vector<std::uint64_t> stamp_;  ///< A1: insert stamp; Am: access
-    std::size_t resident_a1_ = 0;       ///< live A1in frame count
-    std::uint64_t clock_ = 0;
-    std::deque<std::uint64_t> ghost_fifo_;       ///< A1out, oldest first
-    std::unordered_set<std::uint64_t> ghost_;    ///< A1out membership
-};
-
-/// LFU with LRU tie-break: per frame, a reference count bumped on insert
-/// and every access, an LRU stamp, and an ordered index keyed (count,
-/// stamp). Victim = the index's first eligible entry — smallest (count,
-/// stamp) lexicographically, O(log frames) bookkeeping. Counts are
-/// per-residency (reset when the page leaves the pool), so a page must
-/// re-earn its frequency after eviction — the classic guard against
-/// ancient popularity pinning dead pages forever.
-class LfuReplacer final : public Replacer {
-public:
-    explicit LfuReplacer(std::size_t capacity);
-
-    void on_insert(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_access(std::size_t frame, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    std::size_t victim(const EvictableView& view, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-    void on_evict(std::size_t frame, std::uint64_t page, Mutex& latch)
-        PGF_REQUIRES(latch) override;
-
-private:
-    using Key = std::pair<std::uint64_t, std::uint64_t>;  // (count, stamp)
-
-    void reindex(std::size_t frame, Key key);
-
-    std::vector<std::uint64_t> count_;
-    std::vector<std::uint64_t> stamp_;
-    std::vector<bool> resident_;
-    std::set<std::pair<Key, std::size_t>> order_;  // (key, frame), ascending
-    std::uint64_t clock_ = 0;
-};
-
-/// Builds the Replacer selected by `config` for a pool of `capacity`
-/// frames. Throws CheckError on invalid tuning (lru_k == 0).
-std::unique_ptr<Replacer> make_replacer(const BufferPoolConfig& config,
+/// Builds the Replacer for `policy` over a pool of `capacity` frames.
+std::unique_ptr<Replacer> make_replacer(ReplacementPolicy policy,
                                         std::size_t capacity);
 
 }  // namespace pgf

@@ -17,6 +17,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -39,18 +40,21 @@ public:
     unsigned parallelism() const { return static_cast<unsigned>(workers_.size()) + 1; }
 
     /// Invokes fn(begin, end) over disjoint chunks covering [0, n).
-    /// Blocks until every chunk completed. fn must not throw.
+    /// Blocks until every chunk completed.
+    ///
+    /// If fn throws, on any thread, no further chunks are started; once
+    /// the chunks already running have finished, the first exception is
+    /// rethrown on the calling thread and the pool stays usable.
     ///
     /// Safe to call from several external threads at once: invocations
     /// serialize on an internal submit mutex, so one shared pool can back
     /// concurrent sweep tasks. It remains non-reentrant — fn (or anything
     /// it calls) must never submit to the same pool, or the submit mutex
     /// deadlocks. Checked builds (PGF_DCHECK_ACTIVE) fail fast instead: a
-    /// reentrant submission throws CheckError on the submitting thread
-    /// (which std::terminates with the message when that thread is a pool
-    /// worker, since fn must not throw). Submitting to a *different* pool
-    /// from inside fn is fine — nested pools track per-thread which pool
-    /// is running them.
+    /// reentrant submission throws CheckError, which reaches the outer
+    /// caller like any other exception from fn. Submitting to a
+    /// *different* pool from inside fn is fine — nested pools track
+    /// per-thread which pool is running them.
     void parallel_for(std::size_t n,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 
@@ -86,15 +90,24 @@ public:
     std::size_t chunk_size(std::size_t n) const;
 
 private:
+    using Fn = std::function<void(std::size_t, std::size_t)>;
+
     void worker_loop();
+    /// Runs one claimed chunk and retires it: the first exception of the
+    /// task is kept for the caller (and cancels the unclaimed chunks), and
+    /// the chunk always counts as finished. Returns true when it was the
+    /// last outstanding chunk.
+    bool run_chunk(const Fn& fn, std::size_t begin, std::size_t end)
+        PGF_EXCLUDES(mutex_);
 
     struct Task {
-        const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+        const Fn* fn = nullptr;
         std::size_t n = 0;
         std::size_t chunk = 0;
         std::size_t next = 0;       ///< next chunk start to claim
         std::size_t outstanding = 0;  ///< chunks not yet finished
         std::uint64_t generation = 0;
+        std::exception_ptr error;     ///< first exception thrown by fn
     };
 
     /// Serializes whole parallel_for invocations (held for the full call).

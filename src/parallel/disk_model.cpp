@@ -17,20 +17,6 @@ sim::SimTime SimulatedDisk::read(std::uint64_t block) {
         lru_.splice(lru_.begin(), lru_, index_[block]);
         return params_.cache_hit_s;
     }
-    sim::SimTime t = miss_service(block);
-    if (params_.cache_blocks > 0) cache_insert(block);
-    return t;
-}
-
-sim::SimTime SimulatedDisk::read_with(std::uint64_t block, bool cached) {
-    if (cached) {
-        ++cache_hits_;
-        return params_.cache_hit_s;
-    }
-    return miss_service(block);
-}
-
-sim::SimTime SimulatedDisk::miss_service(std::uint64_t block) {
     ++physical_reads_;
     double transfer = static_cast<double>(params_.block_bytes) /
                       params_.transfer_bytes_per_s;
@@ -40,6 +26,7 @@ sim::SimTime SimulatedDisk::miss_service(std::uint64_t block) {
     }
     last_block_ = block;
     has_last_ = true;
+    if (params_.cache_blocks > 0) cache_insert(block);
     return positioning + transfer;
 }
 

@@ -5,12 +5,12 @@
 namespace pgf {
 
 BufferPool::BufferPool(PageFile& file, std::size_t capacity,
-                       BufferPoolConfig config, WriteAheadLog* wal)
-    : file_(file), capacity_(capacity), config_(config), wal_(wal) {
+                       ReplacementPolicy policy, WriteAheadLog* wal)
+    : file_(file), capacity_(capacity), policy_kind_(policy), wal_(wal) {
     PGF_CHECK(capacity_ >= 1, "BufferPool needs at least one frame");
     MutexLock lock(latch_);
     frames_.resize(capacity_);
-    policy_ = make_replacer(config_, capacity_);
+    policy_ = make_replacer(policy_kind_, capacity_);
     // Stack of never-used frames, popped back-to-front so frames fill in
     // index order — the same order the historical linear free scan used.
     free_.reserve(capacity_);
@@ -43,14 +43,9 @@ void BufferPool::set_frame_lsn(std::size_t frame, std::uint64_t lsn) {
     set_page_lsn(frames_[frame].data, lsn);
 }
 
-bool BufferPool::demand_evictable(const void* frames, std::size_t i) {
+bool BufferPool::unpinned(const void* frames, std::size_t i) {
     const auto& fs = *static_cast<const std::vector<Frame>*>(frames);
     return fs[i].pin_count == 0;
-}
-
-bool BufferPool::prefetch_evictable(const void* frames, std::size_t i) {
-    const auto& fs = *static_cast<const std::vector<Frame>*>(frames);
-    return fs[i].pin_count == 0 && !fs[i].prefetched;
 }
 
 BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
@@ -59,13 +54,6 @@ BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
     if (it != table_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         Frame& f = frames_[it->second];
-        if (f.prefetched) {
-            // First demand pin of a staged page: the read-ahead paid off.
-            // Graduate the frame out of the first-eviction class.
-            prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-            f.prefetched = false;
-            --staged_count_;
-        }
         ++f.pin_count;
         policy_->on_access(it->second, latch_);
         return PageRef(this, it->second, payload_of(f), f.page_id);
@@ -86,9 +74,8 @@ BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
     f.pin_count = 1;
     f.dirty = false;
     f.in_use = true;
-    f.prefetched = false;
     table_[id] = frame;
-    policy_->on_insert(frame, id, latch_);
+    policy_->on_insert(frame, latch_);
     return PageRef(this, frame, payload_of(f), id);
 }
 
@@ -102,37 +89,9 @@ BufferPool::PageRef BufferPool::allocate() {
     f.pin_count = 1;
     f.dirty = false;
     f.in_use = true;
-    f.prefetched = false;
     table_[id] = frame;
-    policy_->on_insert(frame, id, latch_);
+    policy_->on_insert(frame, latch_);
     return PageRef(this, frame, payload_of(f), id);
-}
-
-void BufferPool::prefetch(std::span<const std::uint64_t> pages) {
-    MutexLock lock(latch_);
-    for (std::uint64_t id : pages) {
-        if (table_.find(id) != table_.end()) continue;  // already resident
-        std::size_t frame = grab_frame_for_prefetch();
-        if (frame == frames_.size()) return;  // pool under pressure: stop
-        Frame& f = frames_[frame];
-        f.page_id = id;
-        f.data.assign(file_.page_size(), std::byte{0});
-        try {
-            file_.read(id, f.data);
-        } catch (...) {
-            release_frame(frame);
-            throw;
-        }
-        f.pin_count = 0;
-        f.dirty = false;
-        f.in_use = true;
-        f.prefetched = true;
-        f.prefetch_stamp = ++prefetch_clock_;
-        ++staged_count_;
-        table_[id] = frame;
-        policy_->on_insert(frame, id, latch_);
-        prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-    }
 }
 
 void BufferPool::evict_frame(std::size_t frame) {
@@ -146,16 +105,13 @@ void BufferPool::evict_frame(std::size_t frame) {
         writebacks_.fetch_add(1, std::memory_order_relaxed);
     }
     table_.erase(f.page_id);
-    policy_->on_evict(frame, f.page_id, latch_);
+    policy_->on_evict(frame, latch_);
     f.in_use = false;
-    if (f.prefetched) --staged_count_;
-    f.prefetched = false;
     evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void BufferPool::release_frame(std::size_t frame) {
     frames_[frame].in_use = false;
-    frames_[frame].prefetched = false;
     free_.push_back(frame);
 }
 
@@ -166,47 +122,14 @@ std::size_t BufferPool::grab_frame() {
         free_.pop_back();
         if (!frames_[i].in_use) return i;
     }
-    // First-eviction class: prefetched pages nobody pinned are the
-    // speculation that did not pay off yet — reclaim them FIFO before
-    // disturbing the policy's demand-driven order. staged_count_ keeps
-    // this scan off the demand path entirely unless prefetch() is in use.
-    std::size_t victim = frames_.size();
-    if (staged_count_ > 0) {
-        for (std::size_t i = 0; i < frames_.size(); ++i) {
-            const Frame& f = frames_[i];
-            if (f.prefetched && f.pin_count == 0 &&
-                (victim == frames_.size() ||
-                 f.prefetch_stamp < frames_[victim].prefetch_stamp)) {
-                victim = i;
-            }
-        }
-    }
-    if (victim == frames_.size()) {
-        // Policy victim among unpinned frames — a pinned frame is never a
-        // victim, so its data span (captured by live PageRefs) stays valid.
-        // The view probes pin state lazily; ordered policies only test the
-        // few frames at the head of their structure.
-        EvictableView view(&frames_, &demand_evictable, frames_.size());
-        victim = policy_->victim(view, latch_);
-    }
+    // Policy victim among unpinned frames — a pinned frame is never a
+    // victim, so its data span (captured by live PageRefs) stays valid.
+    // The view probes pin state lazily; ordered policies only test the
+    // few frames at the head of their structure.
+    EvictableView view(&frames_, &unpinned, frames_.size());
+    const std::size_t victim = policy_->victim(view, latch_);
     PGF_CHECK(victim < frames_.size(),
               "BufferPool exhausted: every frame is pinned");
-    evict_frame(victim);
-    return victim;
-}
-
-std::size_t BufferPool::grab_frame_for_prefetch() {
-    while (!free_.empty()) {
-        const std::size_t i = free_.back();
-        free_.pop_back();
-        if (!frames_[i].in_use) return i;
-    }
-    // Read-ahead may displace cached demand pages (the policy decides
-    // which) but never a pinned frame and never an earlier still-unused
-    // prefetch — a long staging list cannot cannibalize its own head.
-    EvictableView view(&frames_, &prefetch_evictable, frames_.size());
-    std::size_t victim = policy_->victim(view, latch_);
-    if (victim == frames_.size()) return victim;  // stop staging, no throw
     evict_frame(victim);
     return victim;
 }
@@ -245,9 +168,7 @@ BufferPool::Stats BufferPool::reset() {
     return Stats{hits_.exchange(0, std::memory_order_relaxed),
                  misses_.exchange(0, std::memory_order_relaxed),
                  evictions_.exchange(0, std::memory_order_relaxed),
-                 writebacks_.exchange(0, std::memory_order_relaxed),
-                 prefetch_issued_.exchange(0, std::memory_order_relaxed),
-                 prefetch_hits_.exchange(0, std::memory_order_relaxed)};
+                 writebacks_.exchange(0, std::memory_order_relaxed)};
 }
 
 void BufferPool::flush_all() {

@@ -1,31 +1,18 @@
 #include "pgf/storage/replacement.hpp"
 
-#include <algorithm>
-#include <limits>
-
-#include "pgf/util/check.hpp"
-
 namespace pgf {
 
 std::string to_string(ReplacementPolicy policy) {
     switch (policy) {
         case ReplacementPolicy::kLru: return "lru";
         case ReplacementPolicy::kLruK: return "lru-k";
-        case ReplacementPolicy::kClock: return "clock";
-        case ReplacementPolicy::kTwoQ: return "2q";
-        case ReplacementPolicy::kLfu: return "lfu";
     }
     return "?";
 }
 
 std::optional<ReplacementPolicy> parse_policy(std::string_view text) {
     if (text == "lru") return ReplacementPolicy::kLru;
-    if (text == "lru-k" || text == "lruk" || text == "lru2") {
-        return ReplacementPolicy::kLruK;
-    }
-    if (text == "clock") return ReplacementPolicy::kClock;
-    if (text == "2q" || text == "twoq") return ReplacementPolicy::kTwoQ;
-    if (text == "lfu") return ReplacementPolicy::kLfu;
+    if (text == "lru-k") return ReplacementPolicy::kLruK;
     return std::nullopt;
 }
 
@@ -52,8 +39,7 @@ void LruReplacer::push_back(std::size_t frame) {
     linked_[frame] = true;
 }
 
-void LruReplacer::on_insert(std::size_t frame, std::uint64_t /*page*/,
-                            Mutex& /*latch*/) {
+void LruReplacer::on_insert(std::size_t frame, Mutex& /*latch*/) {
     if (linked_[frame]) unlink(frame);
     push_back(frame);
 }
@@ -72,25 +58,21 @@ std::size_t LruReplacer::victim(const EvictableView& view, Mutex& /*latch*/) {
     return view.size();
 }
 
-void LruReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
-                           Mutex& /*latch*/) {
+void LruReplacer::on_evict(std::size_t frame, Mutex& /*latch*/) {
     if (linked_[frame]) unlink(frame);
 }
 
 // -------------------------------------------------------------- LRU-K --
 
-LruKReplacer::LruKReplacer(std::size_t capacity, std::size_t k)
-    : k_(k), history_(capacity), resident_(capacity, false) {
-    PGF_CHECK(k_ >= 1, "LRU-K needs k >= 1");
-    for (History& h : history_) h.stamps.assign(k_, 0);
-}
+LruKReplacer::LruKReplacer(std::size_t capacity)
+    : history_(capacity), resident_(capacity, false) {}
 
 LruKReplacer::Key LruKReplacer::key_of(std::size_t frame) const {
     const History& h = history_[frame];
-    if (h.count < k_) {
+    if (h.count < kK) {
         // Infinite backward-K distance: sorts before every full-history
         // frame (flag 0); LRU among themselves by most recent stamp.
-        const std::size_t last = (h.next + k_ - 1) % k_;
+        const std::size_t last = (h.next + kK - 1) % kK;
         return Key{0, h.count == 0 ? 0 : h.stamps[last]};
     }
     // Full history: compete on the oldest retained stamp (at the cursor).
@@ -100,8 +82,8 @@ LruKReplacer::Key LruKReplacer::key_of(std::size_t frame) const {
 void LruKReplacer::record(std::size_t frame) {
     History& h = history_[frame];
     h.stamps[h.next] = ++clock_;
-    h.next = (h.next + 1) % k_;
-    if (h.count < k_) ++h.count;
+    h.next = (h.next + 1) % kK;
+    if (h.count < kK) ++h.count;
 }
 
 void LruKReplacer::reindex(std::size_t frame) {
@@ -109,8 +91,7 @@ void LruKReplacer::reindex(std::size_t frame) {
     order_.insert({key_of(frame), frame});
 }
 
-void LruKReplacer::on_insert(std::size_t frame, std::uint64_t /*page*/,
-                             Mutex& /*latch*/) {
+void LruKReplacer::on_insert(std::size_t frame, Mutex& /*latch*/) {
     if (resident_[frame]) order_.erase({key_of(frame), frame});
     History& h = history_[frame];
     h.next = 0;
@@ -134,8 +115,7 @@ std::size_t LruKReplacer::victim(const EvictableView& view, Mutex& /*latch*/) {
     return view.size();
 }
 
-void LruKReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
-                            Mutex& /*latch*/) {
+void LruKReplacer::on_evict(std::size_t frame, Mutex& /*latch*/) {
     if (resident_[frame]) {
         order_.erase({key_of(frame), frame});
         resident_[frame] = false;
@@ -145,173 +125,14 @@ void LruKReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
     h.count = 0;
 }
 
-// -------------------------------------------------------------- CLOCK --
-
-void ClockReplacer::on_insert(std::size_t frame, std::uint64_t /*page*/,
-                              Mutex& /*latch*/) {
-    referenced_[frame] = true;
-}
-
-void ClockReplacer::on_access(std::size_t frame, Mutex& /*latch*/) {
-    referenced_[frame] = true;
-}
-
-std::size_t ClockReplacer::victim(const EvictableView& view,
-                                  Mutex& /*latch*/) {
-    const std::size_t n = view.size();
-    bool any = false;
-    for (std::size_t i = 0; i < n && !any; ++i) any = view[i];
-    if (!any) return n;
-    // At most two sweeps: the first clears every set bit among the
-    // eligible frames, so the second must find a clear one.
-    for (std::size_t step = 0; step < 2 * n; ++step) {
-        const std::size_t i = hand_;
-        hand_ = (hand_ + 1) % n;
-        if (!view[i]) continue;  // pinned/absent frames keep their bit
-        if (referenced_[i]) {
-            referenced_[i] = false;
-            continue;
-        }
-        return i;
-    }
-    return n;
-}
-
-void ClockReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
-                             Mutex& /*latch*/) {
-    referenced_[frame] = false;
-}
-
-// ----------------------------------------------------------------- 2Q --
-
-TwoQReplacer::TwoQReplacer(std::size_t capacity)
-    : a1_target_(std::max<std::size_t>(1, capacity / 4)),
-      ghost_limit_(std::max<std::size_t>(1, capacity)),
-      queue_(capacity, Queue::kNone),
-      stamp_(capacity, 0) {}
-
-void TwoQReplacer::on_insert(std::size_t frame, std::uint64_t page,
-                             Mutex& /*latch*/) {
-    auto ghost = ghost_.find(page);
-    if (ghost != ghost_.end()) {
-        // Reuse across a window wider than A1in: promote straight to Am.
-        ghost_.erase(ghost);  // stale fifo entry skipped during trimming
-        queue_[frame] = Queue::kAm;
-    } else {
-        queue_[frame] = Queue::kA1;
-        ++resident_a1_;
-    }
-    stamp_[frame] = ++clock_;
-}
-
-void TwoQReplacer::on_access(std::size_t frame, Mutex& /*latch*/) {
-    // Full 2Q: hits inside A1in do NOT promote — pages must prove reuse
-    // beyond the correlated-reference window. Am hits refresh LRU order.
-    if (queue_[frame] == Queue::kAm) stamp_[frame] = ++clock_;
-}
-
-std::size_t TwoQReplacer::victim(const EvictableView& view,
-                                 Mutex& /*latch*/) {
-    std::size_t a1_front = view.size();
-    std::size_t am_lru = view.size();
-    for (std::size_t i = 0; i < view.size(); ++i) {
-        if (!view[i]) continue;
-        if (queue_[i] == Queue::kA1) {
-            if (a1_front == view.size() || stamp_[i] < stamp_[a1_front]) {
-                a1_front = i;
-            }
-        } else if (queue_[i] == Queue::kAm) {
-            if (am_lru == view.size() || stamp_[i] < stamp_[am_lru]) {
-                am_lru = i;
-            }
-        }
-    }
-    if (a1_front != view.size() && resident_a1_ > a1_target_) {
-        return a1_front;
-    }
-    if (am_lru != view.size()) return am_lru;
-    return a1_front;
-}
-
-void TwoQReplacer::on_evict(std::size_t frame, std::uint64_t page,
-                            Mutex& /*latch*/) {
-    if (queue_[frame] == Queue::kA1) {
-        --resident_a1_;
-        // Leaving A1in: remember the page id so a near-future re-fetch is
-        // recognized as reuse and promoted to Am.
-        if (ghost_.insert(page).second) ghost_fifo_.push_back(page);
-        while (ghost_.size() > ghost_limit_ && !ghost_fifo_.empty()) {
-            const std::uint64_t old = ghost_fifo_.front();
-            ghost_fifo_.pop_front();
-            ghost_.erase(old);  // no-op for ids already promoted out
-        }
-    }
-    queue_[frame] = Queue::kNone;
-    stamp_[frame] = 0;
-}
-
-// ---------------------------------------------------------------- LFU --
-
-LfuReplacer::LfuReplacer(std::size_t capacity)
-    : count_(capacity, 0), stamp_(capacity, 0), resident_(capacity, false) {}
-
-void LfuReplacer::reindex(std::size_t frame, Key key) {
-    if (resident_[frame]) {
-        order_.erase({Key{count_[frame], stamp_[frame]}, frame});
-    }
-    count_[frame] = key.first;
-    stamp_[frame] = key.second;
-    resident_[frame] = true;
-    order_.insert({key, frame});
-}
-
-void LfuReplacer::on_insert(std::size_t frame, std::uint64_t /*page*/,
-                            Mutex& /*latch*/) {
-    reindex(frame, Key{1, ++clock_});  // install counts as first reference
-}
-
-void LfuReplacer::on_access(std::size_t frame, Mutex& /*latch*/) {
-    reindex(frame, Key{count_[frame] + 1, ++clock_});
-}
-
-std::size_t LfuReplacer::victim(const EvictableView& view, Mutex& /*latch*/) {
-    // Smallest (count, stamp) lexicographically: least frequent first,
-    // least recent among equally frequent frames. Stamps are unique, so
-    // the set order matches the historical strict `<` linear scan.
-    for (const auto& [key, frame] : order_) {
-        if (view[frame]) return frame;
-    }
-    return view.size();
-}
-
-void LfuReplacer::on_evict(std::size_t frame, std::uint64_t /*page*/,
-                           Mutex& /*latch*/) {
-    if (resident_[frame]) {
-        order_.erase({Key{count_[frame], stamp_[frame]}, frame});
-        resident_[frame] = false;
-    }
-    count_[frame] = 0;
-    stamp_[frame] = 0;
-}
-
 // ------------------------------------------------------------ factory --
 
-std::unique_ptr<Replacer> make_replacer(const BufferPoolConfig& config,
+std::unique_ptr<Replacer> make_replacer(ReplacementPolicy policy,
                                         std::size_t capacity) {
-    switch (config.policy) {
-        case ReplacementPolicy::kLru:
-            return std::make_unique<LruReplacer>(capacity);
-        case ReplacementPolicy::kLruK:
-            return std::make_unique<LruKReplacer>(capacity, config.lru_k);
-        case ReplacementPolicy::kClock:
-            return std::make_unique<ClockReplacer>(capacity);
-        case ReplacementPolicy::kTwoQ:
-            return std::make_unique<TwoQReplacer>(capacity);
-        case ReplacementPolicy::kLfu:
-            return std::make_unique<LfuReplacer>(capacity);
+    if (policy == ReplacementPolicy::kLruK) {
+        return std::make_unique<LruKReplacer>(capacity);
     }
-    PGF_CHECK(false, "unknown replacement policy");
-    return nullptr;
+    return std::make_unique<LruReplacer>(capacity);
 }
 
 }  // namespace pgf

@@ -1,6 +1,7 @@
 #include "pgf/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "pgf/util/check.hpp"
 
@@ -107,23 +108,45 @@ void ThreadPool::parallel_for_chunk(
                 begin = task_.next;
                 task_.next += task_.chunk;
             }
-            fn(begin, std::min(begin + chunk, n));
-            {
-                MutexLock lock(mutex_);
-                --task_.outstanding;
-            }
+            run_chunk(fn, begin, std::min(begin + chunk, n));
         }
     }
+    std::exception_ptr error;
+    {
+        MutexLock lock(mutex_);
+        while (task_.outstanding != 0) lock.wait(done_cv_);
+        task_.fn = nullptr;
+        error = std::exchange(task_.error, nullptr);
+    }
+    if (error) std::rethrow_exception(error);
+}
+
+bool ThreadPool::run_chunk(const Fn& fn, std::size_t begin, std::size_t end) {
+    std::exception_ptr error;
+    try {
+        fn(begin, end);
+    } catch (...) {
+        error = std::current_exception();
+    }
     MutexLock lock(mutex_);
-    while (task_.outstanding != 0) lock.wait(done_cv_);
-    task_.fn = nullptr;
+    if (error && !task_.error) {
+        task_.error = error;
+        // Cancel the chunks nobody has claimed yet; they will never run,
+        // so they retire here.
+        if (task_.next < task_.n) {
+            task_.outstanding -=
+                (task_.n - task_.next + task_.chunk - 1) / task_.chunk;
+            task_.next = task_.n;
+        }
+    }
+    return --task_.outstanding == 0;
 }
 
 void ThreadPool::worker_loop() {
     std::uint64_t seen_generation = 0;
     RunningPoolScope running(this);
     for (;;) {
-        const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+        const Fn* fn = nullptr;
         std::size_t begin = 0, end = 0;
         {
             MutexLock lock(mutex_);
@@ -141,13 +164,7 @@ void ThreadPool::worker_loop() {
             task_.next += task_.chunk;
             end = std::min(begin + task_.chunk, task_.n);
         }
-        (*fn)(begin, end);
-        bool all_done;
-        {
-            MutexLock lock(mutex_);
-            all_done = --task_.outstanding == 0;
-        }
-        if (all_done) done_cv_.notify_all();
+        if (run_chunk(*fn, begin, end)) done_cv_.notify_all();
     }
 }
 

@@ -246,10 +246,9 @@ TEST(PgfServer, ZeroConcurrencyRejected) {
     EXPECT_THROW(server.execute({}, 0), CheckError);
 }
 
-/// The in-memory fixture plus a disk-backed twin loaded with the same
-/// insertion sequence — identical structure by the backend-equivalence
-/// contract, so the two servers must report the same structural columns.
-struct DiskBackedFixture : Fixture {
+/// The in-memory fixture plus a paged twin loaded with the same insertion
+/// sequence — identical structure by the backend-equivalence contract.
+struct PagedFixture : Fixture {
     std::filesystem::path path =
         test::unique_temp_path("pgf_server_backing");
     PagedGridFile<2> pf;
@@ -260,92 +259,52 @@ struct DiskBackedFixture : Fixture {
         return cfg;
     }
 
-    explicit DiskBackedFixture(std::size_t n_points = 2000)
+    explicit PagedFixture(std::size_t n_points = 2000)
         : Fixture(n_points), pf(path.string(), domain, small_pages()) {
         Rng rng(3);  // replay the Fixture's exact insertion sequence
         for (std::uint64_t i = 0; i < n_points; ++i) {
             pf.insert({{rng.uniform(), rng.uniform()}}, i);
         }
-        pf.flush();
     }
 
-    ~DiskBackedFixture() { std::filesystem::remove(path); }
+    ~PagedFixture() { std::filesystem::remove(path); }
 };
 
-TEST(PgfServer, DiskBackedMatchesInMemoryTwin) {
-    DiskBackedFixture f;
+void expect_same_batch(const BatchResult& got, const BatchResult& want) {
+    EXPECT_EQ(got.queries, want.queries);
+    EXPECT_EQ(got.response_blocks, want.response_blocks);
+    EXPECT_EQ(got.total_blocks, want.total_blocks);
+    EXPECT_EQ(got.records_returned, want.records_returned);
+    EXPECT_EQ(got.physical_reads, want.physical_reads);
+    EXPECT_EQ(got.cache_hits, want.cache_hits);
+    EXPECT_EQ(got.comm_time_s, want.comm_time_s);
+    EXPECT_EQ(got.elapsed_s, want.elapsed_s);
+}
+
+// The server reads only structure and bucket records, and block residency
+// is the simulated LRU, so the paged backend reports exactly what its
+// in-memory twin does — every field, cold and warm, at any concurrency.
+TEST(PgfServer, PagedBackendMatchesInMemoryTwin) {
+    PagedFixture f;
     ASSERT_EQ(f.pf.bucket_count(), f.gf.bucket_count());
     Assignment a = f.assignment(4);
     Rng rng(47);
     auto queries = square_queries(f.domain, 0.05, 40, rng);
 
     ParallelGridFileServer<2> mem(f.gf, a, f.config(4));
-    BatchResult rm = mem.execute(queries);
-
-    ParallelGridFileServer<2, PagedGridFile<2>> disk(
-        f.pf, a, f.config(4), DiskBackedConfig{256});
-    EXPECT_TRUE(disk.disk_backed());
-    BatchResult rd = disk.execute(queries);
-
-    // Structural columns are backend-independent by construction.
-    EXPECT_EQ(rd.queries, rm.queries);
-    EXPECT_EQ(rd.response_blocks, rm.response_blocks);
-    EXPECT_EQ(rd.total_blocks, rm.total_blocks);
-    EXPECT_EQ(rd.records_returned, rm.records_returned);
-
-    // I/O counters now come from the real pools: every block request was
-    // one pool fetch, so hits + misses account for every read exactly.
-    EXPECT_GT(rd.physical_reads, 0u);
-    EXPECT_EQ(rd.physical_reads + rd.cache_hits, rd.total_blocks);
-}
-
-TEST(PgfServer, DiskBackedPoolsWarmAcrossBatchesAndDrop) {
-    DiskBackedFixture f;
-    Assignment a = f.assignment(2);
-    Rng rng(53);
-    auto queries = square_queries(f.domain, 0.08, 30, rng);
-    // Pools big enough that the working set stays resident.
-    ParallelGridFileServer<2, PagedGridFile<2>> server(
-        f.pf, a, f.config(2), DiskBackedConfig{4096});
-    BatchResult cold = server.execute(queries);
-    EXPECT_GT(cold.physical_reads, 0u);
-    BatchResult warm = server.execute(queries);
-    EXPECT_EQ(warm.physical_reads, 0u);
-    EXPECT_EQ(warm.cache_hits, warm.total_blocks);
-    // drop_caches reopens the per-node pools empty.
-    server.drop_caches();
-    BatchResult cold2 = server.execute(queries);
-    EXPECT_EQ(cold2.physical_reads, cold.physical_reads);
-}
-
-TEST(PgfServer, DiskBackedTinyPoolThrashes) {
-    DiskBackedFixture f;
-    Assignment a = f.assignment(2);
-    Rng rng(59);
-    auto queries = square_queries(f.domain, 0.08, 30, rng);
-    ParallelGridFileServer<2, PagedGridFile<2>> big(
-        f.pf, a, f.config(2), DiskBackedConfig{4096});
-    (void)big.execute(queries);
-    BatchResult warm = big.execute(queries);
-    ParallelGridFileServer<2, PagedGridFile<2>> tiny(
-        f.pf, a, f.config(2), DiskBackedConfig{2});
-    (void)tiny.execute(queries);
-    BatchResult thrashed = tiny.execute(queries);
-    // Two frames per node cannot hold the working set: the warm batch
-    // still pays physical reads, unlike the big pool.
-    EXPECT_EQ(warm.physical_reads, 0u);
-    EXPECT_GT(thrashed.physical_reads, 0u);
-    // Structure-derived columns stay identical regardless of pool size.
-    EXPECT_EQ(thrashed.response_blocks, warm.response_blocks);
-    EXPECT_EQ(thrashed.records_returned, warm.records_returned);
-}
-
-TEST(PgfServer, DiskBackedRejectsZeroPoolPages) {
-    DiskBackedFixture f(500);
-    Assignment a = f.assignment(2);
-    EXPECT_THROW((ParallelGridFileServer<2, PagedGridFile<2>>(
-                     f.pf, a, f.config(2), DiskBackedConfig{0})),
-                 CheckError);
+    ParallelGridFileServer<2, PagedGridFile<2>> paged(f.pf, a, f.config(4));
+    for (std::uint32_t concurrency : {1u, 4u}) {
+        SCOPED_TRACE(concurrency);
+        const BatchResult cold = mem.execute(queries, concurrency);
+        EXPECT_GT(cold.records_returned, 0u);
+        EXPECT_GT(cold.physical_reads, 0u);
+        expect_same_batch(paged.execute(queries, concurrency), cold);
+        const BatchResult warm = mem.execute(queries, concurrency);
+        EXPECT_GT(warm.cache_hits, 0u);
+        expect_same_batch(paged.execute(queries, concurrency), warm);
+        mem.drop_caches();
+        paged.drop_caches();
+    }
 }
 
 TEST(PgfServer, MultiDiskAssignmentWidthValidated) {

@@ -177,8 +177,7 @@ TEST(QueryEngine, AgreesWithDesServerOnWorkCounters) {
 
     ClusterConfig cc;
     cc.nodes = 4;
-    ParallelGridFileServer<2, PagedGridFile<2>> server(f.pf, a, cc,
-                                                       DiskBackedConfig{256});
+    ParallelGridFileServer<2, PagedGridFile<2>> server(f.pf, a, cc);
     BatchResult des = server.execute(rects);
 
     QueryEngine<2> engine(f.pf, a, f.config(2));

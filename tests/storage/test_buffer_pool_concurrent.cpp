@@ -32,15 +32,12 @@ namespace {
 
 // Parameterized over every replacement policy: the concurrency contract
 // (pins gate eviction, no lost updates, exact hit+miss ledger) is policy-
-// independent, so the same stressors must pass for LRU, LRU-K, CLOCK and
-// 2Q alike.
+// independent, so the same stressors must pass for LRU and LRU-K alike.
 class BufferPoolConcurrentTest
     : public ::testing::TestWithParam<ReplacementPolicy> {
 protected:
     std::filesystem::path path_ =
         test::unique_temp_path("pgf_bufpool_conc_test");
-
-    BufferPoolConfig config() const { return {GetParam(), 2}; }
 
     void TearDown() override { std::filesystem::remove(path_); }
 };
@@ -55,7 +52,7 @@ TEST_P(BufferPoolConcurrentTest, TinyPoolEvictionStressKeepsEveryUpdate) {
     constexpr unsigned kThreads = 8;
     constexpr int kIters = 400;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 2, config());
+    BufferPool pool(pf, 2, GetParam());
     for (unsigned t = 0; t < kThreads; ++t) {
         auto page = pool.allocate();
         ASSERT_EQ(page.page_id(), t);
@@ -118,7 +115,7 @@ TEST_P(BufferPoolConcurrentTest, TinyPoolEvictionStressKeepsEveryUpdate) {
 TEST_P(BufferPoolConcurrentTest, ConcurrentReadersShareOneFrame) {
     constexpr unsigned kThreads = 8;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 2, config());
+    BufferPool pool(pf, 2, GetParam());
     {
         auto page = pool.allocate();
         auto data = page.data();
@@ -157,7 +154,7 @@ TEST_P(BufferPoolConcurrentTest, ConcurrentAllocationsAreDistinct) {
     constexpr unsigned kThreads = 4;
     constexpr int kPerThread = 16;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 4, config());  // 4 frames, <= 4 concurrent pins
+    BufferPool pool(pf, 4, GetParam());  // 4 frames, <= 4 concurrent pins
 
     std::vector<std::vector<std::uint64_t>> ids(kThreads);
     std::vector<std::thread> threads;
@@ -196,7 +193,7 @@ TEST_P(BufferPoolConcurrentTest, ConcurrentAllocationsAreDistinct) {
 TEST_P(BufferPoolConcurrentTest, PinsGateEvictionUnderChurn) {
     auto pf = PageFile::create(path_.string(), 128);
     constexpr std::uint64_t kCold = 6;
-    BufferPool pool(pf, 3, config());
+    BufferPool pool(pf, 3, GetParam());
     for (std::uint64_t i = 0; i < 1 + kCold; ++i) pf.allocate();
     {
         auto hot = pool.fetch(0);
@@ -236,89 +233,11 @@ TEST_P(BufferPoolConcurrentTest, PinsGateEvictionUnderChurn) {
     EXPECT_EQ(pool.pinned_frames(), 0u);
 }
 
-// Prefetchers racing demand fetches on a tiny pool: read-ahead staging
-// must never corrupt what a concurrent fetch sees, never pin anything,
-// and keep the exact hit+miss ledger (prefetch reads count in neither).
-TEST_P(BufferPoolConcurrentTest, PrefetchRacesDemandFetches) {
-    constexpr std::uint64_t kPages = 8;
-    constexpr int kIters = 400;
-    auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 4, config());
-    std::vector<std::byte> raw(128);
-    for (std::uint64_t p = 0; p < kPages; ++p) {
-        ASSERT_EQ(pf.allocate(), p);
-        raw.assign(128, static_cast<std::byte>(p & 0xff));
-        pf.write(p, raw);
-    }
-
-    std::atomic<bool> stop{false};
-    std::atomic<int> bad_reads{0};
-    std::vector<std::thread> threads;
-    // Two prefetchers sweep overlapping windows; two fetchers (bounded to
-    // two outstanding pins by the semaphore, leaving stealable frames)
-    // verify every byte they see.
-    std::counting_semaphore<2> pins(2);
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&, t] {
-            std::uint64_t base = static_cast<std::uint64_t>(t);
-            std::vector<std::uint64_t> window(3);
-            while (!stop.load(std::memory_order_relaxed)) {
-                for (std::size_t i = 0; i < window.size(); ++i) {
-                    window[i] = (base + i) % kPages;
-                }
-                pool.prefetch(window);
-                ++base;
-            }
-        });
-    }
-    for (int t = 0; t < 2; ++t) {
-        threads.emplace_back([&, t] {
-            for (int i = 0; i < kIters; ++i) {
-                const auto id =
-                    static_cast<std::uint64_t>(i + t * 3) % kPages;
-                pins.acquire();
-                {
-                    auto page = pool.fetch(id);
-                    for (std::byte b : page.data()) {
-                        if (b != static_cast<std::byte>(id & 0xff)) {
-                            bad_reads.fetch_add(1,
-                                                std::memory_order_relaxed);
-                            break;
-                        }
-                    }
-                }
-                pins.release();
-            }
-        });
-    }
-    threads[2].join();
-    threads[3].join();
-    stop.store(true, std::memory_order_relaxed);
-    threads[0].join();
-    threads[1].join();
-
-    EXPECT_EQ(bad_reads.load(), 0);
-    EXPECT_EQ(pool.pinned_frames(), 0u);
-    // Every fetch is exactly one hit or one miss; prefetch staging counts
-    // in its own prefetch_issued, never in the demand ledger.
-    EXPECT_EQ(pool.hits() + pool.misses(), 2ull * kIters);
-    EXPECT_LE(pool.prefetch_hits(), pool.hits());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, BufferPoolConcurrentTest,
-    ::testing::Values(ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-                      ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-                      ReplacementPolicy::kLfu),
+    ::testing::Values(ReplacementPolicy::kLru, ReplacementPolicy::kLruK),
     [](const ::testing::TestParamInfo<ReplacementPolicy>& param_info) {
-        switch (param_info.param) {
-            case ReplacementPolicy::kLru: return "lru";
-            case ReplacementPolicy::kLruK: return "lruk";
-            case ReplacementPolicy::kClock: return "clock";
-            case ReplacementPolicy::kTwoQ: return "twoq";
-            case ReplacementPolicy::kLfu: return "lfu";
-        }
-        return "unknown";
+        return param_info.param == ReplacementPolicy::kLru ? "lru" : "lruk";
     });
 
 }  // namespace

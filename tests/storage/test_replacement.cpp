@@ -7,11 +7,9 @@
 // and all four counters compared after every operation. The policy
 // refactor is allowed to change nothing for existing callers.
 //
-// The LRU-K / CLOCK / 2Q tests script small access sequences against the
-// Replacer interface directly and assert the victim choices the
-// literature prescribes; the prefetch tests drive BufferPool::prefetch
-// and check the first-eviction class, the no-self-cannibalization cap,
-// and the counter protocol.
+// The LRU-K test scripts a small access sequence against the Replacer
+// interface directly and asserts the victim choices the literature
+// prescribes.
 #include "pgf/storage/replacement.hpp"
 
 #include <gtest/gtest.h>
@@ -31,16 +29,15 @@ namespace {
 
 TEST(ReplacementPolicyTag, RoundTripsAndAliases) {
     for (ReplacementPolicy p :
-         {ReplacementPolicy::kLru, ReplacementPolicy::kLruK,
-          ReplacementPolicy::kClock, ReplacementPolicy::kTwoQ,
-          ReplacementPolicy::kLfu}) {
+         {ReplacementPolicy::kLru, ReplacementPolicy::kLruK}) {
         auto parsed = parse_policy(to_string(p));
         ASSERT_TRUE(parsed.has_value()) << to_string(p);
         EXPECT_EQ(*parsed, p);
     }
-    EXPECT_EQ(parse_policy("lruk"), ReplacementPolicy::kLruK);
-    EXPECT_EQ(parse_policy("lru2"), ReplacementPolicy::kLruK);
-    EXPECT_EQ(parse_policy("twoq"), ReplacementPolicy::kTwoQ);
+    // Only the canonical tags parse: no aliases, no deleted policies.
+    for (const char* text : {"lruk", "lru2", "twoq", "2q", "clock", "lfu"}) {
+        EXPECT_FALSE(parse_policy(text).has_value()) << text;
+    }
     EXPECT_FALSE(parse_policy("mru").has_value());
     EXPECT_FALSE(parse_policy("").has_value());
 }
@@ -148,8 +145,6 @@ TEST(GoldenLruTrace, DefaultPoolMatchesHistoricalEvictionSequence) {
         EXPECT_EQ(pool.misses(), model.misses);
         EXPECT_EQ(pool.evictions(), model.evictions);
         EXPECT_EQ(pool.writebacks(), model.writebacks);
-        EXPECT_EQ(pool.prefetch_issued(), 0u);
-        EXPECT_EQ(pool.prefetch_hits(), 0u);
     }
     std::filesystem::remove(path);
 }
@@ -164,9 +159,9 @@ public:
                             std::size_t capacity)
         : policy_(std::move(policy)), evictable_(capacity, true) {}
 
-    void insert(std::size_t frame, std::uint64_t page) {
+    void insert(std::size_t frame) {
         MutexLock lock(latch_);
-        policy_->on_insert(frame, page, latch_);
+        policy_->on_insert(frame, latch_);
     }
     void access(std::size_t frame) {
         MutexLock lock(latch_);
@@ -181,18 +176,9 @@ public:
         MutexLock lock(latch_);
         return policy_->victim(EvictableView(allowed), latch_);
     }
-    void evict(std::size_t frame, std::uint64_t page) {
+    void evict(std::size_t frame) {
         MutexLock lock(latch_);
-        policy_->on_evict(frame, page, latch_);
-    }
-    /// Full eviction turn: ask for the victim, notify, reuse the frame
-    /// for `page`; returns the victim frame.
-    std::size_t replace_with(std::uint64_t page,
-                             std::uint64_t victim_page) {
-        const std::size_t v = victim();
-        evict(v, victim_page);
-        insert(v, page);
-        return v;
+        policy_->on_evict(frame, latch_);
     }
 
 private:
@@ -202,12 +188,11 @@ private:
 };
 
 TEST(LruKReplacer, InfiniteDistanceFramesGoFirstThenOldestKth) {
-    ReplacerScript s(
-        make_replacer({ReplacementPolicy::kLruK, 2}, 3), 3);
+    ReplacerScript s(make_replacer(ReplacementPolicy::kLruK, 3), 3);
     // stamps:            frame 0: 1     frame 1: 2     frame 2: 3
-    s.insert(0, 10);
-    s.insert(1, 11);
-    s.insert(2, 12);
+    s.insert(0);
+    s.insert(1);
+    s.insert(2);
     // frame 0: +4,5 (full history 4,5); frame 1: +6 (full 2,6);
     // frame 2 stays at one access = infinite backward-K distance.
     s.access(0);
@@ -215,16 +200,18 @@ TEST(LruKReplacer, InfiniteDistanceFramesGoFirstThenOldestKth) {
     s.access(1);
     EXPECT_EQ(s.victim(), 2u) << "single-access frame must go first";
 
-    // All infinite: LRU by most-recent access among them. frame 2 (stamp
-    // 3) is older than a freshly inserted frame.
-    ReplacerScript t(
-        make_replacer({ReplacementPolicy::kLruK, 3}, 3), 3);
-    t.insert(0, 10);  // stamp 1
-    t.insert(1, 11);  // stamp 2
-    t.insert(2, 12);  // stamp 3
+    // All infinite: LRU by most-recent access among them. A second access
+    // gives a frame full history, so it leaves the infinite class.
+    ReplacerScript t(make_replacer(ReplacementPolicy::kLruK, 3), 3);
+    t.insert(0);  // stamp 1
+    t.insert(1);  // stamp 2
+    t.insert(2);  // stamp 3
     EXPECT_EQ(t.victim(), 0u);
-    t.access(0);  // stamp 4: frame 0 now most recently touched
+    t.access(0);  // stamp 4: frame 0 history {1,4}, finite distance
     EXPECT_EQ(t.victim(), 1u);
+    t.evict(1);   // frame 1 leaves; its history resets
+    t.insert(1);  // stamp 5: single access again, infinite distance
+    EXPECT_EQ(t.victim(), 2u) << "oldest single-access frame goes first";
 
     // Full histories compete on the K-th most recent (oldest retained):
     // frame 0 history {4,5}, frame 1 history {2,6} -> frame 1's Kth (2)
@@ -236,204 +223,6 @@ TEST(LruKReplacer, InfiniteDistanceFramesGoFirstThenOldestKth) {
     s.access(1);
     s.access(1);
     EXPECT_EQ(s.victim_among(no2), 0u);
-}
-
-TEST(ClockReplacer, SecondChanceSweepClearsBitsThenEvicts) {
-    ReplacerScript s(make_replacer({ReplacementPolicy::kClock}, 3), 3);
-    s.insert(0, 10);
-    s.insert(1, 11);
-    s.insert(2, 12);
-    // All referenced: the hand clears 0,1,2 on the first sweep and evicts
-    // frame 0 on the second.
-    EXPECT_EQ(s.victim(), 0u);
-    s.evict(0, 10);
-    s.insert(0, 13);  // frame 0 re-referenced, hand now at 1
-    // Frames 1,2 have clear bits: the hand (at 1) evicts 1 immediately.
-    EXPECT_EQ(s.victim(), 1u);
-    s.evict(1, 11);
-    s.insert(1, 14);
-    // Hand at 2, bit clear -> 2; but a fresh access sets 2's bit, so the
-    // hand clears it, then evicts 0? No: 0 was re-inserted (bit set), so
-    // sweep order from 2: clear 2, clear 0, clear 1, evict 2.
-    s.access(2);
-    EXPECT_EQ(s.victim(), 2u);
-
-    // Pinned frames are skipped without losing their reference bit.
-    ReplacerScript t(make_replacer({ReplacementPolicy::kClock}, 2), 2);
-    t.insert(0, 20);
-    t.insert(1, 21);
-    std::vector<bool> only1{false, true};
-    EXPECT_EQ(t.victim_among(only1), 1u);
-}
-
-TEST(TwoQReplacer, GhostPromotionAndScanResistance) {
-    // Capacity 4 -> A1in target 1, so repeated-touch pages promote via
-    // the ghost list while single-touch scan pages churn through A1in.
-    ReplacerScript s(make_replacer({ReplacementPolicy::kTwoQ}, 4), 4);
-    s.insert(0, 100);  // A1
-    s.insert(1, 101);  // A1
-    // A1 (2 frames) over target (1): FIFO front of A1 is frame 0.
-    EXPECT_EQ(s.victim(), 0u);
-    s.evict(0, 100);   // page 100 -> ghost
-    s.insert(0, 102);  // A1: {1:101, 0:102}
-    // Re-fetch of ghost page 100 enters Am directly (proven reuse).
-    EXPECT_EQ(s.victim(), 1u);
-    s.evict(1, 101);
-    s.insert(1, 100);  // Am: {1:100}
-    s.insert(2, 103);  // A1: {0:102, 2:103}
-    s.insert(3, 104);  // A1: {0:102, 2:103, 3:104}
-    // A1 over target: scan-style single-touch pages are the victims, in
-    // FIFO order, while the Am page survives untouched.
-    EXPECT_EQ(s.replace_with(105, 102), 0u);  // evict 102 (A1 front)
-    EXPECT_EQ(s.replace_with(106, 103), 2u);  // evict 103
-    // Am hits refresh LRU order but never move a page back to A1.
-    s.access(1);
-    EXPECT_EQ(s.replace_with(107, 104), 3u);  // still A1 churn, Am safe
-    // Only when A1 is within target does Am's LRU frame get evicted.
-    std::vector<bool> only_am{false, true, false, false};
-    EXPECT_EQ(s.victim_among(only_am), 1u);
-}
-
-TEST(LfuReplacer, FrequencyDecidesWithLruTieBreakAndResetOnEvict) {
-    ReplacerScript s(make_replacer({ReplacementPolicy::kLfu}, 3), 3);
-    s.insert(0, 10);  // count 1, stamp 1
-    s.insert(1, 11);  // count 1, stamp 2
-    s.insert(2, 12);  // count 1, stamp 3
-    // All counts equal: LRU tie-break picks the oldest stamp.
-    EXPECT_EQ(s.victim(), 0u);
-    s.access(0);  // count 2, stamp 4
-    s.access(2);  // count 2, stamp 5
-    // Frame 1 is now strictly least frequent despite a newer stamp than 0.
-    EXPECT_EQ(s.victim(), 1u);
-    s.access(1);  // count 2, stamp 6: three-way count tie again
-    EXPECT_EQ(s.victim(), 0u) << "tie falls back to the oldest stamp";
-
-    // Eviction resets the frequency: a once-hot frame re-enters at count
-    // 1 and loses to moderately used survivors.
-    s.access(0);
-    s.access(0);          // frame 0: count 4
-    EXPECT_EQ(s.victim(), 2u);
-    s.evict(2, 12);
-    s.insert(2, 13);      // count back to 1
-    s.access(2);          // count 2, same as frame 1
-    // Frame 1 (count 2, stamp 6) vs frame 2 (count 2, newer stamp).
-    EXPECT_EQ(s.victim(), 1u);
-
-    // Ineligible frames are skipped even when least frequent.
-    std::vector<bool> no1{true, false, true};
-    EXPECT_EQ(s.victim_among(no1), 2u);
-}
-
-// ------------------------------------------------------ prefetch --
-
-class PrefetchTest : public ::testing::Test {
-protected:
-    std::filesystem::path path_ =
-        test::unique_temp_path("pgf_replacement_prefetch");
-
-    void TearDown() override { std::filesystem::remove(path_); }
-
-    /// Pages 0..count-1 filled with a recognizable byte pattern.
-    PageFile make_file(std::uint64_t count) {
-        auto pf = PageFile::create(path_.string(), 64);
-        std::vector<std::byte> raw(64);
-        for (std::uint64_t p = 0; p < count; ++p) {
-            pf.allocate();
-            raw.assign(64, static_cast<std::byte>(p & 0xff));
-            pf.write(p, raw);
-        }
-        return pf;
-    }
-};
-
-TEST_F(PrefetchTest, StagesPagesCountsIssuesAndHits) {
-    auto pf = make_file(6);
-    BufferPool pool(pf, 4);
-    const std::vector<std::uint64_t> block{0, 1, 2};
-    pool.prefetch(block);
-    EXPECT_EQ(pool.prefetch_issued(), 3u);
-    EXPECT_EQ(pool.resident(), 3u);
-    EXPECT_EQ(pool.pinned_frames(), 0u);  // staging never pins
-    EXPECT_EQ(pool.hits(), 0u);           // ...and is no demand access
-    EXPECT_EQ(pool.misses(), 0u);
-
-    // Re-prefetch of resident pages is a no-op (skip, don't re-read).
-    pool.prefetch(block);
-    EXPECT_EQ(pool.prefetch_issued(), 3u);
-
-    // Demand fetch of a staged page: a pool hit AND a prefetch hit, with
-    // the staged bytes served verbatim.
-    {
-        auto ref = pool.fetch(1);
-        EXPECT_EQ(ref.data()[0], static_cast<std::byte>(1));
-    }
-    EXPECT_EQ(pool.hits(), 1u);
-    EXPECT_EQ(pool.prefetch_hits(), 1u);
-    // Second fetch of the same page: a plain hit (graduated frame).
-    { auto ref = pool.fetch(1); }
-    EXPECT_EQ(pool.hits(), 2u);
-    EXPECT_EQ(pool.prefetch_hits(), 1u);
-}
-
-TEST_F(PrefetchTest, UnusedPrefetchesAreTheFirstEvictionClassFifo) {
-    auto pf = make_file(8);
-    BufferPool pool(pf, 4);
-    // Two demand pages with recency, then two staged pages fill the pool.
-    { auto ref = pool.fetch(0); }
-    { auto ref = pool.fetch(1); }
-    pool.prefetch(std::vector<std::uint64_t>{2, 3});
-    EXPECT_EQ(pool.resident(), 4u);
-
-    // A demand miss evicts the *oldest unused prefetch* (page 2), not the
-    // LRU demand page 0.
-    { auto ref = pool.fetch(4); }
-    auto resident = pool.resident_pages();
-    EXPECT_EQ(resident, (std::vector<std::uint64_t>{0, 1, 3, 4}));
-
-    // Consuming a staged page graduates it: the next miss then takes the
-    // true LRU demand page (0), because no unused prefetch remains.
-    { auto ref = pool.fetch(3); }
-    EXPECT_EQ(pool.prefetch_hits(), 1u);
-    { auto ref = pool.fetch(5); }
-    resident = pool.resident_pages();
-    EXPECT_EQ(resident, (std::vector<std::uint64_t>{1, 3, 4, 5}));
-}
-
-TEST_F(PrefetchTest, PrefetchNeverEvictsAnotherUnusedPrefetch) {
-    auto pf = make_file(8);
-    BufferPool pool(pf, 3);
-    { auto ref = pool.fetch(0); }  // one demand page
-    // Staging 4 pages into 3 frames: pages 1,2 take the free frames, page
-    // 3 may displace the demand page, and page 4 must be dropped — the
-    // only remaining frames hold unused prefetches.
-    pool.prefetch(std::vector<std::uint64_t>{1, 2, 3, 4});
-    EXPECT_EQ(pool.prefetch_issued(), 3u);
-    auto resident = pool.resident_pages();
-    EXPECT_EQ(resident, (std::vector<std::uint64_t>{1, 2, 3}));
-
-    // With every frame holding an unused prefetch, further staging is a
-    // clean no-op...
-    pool.prefetch(std::vector<std::uint64_t>{5, 6});
-    EXPECT_EQ(pool.prefetch_issued(), 3u);
-    // ...but demand misses still steal staged frames freely (FIFO).
-    { auto ref = pool.fetch(7); }
-    EXPECT_EQ(pool.misses(), 2u);
-    resident = pool.resident_pages();
-    EXPECT_EQ(resident, (std::vector<std::uint64_t>{2, 3, 7}));
-}
-
-TEST_F(PrefetchTest, PinnedFramesStopStagingWithoutThrowing)
-{
-    auto pf = make_file(6);
-    BufferPool pool(pf, 2);
-    auto pinned0 = pool.fetch(0);
-    auto pinned1 = pool.fetch(1);
-    // Every frame pinned: fetch would throw, prefetch must simply stop.
-    EXPECT_NO_THROW(
-        pool.prefetch(std::vector<std::uint64_t>{2, 3}));
-    EXPECT_EQ(pool.prefetch_issued(), 0u);
-    EXPECT_EQ(pool.resident_pages(),
-              (std::vector<std::uint64_t>{0, 1}));
 }
 
 }  // namespace

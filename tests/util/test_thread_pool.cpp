@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "pgf/util/check.hpp"
@@ -133,24 +134,58 @@ TEST(ThreadPool, ManySmallDispatchesSurvive) {
     EXPECT_EQ(total.load(), 2000u * 8u);
 }
 
+// A throwing fn reaches the caller as that exception, whichever thread
+// ran the failing chunk, and leaves the pool usable: no std::terminate
+// from a worker, no chunk left outstanding to fail the next call.
+TEST(ThreadPool, ThrowingChunkRethrowsOnCallerAndPoolStaysUsable) {
+    ThreadPool pool(3);
+    auto sum = [&pool](std::size_t n) {
+        std::atomic<std::size_t> total{0};
+        pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
+            total.fetch_add(end - begin, std::memory_order_relaxed);
+        });
+        return total.load();
+    };
+    for (int round = 0; round < 200; ++round) {
+        // Chunk 0 fails; whoever claims it (caller or worker) varies.
+        EXPECT_THROW(pool.parallel_for(64,
+                                       [](std::size_t begin, std::size_t) {
+                                           if (begin == 0) {
+                                               throw std::runtime_error(
+                                                   "chunk 0");
+                                           }
+                                       }),
+                     std::runtime_error);
+        ASSERT_EQ(sum(64), 64u) << "round " << round;
+        // Every chunk fails, so workers throw too; one exception wins.
+        EXPECT_THROW(pool.parallel_for_chunk(
+                         64, 1,
+                         [](std::size_t, std::size_t) {
+                             throw std::logic_error("every chunk");
+                         }),
+                     std::logic_error);
+        ASSERT_EQ(sum(7), 7u) << "round " << round;
+    }
+}
+
 #if PGF_DCHECK_ACTIVE
-// Reentrant submission (fn submitting to the pool that runs it) used to
-// deadlock silently on the submit mutex; checked builds now fail fast. The
-// chunk that trips the check may run on the calling thread (CheckError
-// propagates, uncaught here) or on a worker (fn must not throw, so the
-// worker std::terminates) — either way the process dies with the
-// diagnostic, which is what a death test asserts. "threadsafe" style
-// re-execs the child so the pool's worker threads are created post-fork.
-TEST(ThreadPoolDeathTest, ReentrantSubmissionFailsFastInCheckedBuilds) {
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_DEATH(
-        {
-            ThreadPool pool(2);
-            pool.parallel_for(8, [&](std::size_t, std::size_t) {
-                pool.parallel_for(1, [](std::size_t, std::size_t) {});
-            });
-        },
-        "not reentrant");
+// Reentrant submission (fn submitting to the pool that runs it) would
+// deadlock on the submit mutex; checked builds fail fast instead. The
+// CheckError reaches the outer caller like any exception from fn, whether
+// the offending chunk ran on the calling thread or on a worker.
+TEST(ThreadPool, ReentrantSubmissionThrowsInCheckedBuilds) {
+    ThreadPool pool(2);
+    EXPECT_THROW(pool.parallel_for(8,
+                                   [&](std::size_t, std::size_t) {
+                                       pool.parallel_for(
+                                           1, [](std::size_t, std::size_t) {});
+                                   }),
+                 CheckError);
+    std::atomic<std::size_t> total{0};
+    pool.parallel_for(8, [&](std::size_t begin, std::size_t end) {
+        total.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(total.load(), 8u);
 }
 
 // Nested parallelism across *different* pools stays legal: the outer

@@ -668,14 +668,12 @@ int validate_impl(const Cli& cli, const std::string& file) {
                       << ")\n";
             const BufferPool::Stats stats = paged.pool().stats();
             std::cout << "paged pool: policy "
-                      << to_string(paged.pool().config().policy) << ", "
+                      << to_string(paged.pool().policy()) << ", "
                       << stats.hits << " hits / " << stats.misses
                       << " misses (hit rate "
                       << format_double(stats.hit_rate(), 3) << "), "
                       << stats.evictions << " evictions, "
-                      << stats.writebacks << " writebacks, "
-                      << stats.prefetch_issued << " prefetched ("
-                      << stats.prefetch_hits << " used)\n";
+                      << stats.writebacks << " writebacks\n";
         }
         std::remove(staging.c_str());
     }
