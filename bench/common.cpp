@@ -4,9 +4,7 @@
 
 #include <atomic>
 #include <cctype>
-#include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <thread>
 
@@ -48,22 +46,6 @@ std::string default_policy() {
         if (*env != '\0') return env;
     }
     return "lru";
-}
-
-/// Minimal JSON string escaping (paths and sweep names only).
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default: out += c;
-        }
-    }
-    return out;
 }
 
 }  // namespace
@@ -189,54 +171,24 @@ std::unique_ptr<ThreadPool> make_sweep_pool(const Options& opt) {
 // reassignable after construction.
 SweepHarness::SweepHarness(const Options& opt, std::string binary)
     : opt_(opt),
-      binary_(std::move(binary)),
       pool_(make_sweep_pool(opt)),
       inner_pool_(make_inner_pool(opt)),
-      runner_(pool_.get(), opt.seed) {}
-
-double SweepHarness::now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-void SweepHarness::record(const std::string& name, const SweepStats& stats) {
-    entries_.push_back(Entry{name, stats.tasks, stats.wall_ms});
+      runner_(pool_.get(), opt.seed),
+      report_(std::move(binary), opt.seed) {
+    report_.param("threads", opt.resolved_threads());
+    report_.param("inner_threads", opt.resolved_inner_threads());
+    report_.param("queries", static_cast<double>(opt.queries));
 }
 
 void SweepHarness::record_wall(const std::string& name, double wall_ms) {
-    entries_.push_back(Entry{name, 0, wall_ms});
+    report_.metric(name, "wall_ms", wall_ms, "ms", Better::kLower);
+    total_ms_ += wall_ms;
 }
 
-bool SweepHarness::write_timings() const {
+bool SweepHarness::write_timings() {
     if (opt_.bench_json.empty()) return true;
-    std::ofstream out(opt_.bench_json);
-    if (!out) {
-        std::cerr << "[bench-json] FAILED to write " << opt_.bench_json
-                  << "\n";
-        return false;
-    }
-    double total = 0.0;
-    for (const Entry& e : entries_) total += e.wall_ms;
-    out << "{\n"
-        << "  \"schema\": \"pgf-bench-sweep-v1\",\n"
-        << "  \"binary\": \"" << json_escape(binary_) << "\",\n"
-        << "  \"threads\": " << opt_.resolved_threads() << ",\n"
-        << "  \"inner_threads\": " << opt_.resolved_inner_threads() << ",\n"
-        << "  \"seed\": " << opt_.seed << ",\n"
-        << "  \"queries\": " << opt_.queries << ",\n"
-        << "  \"total_wall_ms\": " << total << ",\n"
-        << "  \"sweeps\": [\n";
-    for (std::size_t i = 0; i < entries_.size(); ++i) {
-        const Entry& e = entries_[i];
-        out << "    {\"name\": \"" << json_escape(e.name)
-            << "\", \"tasks\": " << e.tasks << ", \"wall_ms\": " << e.wall_ms
-            << "}" << (i + 1 < entries_.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    // stderr so stdout stays byte-identical across harness configurations.
-    std::cerr << "[bench-json] " << opt_.bench_json << "\n";
-    return true;
+    report_.metric("total", "wall_ms", total_ms_, "ms", Better::kLower);
+    return report_.write(opt_.bench_json);
 }
 
 }  // namespace pgf::bench

@@ -16,8 +16,8 @@
 //                       run across a second pool (default: PGF_INNER_THREADS
 //                       env, else 1 = serial; 0 = hardware concurrency).
 //                       Output is byte-identical at every setting.
-//   --bench-json <f>    write machine-readable sweep timings to <f>
-//                       (BENCH_sweep.json schema, see tools/bench_diff)
+//   --bench-json <f>    write the run's timings to <f> as a pgf-bench-v2
+//                       report (report.hpp; compare with tools/bench_diff)
 //   --build-cache[=on|off]  memoize dataset+grid-file construction across
 //                       repeated identical build requests (default: on;
 //                       PGF_BUILD_CACHE=0 in the environment disables).
@@ -40,6 +40,7 @@
 //                       (also enabled by PGF_FULL_SCALE=1 in the environment)
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -48,6 +49,7 @@
 #include <vector>
 
 #include "latency.hpp"
+#include "report.hpp"
 #include "pgf/core/build_cache.hpp"
 #include "pgf/core/declusterer.hpp"
 #include "pgf/core/sweep.hpp"
@@ -108,6 +110,13 @@ void print_banner(const Options& opt, const std::string& experiment,
 /// Prints a table and, when --csv-dir is set, writes `<csv_dir>/<name>.csv`.
 void emit(const Options& opt, const TextTable& table, const std::string& name);
 
+/// Steady-clock time in milliseconds, for timing a phase.
+inline double now_ms() {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+}
+
 /// The paper's disk sweep: M = 4, 6, ..., 32.
 std::vector<std::uint32_t> disk_sweep();
 
@@ -116,11 +125,11 @@ std::vector<std::uint32_t> disk_sweep();
 /// caller owns cleanup.
 std::string unique_backing_path(const std::string& tag);
 
-/// One worker pool + sweep engine + timing log per bench binary. The
+/// One worker pool + sweep engine + timing report per bench binary. The
 /// sweep() results come back in declaration order, so stdout/CSV bytes
-/// never depend on the thread count; wall-clock per sweep is recorded and,
-/// when --bench-json was given, written out by write_timings() (called by
-/// the binary at the end of its run).
+/// never depend on the thread count; wall-clock per sweep is recorded as
+/// metric "<sweep>/wall_ms" and, when --bench-json was given, written out
+/// by write_timings() (called by the binary at the end of its run).
 class SweepHarness {
 public:
     SweepHarness(const Options& opt, std::string binary);
@@ -143,7 +152,7 @@ public:
     auto sweep(const std::string& name, const std::vector<Config>& configs,
                Fn&& fn) {
         auto results = runner_.map(configs, std::forward<Fn>(fn));
-        record(name, runner_.last());
+        record_wall(name, runner_.last().wall_ms);
         return results;
     }
 
@@ -156,27 +165,19 @@ public:
         return result;
     }
 
-    /// Writes BENCH_sweep.json when --bench-json is set; true on success
-    /// (or when disabled).
-    bool write_timings() const;
+    /// Writes the report (plus "total/wall_ms") when --bench-json is set;
+    /// true on success (or when disabled).
+    bool write_timings();
 
 private:
-    struct Entry {
-        std::string name;
-        std::size_t tasks = 0;
-        double wall_ms = 0.0;
-    };
-
-    static double now_ms();
-    void record(const std::string& name, const SweepStats& stats);
     void record_wall(const std::string& name, double wall_ms);
 
     const Options& opt_;
-    std::string binary_;
     std::unique_ptr<ThreadPool> pool_;
     std::unique_ptr<ThreadPool> inner_pool_;
     SweepRunner runner_;
-    std::vector<Entry> entries_;
+    BenchReport report_;
+    double total_ms_ = 0.0;
 };
 
 /// Builder-pool frames of a paged workbench: enough to keep every

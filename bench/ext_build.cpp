@@ -29,14 +29,13 @@
 // divergence aborts with exit 1 (the tests assert this at small N; the
 // bench re-asserts it at full bench scale).
 //
-// --bench-json <file> writes schema pgf-bench-extbuild-v1 (understood by
-// tools/bench_diff, which gates on ns/record and query p99).
+// --bench-json <file> writes a pgf-bench-v2 report with one cell per
+// "n=<N>/p=<pages>/t=<threads>": build rate, sort/load time, spill, RSS,
+// the build pool's counters and the probe latency.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <string>
@@ -57,36 +56,6 @@ namespace {
 using extsort::ExtSortConfig;
 using extsort::ExtSorter;
 using extsort::ExtSortStats;
-
-/// One measured cell of the sweep.
-struct CellResult {
-    std::string name;  ///< "n=<N>/p=<pages>/t=<threads>"
-    std::uint64_t records = 0;
-    std::size_t pool_pages = 0;
-    unsigned sort_threads = 0;
-    ExtSortStats sort;
-    unsigned hilbert_bits = 0;
-    double sort_ms = 0.0;   ///< run formation + reduction (ExtSorter ctor)
-    double load_ms = 0.0;   ///< streamed merge + bulk_load_stream + flush
-    double peak_rss_mb = 0.0;
-    BufferPool::Stats pool;  ///< build-side pool counters
-    std::size_t queries = 0;
-    double q_p50_ms = 0.0;
-    double q_p99_ms = 0.0;
-    bool verified = false;  ///< structural check vs in-memory ran and passed
-};
-
-double records_per_sec(const CellResult& r) {
-    const double ms = r.sort_ms + r.load_ms;
-    if (ms <= 0.0) return 0.0;
-    return static_cast<double>(r.records) / (ms / 1000.0);
-}
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 /// Process peak RSS in MB (0 where getrusage is unavailable).
 double peak_rss_mb() {
@@ -164,45 +133,6 @@ bool verify_against_memory(const PagedGridFile<2>& pf,
     return true;
 }
 
-bool write_extbuild_json(const Options& opt, const std::string& path,
-                         const std::vector<CellResult>& results) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "[bench-json] FAILED to write " << path << "\n";
-        return false;
-    }
-    out << "{\n"
-        << "  \"schema\": \"pgf-bench-extbuild-v1\",\n"
-        << "  \"binary\": \"ext_build\",\n"
-        << "  \"seed\": " << opt.seed << ",\n"
-        << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CellResult& r = results[i];
-        out << "    {\"name\": \"" << r.name << "\", \"records\": "
-            << r.records << ", \"pool_pages\": " << r.pool_pages
-            << ", \"sort_threads\": " << r.sort_threads
-            << ", \"hilbert_bits\": " << r.hilbert_bits
-            << ", \"initial_runs\": " << r.sort.initial_runs
-            << ", \"merge_passes\": " << r.sort.merge_passes
-            << ", \"final_fan_in\": " << r.sort.final_fan_in
-            << ", \"spill_bytes\": " << r.sort.spill_bytes
-            << ", \"sort_ms\": " << r.sort_ms
-            << ", \"load_ms\": " << r.load_ms
-            << ", \"records_per_sec\": " << records_per_sec(r)
-            << ", \"peak_rss_mb\": " << r.peak_rss_mb
-            << ", \"pool_misses\": " << r.pool.misses
-            << ", \"pool_evictions\": " << r.pool.evictions
-            << ", \"queries\": " << r.queries
-            << ", \"q_p50_ms\": " << r.q_p50_ms
-            << ", \"q_p99_ms\": " << r.q_p99_ms
-            << ", \"verified\": " << (r.verified ? "true" : "false") << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench-json] " << path << "\n";
-    return true;
-}
-
 int run(int argc, char** argv) {
     Options opt(argc, argv);
     print_banner(opt,
@@ -218,7 +148,8 @@ int run(int argc, char** argv) {
     // Post-build probe: modest square queries, cold pool, exact quantiles.
     const std::size_t probe_queries = std::min<std::size_t>(opt.queries, 500);
 
-    std::vector<CellResult> results;
+    BenchReport report("ext_build", opt.seed);
+    report.param("probe_queries", static_cast<double>(probe_queries));
     bool verified_ok = true;
     for (std::uint64_t n : counts) {
         TextTable table({"n", "pool", "thr", "runs", "passes", "spill MB",
@@ -234,34 +165,30 @@ int run(int argc, char** argv) {
                 ThreadPool sort_pool(threads);
                 ExtSortConfig cfg;
                 cfg.pool = &sort_pool;
+                const std::string cell = "n=" + std::to_string(n) +
+                                         "/p=" + std::to_string(pool_pages) +
+                                         "/t=" + std::to_string(threads);
 
-                CellResult r;
-                r.records = n;
-                r.pool_pages = pool_pages;
-                r.sort_threads = threads;
-                r.name = "n=" + std::to_string(n) +
-                         "/p=" + std::to_string(pool_pages) +
-                         "/t=" + std::to_string(threads);
-
+                // Sort: run formation + reduction (the ExtSorter ctor).
                 double t0 = now_ms();
                 ExtSorter<2> sorter(*ds.source, ds.domain, cfg);
-                r.sort_ms = now_ms() - t0;
-                r.sort = sorter.stats();
-                r.hilbert_bits = sorter.config().hilbert_bits;
+                const double sort_ms = now_ms() - t0;
+                const ExtSortStats sort = sorter.stats();
 
                 PagedGridFile<2>::Config pcfg;
                 pcfg.page_size =
                     PagedBucketStore<2>::page_size_for(ds.bucket_capacity);
                 pcfg.pool_pages = pool_pages;
-                PagedGridFile<2> pf(unique_backing_path("extbuild." + r.name),
+                PagedGridFile<2> pf(unique_backing_path("extbuild." + cell),
                                     ds.domain, pcfg);
+                // Load: streamed merge + bulk_load_stream + flush.
                 t0 = now_ms();
                 const std::uint64_t loaded = pf.bulk_load_stream(sorter);
                 pf.flush();
-                r.load_ms = now_ms() - t0;
+                const double load_ms = now_ms() - t0;
                 PGF_CHECK(loaded == n, "ext_build: stream count mismatch");
-                r.pool = pf.pool().stats();
-                r.peak_rss_mb = peak_rss_mb();
+                const BufferPool::Stats pool = pf.pool().stats();
+                const double rss_mb = peak_rss_mb();
 
                 if (verify) {
                     StreamDataset<2> again =
@@ -278,8 +205,8 @@ int run(int argc, char** argv) {
                                       block.begin() +
                                           static_cast<std::ptrdiff_t>(got));
                     }
-                    r.verified = verify_against_memory(pf, sorted);
-                    verified_ok = verified_ok && r.verified;
+                    verified_ok =
+                        verify_against_memory(pf, sorted) && verified_ok;
                 }
 
                 // Query probe against the freshly built file (pool still
@@ -296,23 +223,42 @@ int run(int argc, char** argv) {
                 }
                 PGF_CHECK(probes.empty() || total_records > 0,
                           "ext_build: probe queries returned nothing");
-                r.queries = probes.size();
-                r.q_p50_ms = lat.p50();
-                r.q_p99_ms = lat.p99();
 
-                table.add(n, pool_pages, threads, r.sort.initial_runs,
-                          r.sort.merge_passes,
+                const double build_ms = sort_ms + load_ms;
+                const double records_per_s =
+                    build_ms > 0.0
+                        ? static_cast<double>(n) / (build_ms / 1000.0)
+                        : 0.0;
+                report.metric(cell, "records_per_s", records_per_s, "1/s",
+                              Better::kHigher);
+                report.metric(cell, "sort_ms", sort_ms, "ms", Better::kLower);
+                report.metric(cell, "load_ms", load_ms, "ms", Better::kLower);
+                report.metric(cell, "initial_runs",
+                              static_cast<double>(sort.initial_runs), "count",
+                              Better::kLower);
+                report.metric(cell, "merge_passes",
+                              static_cast<double>(sort.merge_passes), "count",
+                              Better::kLower);
+                report.metric(cell, "spill_bytes",
+                              static_cast<double>(sort.spill_bytes), "bytes",
+                              Better::kLower);
+                report.metric(cell, "peak_rss_mb", rss_mb, "MB",
+                              Better::kLower);
+                report.pool(cell, pool);
+                report.metric(cell, "q_p50_ms", lat.p50(), "ms",
+                              Better::kLower);
+                report.metric(cell, "q_p99_ms", lat.p99(), "ms",
+                              Better::kLower);
+                table.add(n, pool_pages, threads, sort.initial_runs,
+                          sort.merge_passes,
                           format_double(static_cast<double>(
-                                            r.sort.spill_bytes) /
+                                            sort.spill_bytes) /
                                         (1024.0 * 1024.0)),
-                          format_double(r.sort_ms),
-                          format_double(r.load_ms),
-                          format_double(records_per_sec(r) / 1e6),
-                          format_double(r.peak_rss_mb),
-                          format_double(r.q_p50_ms, 3),
-                          format_double(r.q_p99_ms, 3));
+                          format_double(sort_ms), format_double(load_ms),
+                          format_double(records_per_s / 1e6),
+                          format_double(rss_mb), format_double(lat.p50(), 3),
+                          format_double(lat.p99(), 3));
                 const std::string backing = pf.path();
-                results.push_back(std::move(r));
                 // pf closes at scope end; drop the backing file with it.
                 std::remove(backing.c_str());
             }
@@ -320,9 +266,7 @@ int run(int argc, char** argv) {
         emit(opt, table, "ext_build_n" + std::to_string(n));
     }
 
-    if (!opt.bench_json.empty()) {
-        write_extbuild_json(opt, opt.bench_json, results);
-    }
+    if (!opt.bench_json.empty()) report.write(opt.bench_json);
     if (!verified_ok) {
         std::cerr << "ext_build: streamed build DIVERGED from the in-memory "
                      "bulk load\n";

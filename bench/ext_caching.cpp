@@ -25,12 +25,11 @@
 // only change *when* pages are read, never what the queries see); any
 // divergence aborts with exit 1.
 //
-// --bench-json <file> writes schema pgf-bench-caching-v1 (understood by
-// tools/bench_diff, which gates on p99 latency and miss percentage).
+// --bench-json <file> writes a pgf-bench-v2 report with one cell per
+// "<workload>/p=<pages>/<policy>": latency, the pool's counters and io/q.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -42,21 +41,11 @@
 namespace pgf::bench {
 namespace {
 
-/// One measured cell of the sweep.
-struct CellResult {
-    std::string name;      ///< "<workload>/p=<pages>/<policy>"
-    std::string workload;
-    std::string policy;
-    std::size_t pool_pages = 0;
-    ServingReport report;
-    BufferPool::Stats pool;  ///< the single node pool's counters
-};
-
 /// Physical page reads (demand misses) per query.
-double io_per_query(const CellResult& r) {
-    if (r.report.queries == 0) return 0.0;
-    return static_cast<double>(r.pool.misses) /
-           static_cast<double>(r.report.queries);
+double io_per_query(const ServingReport& r) {
+    if (r.queries == 0) return 0.0;
+    return static_cast<double>(r.node_pools.at(0).misses) /
+           static_cast<double>(r.queries);
 }
 
 /// Square rect of `area_ratio` of the domain's area centered at `c`
@@ -119,40 +108,6 @@ std::vector<Rect<2>> scan_mix_queries(const Dataset<2>& ds,
     return queries;
 }
 
-bool write_caching_json(const Options& opt, const std::string& path,
-                        const std::vector<CellResult>& results) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "[bench-json] FAILED to write " << path << "\n";
-        return false;
-    }
-    out << "{\n"
-        << "  \"schema\": \"pgf-bench-caching-v1\",\n"
-        << "  \"binary\": \"ext_caching\",\n"
-        << "  \"queries\": " << opt.queries << ",\n"
-        << "  \"seed\": " << opt.seed << ",\n"
-        << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CellResult& r = results[i];
-        out << "    {\"name\": \"" << r.name << "\", \"workload\": \""
-            << r.workload << "\", \"policy\": \"" << r.policy
-            << "\", \"pool_pages\": " << r.pool_pages
-            << ", \"hit_rate\": " << r.pool.hit_rate()
-            << ", \"hits\": " << r.pool.hits
-            << ", \"misses\": " << r.pool.misses
-            << ", \"evictions\": " << r.pool.evictions
-            << ", \"io_per_query\": " << io_per_query(r)
-            << ", \"qps\": " << r.report.qps
-            << ", \"p50_ms\": " << r.report.p50_ms
-            << ", \"p99_ms\": " << r.report.p99_ms
-            << ", \"records\": " << r.report.records_returned << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench-json] " << path << "\n";
-    return true;
-}
-
 int run(int argc, char** argv) {
     Options opt(argc, argv);
     // Hit rates are a property of the disk image; force the paged
@@ -200,7 +155,8 @@ int run(int argc, char** argv) {
     const std::vector<ReplacementPolicy> policies{ReplacementPolicy::kLru,
                                                   ReplacementPolicy::kLruK};
 
-    std::vector<CellResult> results;
+    BenchReport report("ext_caching", opt.seed);
+    report.param("queries", static_cast<double>(opt.queries));
     bool consistent = true;
     for (const Workload& wl : workloads) {
         std::vector<QueryEngine<2>::Query> engine_queries(
@@ -220,36 +176,32 @@ int run(int argc, char** argv) {
                 // Fresh engine per cell: every configuration starts cold
                 // and serves the whole workload once.
                 QueryEngine<2> engine(pgf2, assignment, cfg);
-                auto out = engine.run(engine_queries);
-
-                CellResult r;
-                r.workload = wl.name;
-                r.policy = to_string(policy);
-                r.pool_pages = pool_pages;
-                r.name = wl.name + "/p=" + std::to_string(pool_pages) + "/" +
-                         r.policy;
-                r.report = out.report;
-                r.pool = out.report.node_pools.at(0);
+                const ServingReport r = engine.run(engine_queries).report;
+                const BufferPool::Stats& pool = r.node_pools.at(0);
                 if (!have_expected) {
-                    expected_records = r.report.records_returned;
+                    expected_records = r.records_returned;
                     have_expected = true;
-                } else if (r.report.records_returned != expected_records) {
+                } else if (r.records_returned != expected_records) {
                     consistent = false;
                 }
-                table.add(pool_pages, r.policy,
-                          format_double(r.pool.hit_rate(), 3),
+                const std::string cell = wl.name + "/p=" +
+                                         std::to_string(pool_pages) + "/" +
+                                         to_string(policy);
+                report.serving(cell, r);
+                report.pool(cell, pool);
+                report.metric(cell, "io_per_query", io_per_query(r), "count",
+                              Better::kLower);
+                table.add(pool_pages, to_string(policy),
+                          format_double(pool.hit_rate(), 3),
                           format_double(io_per_query(r)),
-                          format_double(r.report.p50_ms, 3),
-                          format_double(r.report.p99_ms, 3));
-                results.push_back(std::move(r));
+                          format_double(r.p50_ms, 3),
+                          format_double(r.p99_ms, 3));
             }
         }
         emit(opt, table, "ext_caching_" + wl.name);
     }
 
-    if (!opt.bench_json.empty()) {
-        write_caching_json(opt, opt.bench_json, results);
-    }
+    if (!opt.bench_json.empty()) report.write(opt.bench_json);
     if (!consistent) {
         std::cerr << "ext_caching: record counts DIVERGED across pool "
                      "configurations of one workload\n";

@@ -15,15 +15,11 @@
 // per-query record multisets must equal the serial PagedGridFile query
 // path (any mismatch aborts the run with exit code 1).
 //
-// --bench-json <file> writes the machine-readable artifact (schema
-// pgf-bench-serving-v1, understood by tools/bench_diff, which compares
-// p99 latency). Note: on a single-core container every worker count
-// timeshares one CPU, so qps cannot scale with workers there; the
-// committed bench/results/BENCH_serving.json records the shape measured
-// on the reference box.
+// --bench-json <file> writes a pgf-bench-v2 report with one cell per
+// "<method>/w=<workers>/c=<concurrency>": throughput, latency and the
+// summed node-pool counters.
 #include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -63,56 +59,6 @@ bool same_records(const std::vector<GridRecord<D>>& a,
     for (std::size_t i = 0; i < a.size(); ++i) {
         if (a[i].id != b[i].id || a[i].point != b[i].point) return false;
     }
-    return true;
-}
-
-struct ConfigResult {
-    std::string name;
-    std::string method;
-    unsigned workers = 0;
-    std::size_t concurrency = 0;
-    ServingReport report;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-};
-
-bool write_serving_json(const Options& opt, const std::string& path,
-                        std::uint32_t nodes, std::size_t pool_pages,
-                        const std::vector<ConfigResult>& results) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "[bench-json] FAILED to write " << path << "\n";
-        return false;
-    }
-    out << "{\n"
-        << "  \"schema\": \"pgf-bench-serving-v1\",\n"
-        << "  \"binary\": \"ext_serving\",\n"
-        << "  \"queries\": " << opt.queries << ",\n"
-        << "  \"seed\": " << opt.seed << ",\n"
-        << "  \"nodes\": " << nodes << ",\n"
-        << "  \"pool_pages\": " << pool_pages << ",\n"
-        << "  \"policy\": \"" << opt.policy << "\",\n"
-        << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const ConfigResult& r = results[i];
-        out << "    {\"name\": \"" << r.name << "\", \"method\": \""
-            << r.method << "\", \"workers\": " << r.workers
-            << ", \"concurrency\": " << r.concurrency
-            << ", \"qps\": " << r.report.qps
-            << ", \"wall_s\": " << r.report.wall_s
-            << ", \"mean_ms\": " << r.report.mean_ms
-            << ", \"p50_ms\": " << r.report.p50_ms
-            << ", \"p95_ms\": " << r.report.p95_ms
-            << ", \"p99_ms\": " << r.report.p99_ms
-            << ", \"max_ms\": " << r.report.max_ms
-            << ", \"total_blocks\": " << r.report.total_blocks
-            << ", \"records\": " << r.report.records_returned
-            << ", \"pool_hits\": " << r.pool_hits
-            << ", \"pool_misses\": " << r.pool_misses << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench-json] " << path << "\n";
     return true;
 }
 
@@ -168,7 +114,11 @@ int run(int argc, char** argv) {
 
     std::vector<QueryEngine<4>::Query> engine_queries(queries.begin(),
                                                       queries.end());
-    std::vector<ConfigResult> results;
+    BenchReport report("ext_serving", opt.seed);
+    report.param("queries", static_cast<double>(opt.queries));
+    report.param("nodes", kNodes);
+    report.param("pool_pages", static_cast<double>(opt.node_pool_pages));
+    report.param("policy", opt.policy);
     bool all_verified = true;
 
     for (Method method : methods) {
@@ -200,33 +150,24 @@ int run(int argc, char** argv) {
                 all_verified = all_verified && verified;
                 auto out = engine.run(engine_queries);
                 method_hist.record_all(out.latencies_ms);
-                std::uint64_t hits = 0;
-                std::uint64_t misses = 0;
+                BufferPool::Stats pools;
                 for (const BufferPool::Stats& s : out.report.node_pools) {
-                    hits += s.hits;
-                    misses += s.misses;
+                    pools.hits += s.hits;
+                    pools.misses += s.misses;
+                    pools.evictions += s.evictions;
+                    pools.writebacks += s.writebacks;
                 }
-                const double accesses = static_cast<double>(hits + misses);
-                ConfigResult r;
-                r.name = method_tag(method) + "/w=" +
-                         std::to_string(workers) + "/c=" +
-                         std::to_string(conc);
-                r.method = method_tag(method);
-                r.workers = workers;
-                r.concurrency = conc;
-                r.report = out.report;
-                r.pool_hits = hits;
-                r.pool_misses = misses;
-                results.push_back(r);
+                const std::string cell = method_tag(method) + "/w=" +
+                                         std::to_string(workers) + "/c=" +
+                                         std::to_string(conc);
+                report.serving(cell, out.report);
+                report.pool(cell, pools);
                 table.add(workers, conc, format_double(out.report.qps),
                           format_double(out.report.p50_ms, 3),
                           format_double(out.report.p95_ms, 3),
                           format_double(out.report.p99_ms, 3),
                           format_double(out.report.mean_ms, 3),
-                          format_double(accesses > 0.0
-                                            ? static_cast<double>(hits) /
-                                                  accesses
-                                            : 0.0),
+                          format_double(pools.hit_rate()),
                           verified ? "yes" : "NO");
             }
         }
@@ -239,10 +180,7 @@ int run(int argc, char** argv) {
                   << format_double(method_hist.max(), 3) << " ms\n";
     }
 
-    if (!opt.bench_json.empty()) {
-        write_serving_json(opt, opt.bench_json, kNodes, opt.node_pool_pages,
-                           results);
-    }
+    if (!opt.bench_json.empty()) report.write(opt.bench_json);
     if (!all_verified) {
         std::cerr << "ext_serving: engine results DIVERGED from the serial "
                      "query path\n";

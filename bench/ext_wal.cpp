@@ -23,14 +23,14 @@
 // identical structures (journaling may never perturb the engine), and the
 // recovered file must pass the deep paged audit; any violation exits 1.
 //
-// --bench-json <file> writes schema pgf-bench-wal-v1 (understood by
-// tools/bench_diff, which gates on ns/record and recovery wall time).
-#include <chrono>
+// --bench-json <file> writes a pgf-bench-v2 report: build cells
+// "n=<N>/wal=<on|off>" (build time and rate, journal volume, flushes, the
+// pool's counters) and recovery cells "n=<N>/recover" (replay time, pages
+// replayed, records recovered).
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -43,26 +43,6 @@
 
 namespace pgf::bench {
 namespace {
-
-/// One measured cell: a build (wal on/off) or a recovery replay.
-struct CellResult {
-    std::string name;  ///< "n=<N>/wal=<on|off>" or "n=<N>/recover"
-    std::uint64_t records = 0;
-    bool wal = false;
-    double build_ms = 0.0;
-    double records_per_sec = 0.0;
-    std::uint64_t wal_bytes = 0;
-    std::uint64_t wal_flushes = 0;
-    std::uint64_t pool_evictions = 0;
-    double recover_ms = 0.0;  ///< recovery rows only
-    std::uint64_t pages_replayed = 0;
-};
-
-double now_ms() {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
 
 std::vector<std::uint64_t> record_counts() {
     if (const char* n = std::getenv("PGF_WAL_N")) {
@@ -100,36 +80,6 @@ struct Shape {
     std::size_t refinements = 0;
 };
 
-bool write_wal_json(const Options& opt, const std::string& path,
-                    const std::vector<CellResult>& results) {
-    std::ofstream out(path);
-    if (!out) {
-        std::cerr << "[bench-json] FAILED to write " << path << "\n";
-        return false;
-    }
-    out << "{\n"
-        << "  \"schema\": \"pgf-bench-wal-v1\",\n"
-        << "  \"binary\": \"ext_wal\",\n"
-        << "  \"seed\": " << opt.seed << ",\n"
-        << "  \"configs\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const CellResult& r = results[i];
-        out << "    {\"name\": \"" << r.name << "\", \"records\": "
-            << r.records << ", \"wal\": " << (r.wal ? "true" : "false")
-            << ", \"build_ms\": " << r.build_ms
-            << ", \"records_per_sec\": " << r.records_per_sec
-            << ", \"wal_bytes\": " << r.wal_bytes
-            << ", \"wal_flushes\": " << r.wal_flushes
-            << ", \"pool_evictions\": " << r.pool_evictions
-            << ", \"recover_ms\": " << r.recover_ms
-            << ", \"pages_replayed\": " << r.pages_replayed << "}"
-            << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    std::cerr << "[bench-json] " << path << "\n";
-    return true;
-}
-
 int run(int argc, char** argv) {
     Options opt(argc, argv);
     print_banner(opt, "Extension — WAL durability tax and recovery speed",
@@ -137,7 +87,7 @@ int run(int argc, char** argv) {
                  "write-ahead log off vs on (same workload, same pool), "
                  "plus timed crash recovery via replay_wal");
 
-    std::vector<CellResult> results;
+    BenchReport report("ext_wal", opt.seed);
     bool anchors_ok = true;
     for (std::uint64_t n : record_counts()) {
         const auto pts = workload_points(n, opt.seed);
@@ -150,11 +100,11 @@ int run(int argc, char** argv) {
             const std::string backing = unique_backing_path(
                 "wal." + std::to_string(n) + (wal_on ? ".on" : ".off"));
             const std::string wal_path = wal_on ? backing + ".wal" : "";
-            CellResult r;
-            r.name = "n=" + std::to_string(n) +
-                     "/wal=" + (wal_on ? "on" : "off");
-            r.records = n;
-            r.wal = wal_on;
+            const std::string cell = "n=" + std::to_string(n) +
+                                     "/wal=" + (wal_on ? "on" : "off");
+            double build_ms = 0.0;
+            BufferPool::Stats pool;
+            std::uint64_t wal_flushes = 0;
             {
                 Rect<2> domain{{{0.0, 0.0}}, {{1.0, 1.0}}};
                 auto cfg = cell_config(wal_path, nullptr);
@@ -164,36 +114,45 @@ int run(int argc, char** argv) {
                     pf.insert(pts[i], i);
                 }
                 pf.flush();
-                r.build_ms = now_ms() - t0;
-                r.pool_evictions = pf.pool().stats().evictions;
+                build_ms = now_ms() - t0;
+                pool = pf.pool().stats();
                 if (wal_on && pf.wal() != nullptr) {
-                    r.wal_flushes = pf.wal()->stats().flushes;
+                    wal_flushes = pf.wal()->stats().flushes;
                 }
                 shapes[wal_on ? 1 : 0] = {pf.record_count(),
                                           pf.bucket_count(),
                                           pf.refinement_count()};
             }
-            if (wal_on) {
-                r.wal_bytes = static_cast<std::uint64_t>(
-                    std::filesystem::file_size(wal_path));
-            } else {
-                off_ms = r.build_ms;
-            }
-            r.records_per_sec = r.build_ms > 0.0
-                                    ? static_cast<double>(n) /
-                                          (r.build_ms / 1000.0)
-                                    : 0.0;
+            const std::uint64_t wal_bytes =
+                wal_on ? static_cast<std::uint64_t>(
+                             std::filesystem::file_size(wal_path))
+                       : 0;
+            if (!wal_on) off_ms = build_ms;
+            const double records_per_s =
+                build_ms > 0.0 ? static_cast<double>(n) / (build_ms / 1000.0)
+                               : 0.0;
             const double tax =
                 wal_on && off_ms > 0.0
-                    ? 100.0 * (r.build_ms - off_ms) / off_ms
+                    ? 100.0 * (build_ms - off_ms) / off_ms
                     : 0.0;
-            table.add(n, wal_on ? "on" : "off", format_double(r.build_ms),
-                      format_double(r.records_per_sec / 1000.0),
-                      format_double(static_cast<double>(r.wal_bytes) /
+            report.metric(cell, "build_ms", build_ms, "ms", Better::kLower);
+            report.metric(cell, "records_per_s", records_per_s, "1/s",
+                          Better::kHigher);
+            if (wal_on) {
+                report.metric(cell, "wal_bytes",
+                              static_cast<double>(wal_bytes), "bytes",
+                              Better::kLower);
+                report.metric(cell, "wal_flushes",
+                              static_cast<double>(wal_flushes), "count",
+                              Better::kLower);
+            }
+            report.pool(cell, pool);
+            table.add(n, wal_on ? "on" : "off", format_double(build_ms),
+                      format_double(records_per_s / 1000.0),
+                      format_double(static_cast<double>(wal_bytes) /
                                     (1024.0 * 1024.0)),
-                      r.wal_flushes, r.pool_evictions,
+                      wal_flushes, pool.evictions,
                       wal_on ? format_double(tax) : "-");
-            results.push_back(r);
             std::remove(backing.c_str());
             if (wal_on) std::remove(wal_path.c_str());
         }
@@ -245,42 +204,47 @@ int run(int argc, char** argv) {
             PGF_CHECK(injector.crashed(),
                       "ext_wal: the injected crash never fired");
 
-            CellResult r;
-            r.name = "n=" + std::to_string(n) + "/recover";
-            r.wal = true;
+            const std::string cell = "n=" + std::to_string(n) + "/recover";
             const double t0 = now_ms();
             auto rcfg = cell_config(wal_path, nullptr);
             PagedGridFile<2> pf(PagedGridFile<2>::RecoverTag{}, backing,
                                 rcfg);
-            r.recover_ms = now_ms() - t0;
-            r.records = pf.record_count();
-            r.pages_replayed = pf.recovery_stats().pages_replayed;
-            r.wal_bytes = static_cast<std::uint64_t>(
-                std::filesystem::file_size(wal_path));
-            const auto report = analysis::audit_paged_grid_file(
+            const double recover_ms = now_ms() - t0;
+            const std::uint64_t pages_replayed =
+                pf.recovery_stats().pages_replayed;
+            report.metric(cell, "recover_ms", recover_ms, "ms",
+                          Better::kLower);
+            report.metric(cell, "pages_replayed",
+                          static_cast<double>(pages_replayed), "count",
+                          Better::kLower);
+            report.metric(cell, "records",
+                          static_cast<double>(pf.record_count()), "count",
+                          Better::kHigher);
+            report.metric(cell, "wal_bytes",
+                          static_cast<double>(
+                              std::filesystem::file_size(wal_path)),
+                          "bytes", Better::kLower);
+            const auto audit = analysis::audit_paged_grid_file(
                 pf, analysis::ValidationLevel::kDeep);
-            if (!report.ok()) {
+            if (!audit.ok()) {
                 std::cerr << "ext_wal: recovered file FAILED the deep "
                              "audit\n"
-                          << report.summary() << "\n";
+                          << audit.summary() << "\n";
                 anchors_ok = false;
             }
             std::cout << "recovery: crash at write " << total_ops / 2
-                      << "/" << total_ops << " -> " << r.records
-                      << " records, " << r.pages_replayed
-                      << " pages replayed in "
-                      << format_double(r.recover_ms) << " ms (deep audit "
-                      << (report.ok() ? "OK" : "FAILED") << ")\n";
-            results.push_back(r);
+                      << "/" << total_ops << " -> " << pf.record_count()
+                      << " records, " << pages_replayed
+                      << " pages replayed in " << format_double(recover_ms)
+                      << " ms (deep audit " << (audit.ok() ? "OK" : "FAILED")
+                      << ")\n";
             std::remove(backing.c_str());
             std::remove(wal_path.c_str());
         }
         emit(opt, table, "ext_wal_n" + std::to_string(n));
     }
 
-    if (!opt.bench_json.empty()) {
-        write_wal_json(opt, opt.bench_json, results);
-    }
+    if (!opt.bench_json.empty()) report.write(opt.bench_json);
     return anchors_ok ? 0 : 1;
 }
 

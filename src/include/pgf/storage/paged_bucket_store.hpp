@@ -336,10 +336,14 @@ public:
 
     /// Decodes a raw page payload (count header + records) into `out`.
     /// Usable on any copy of a bucket page — QueryEngine workers read
-    /// pages through their own per-node pools and decode with this.
+    /// pages through their own per-node pools and decode with this. A
+    /// count word claiming more records than the payload holds (a
+    /// checksum-valid but malformed page) throws CheckError.
     static void decode_page(std::span<const std::byte> data, Records& out) {
         const std::byte* p = data.data();
         const std::uint64_t count = read_u64(p);
+        PGF_CHECK(count <= (data.size() - kCountBytes) / kRecordBytes,
+                  "store: page count word exceeds the page");
         out.resize(count);
         for (std::uint64_t k = 0; k < count; ++k) {
             const std::byte* rec = p + kCountBytes + k * kRecordBytes;

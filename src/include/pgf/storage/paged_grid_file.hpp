@@ -13,8 +13,9 @@
 // with the same capacity produce byte-identical scales, directory, and
 // bucket numbering (asserted by tests/storage/test_backend_equivalence).
 //
-// The in-memory structure is rebuilt on open only via the snapshot path
-// (save_grid_file/load_grid_file); this engine is the *working* store whose
+// The in-memory structure is rebuilt on open either via the snapshot path
+// (save_grid_file/load_grid_file) or by the RecoverTag constructor, which
+// replays the write-ahead log. This engine is the *working* store whose
 // buffer-pool statistics expose real I/O counts (see bench/ext_io_validation
 // for the experiment that validates the paper's response-time metric
 // against actual page misses).

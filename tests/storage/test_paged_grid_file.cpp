@@ -240,5 +240,29 @@ TEST_F(PagedGridFileTest, RejectsTinyPages) {
     EXPECT_THROW(PagedGridFile<4>(path_.string(), domain4, cfg4), CheckError);
 }
 
+TEST(PagedBucketStoreDecode, CountWordIsBoundedByThePage) {
+    // A checksum-valid page whose count word claims one record more than
+    // the page holds must throw, not read past the frame.
+    using Store = PagedBucketStore<2>;
+    constexpr std::size_t kCapacity = 56;
+    const std::size_t page_size = Store::page_size_for(kCapacity);
+    ASSERT_EQ(page_size, 1368u);
+    std::vector<std::byte> payload(page_size - kPageHeaderBytes);
+    std::vector<GridRecord<2>> records(kCapacity);
+    for (std::size_t k = 0; k < kCapacity; ++k) {
+        records[k].point = {{0.5 * static_cast<double>(k), 1.0}};
+        records[k].id = k;
+    }
+    Store::encode_page(payload, records.data(), kCapacity);
+    Store::Records out;
+    Store::decode_page(payload, out);
+    ASSERT_EQ(out.size(), kCapacity);
+    EXPECT_EQ(out.back().id, kCapacity - 1);
+
+    // Little-endian count word: 57 records claimed, 56 fit.
+    payload[0] = static_cast<std::byte>(kCapacity + 1);
+    EXPECT_THROW(Store::decode_page(payload, out), CheckError);
+}
+
 }  // namespace
 }  // namespace pgf

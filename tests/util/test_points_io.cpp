@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "pgf/util/check.hpp"
+#include "../storage/temp_path.hpp"
 
 namespace pgf {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 class PointsIoTest : public ::testing::Test {
 protected:
     std::filesystem::path path_ =
-        std::filesystem::temp_directory_path() / "pgf_points_io_test.csv";
+        test::unique_temp_path("pgf_points_io_test", ".csv");
 
     void TearDown() override { std::filesystem::remove(path_); }
 

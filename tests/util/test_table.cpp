@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "pgf/util/check.hpp"
+#include "../storage/temp_path.hpp"
 
 namespace pgf {
 namespace {
@@ -62,7 +63,7 @@ TEST(TextTable, HeaderlessTableRenders) {
 }
 
 TEST(TextTable, CsvRoundTrip) {
-    auto path = std::filesystem::temp_directory_path() / "pgf_table_test.csv";
+    auto path = test::unique_temp_path("pgf_table_test", ".csv");
     TextTable t({"m", "response"});
     t.add(4, 10.5);
     t.add(8, 5.25);
@@ -77,7 +78,7 @@ TEST(TextTable, CsvRoundTrip) {
 }
 
 TEST(TextTable, CsvEscapesSpecialCharacters) {
-    auto path = std::filesystem::temp_directory_path() / "pgf_table_esc.csv";
+    auto path = test::unique_temp_path("pgf_table_esc", ".csv");
     TextTable t({"note"});
     t.add_row({"a,b \"quoted\""});
     ASSERT_TRUE(t.write_csv(path.string()));
@@ -95,7 +96,7 @@ TEST(TextTable, CsvToUnwritablePathFails) {
 }
 
 TEST(CsvWriter, StreamsRows) {
-    auto path = std::filesystem::temp_directory_path() / "pgf_csvw_test.csv";
+    auto path = test::unique_temp_path("pgf_csvw_test", ".csv");
     {
         CsvWriter w(path.string(), {"a", "b"});
         w.write_row({1.0, 2.5});
