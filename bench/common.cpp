@@ -41,13 +41,6 @@ std::string default_backend() {
     return "memory";
 }
 
-std::string default_policy() {
-    if (const char* env = std::getenv("PGF_POLICY")) {
-        if (*env != '\0') return env;
-    }
-    return "lru";
-}
-
 }  // namespace
 
 Options::Options(int argc, const char* const* argv) {
@@ -69,19 +62,9 @@ Options::Options(int argc, const char* const* argv) {
     }
     node_pool_pages =
         static_cast<std::size_t>(cli.get_int("node-pool-pages", 1024));
-    policy = cli.get_string("policy", default_policy());
-    if (!parse_policy(policy).has_value()) {
-        std::cerr << "unknown --policy '" << policy
-                  << "' (expected lru|lru-k)\n";
-        std::exit(2);
-    }
     const char* env = std::getenv("PGF_FULL_SCALE");
     full_scale = cli.get_bool("full", env != nullptr &&
                                           std::string(env) == "1");
-}
-
-ReplacementPolicy Options::pool_policy() const {
-    return parse_policy(policy).value();
 }
 
 unsigned Options::resolved_threads() const {

@@ -31,11 +31,6 @@
 //                       column is identical across backends.
 //   --node-pool-pages <n>  buffer-pool frames per serving node
 //                       (ext_serving; default 1024)
-//   --policy <p>        node-pool replacement policy: lru (default) or
-//                       lru-k (PGF_POLICY in the environment sets the
-//                       default). Non-default policies apply to the
-//                       serving-side node pools only; stdout is
-//                       byte-identical when unset.
 //   --full              full paper scale for the SP-2 experiment
 //                       (also enabled by PGF_FULL_SCALE=1 in the environment)
 #pragma once
@@ -73,21 +68,11 @@ struct Options {
     bool build_cache = true;
     std::string backend = "memory";  ///< "memory" or "paged"
     std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
-    std::string policy = "lru";  ///< node-pool replacement policy
     bool full_scale = false;
 
     Options(int argc, const char* const* argv);
 
     bool paged() const { return backend == "paged"; }
-
-    /// True when --policy (or PGF_POLICY) deviates from the historical
-    /// LRU — the benches print an extra config line then, keeping default
-    /// stdout byte-identical.
-    bool caching_tuned() const { return policy != "lru"; }
-
-    /// The parsed node-pool policy (--policy validated at option parse
-    /// time, so this cannot fail).
-    ReplacementPolicy pool_policy() const;
 
     /// Thread count after resolving 0 to the hardware concurrency.
     unsigned resolved_threads() const;

@@ -1,32 +1,30 @@
-// Extension experiment — buffer-pool hit rates across replacement
-// policies.
+// Extension experiment — LRU buffer-pool hit rates across pool sizes and
+// access patterns.
 //
-// The pluggable-policy pool (pgf/storage/replacement.hpp) claims LRU-K
-// resists exactly the access patterns that hurt plain LRU on the
-// paper's workloads: skewed traffic (most queries revisit the hot-spot
-// clusters' buckets) and repeated ranges interleaved with large polluting
-// scans. This bench measures that directly: a single-node QueryEngine
+// The paper's workloads produce two patterns a block cache can miss on:
+// skewed traffic (most queries revisit the hot-spot clusters' buckets)
+// and repeated ranges interleaved with large polluting scans. This bench
+// measures how the pool's LRU copes with each: a single-node QueryEngine
 // serves three workloads over the hotspot.2d paged grid file —
 //
 //   uniform  — square queries uniform over the domain (no reuse
-//              structure; every policy should look alike, the control),
+//              structure, the control),
 //   hotspot  — query centers drawn from the data points themselves, so
 //              the clusters' buckets are re-referenced heavily (skew),
 //   scan-mix — a small set of repeated hot ranges with every 8th query a
-//              large polluting scan (the scan-resistance stressor: one
-//              scan floods a small pool and evicts the hot set under LRU),
+//              large polluting scan (one scan floods a small pool and
+//              evicts the hot set),
 //
-// sweeping policy {lru, lru-k} x pool-pages {16, 64, 256}. Every
-// configuration starts cold (fresh engine) and serves the whole workload
-// once; the reported hit rate is the demand hit fraction over the full
-// pass and io/q is physical page reads (misses) per query. Correctness
-// anchor: for a fixed workload every
-// configuration must return the same total record count (policies may
+// sweeping pool-pages {16, 64, 256}. Every configuration starts cold
+// (fresh engine) and serves the whole workload once; the reported hit
+// rate is the demand hit fraction over the full pass and io/q is physical
+// page reads (misses) per query. Correctness anchor: for a fixed workload
+// every pool size must return the same total record count (the pool may
 // only change *when* pages are read, never what the queries see); any
 // divergence aborts with exit 1.
 //
 // --bench-json <file> writes a pgf-bench-v2 report with one cell per
-// "<workload>/p=<pages>/<policy>": latency, the pool's counters and io/q.
+// "<workload>/p=<pages>": latency, the pool's counters and io/q.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -116,10 +114,10 @@ int run(int argc, char** argv) {
     paged_opt.backend = "paged";
 
     print_banner(opt,
-                 "Extension — replacement policies vs hit rate",
+                 "Extension — LRU pool size vs hit rate",
                  "hotspot.2d paged grid file, 1-node QueryEngine; demand "
                  "hit rate, physical reads/query and p50/p99 latency vs "
-                 "policy x pool-pages x workload");
+                 "pool-pages x workload");
     Rng rng(opt.seed);
     auto wb = cached_workbench<2>(paged_opt, "hotspot.2d", 10000, rng,
                                   [](Rng& r) {
@@ -152,8 +150,6 @@ int run(int argc, char** argv) {
         {"scan-mix", scan_mix_queries(bench.dataset, opt.queries, qrng)});
 
     const std::vector<std::size_t> pool_sweep{16, 64, 256};
-    const std::vector<ReplacementPolicy> policies{ReplacementPolicy::kLru,
-                                                  ReplacementPolicy::kLruK};
 
     BenchReport report("ext_caching", opt.seed);
     report.param("queries", static_cast<double>(opt.queries));
@@ -161,42 +157,35 @@ int run(int argc, char** argv) {
     for (const Workload& wl : workloads) {
         std::vector<QueryEngine<2>::Query> engine_queries(
             wl.queries.begin(), wl.queries.end());
-        TextTable table(
-            {"pool", "policy", "hit rate", "io/q", "p50 ms", "p99 ms"});
+        TextTable table({"pool", "hit rate", "io/q", "p50 ms", "p99 ms"});
         std::uint64_t expected_records = 0;
         bool have_expected = false;
         for (std::size_t pool_pages : pool_sweep) {
-            for (ReplacementPolicy policy : policies) {
-                ServingConfig cfg;
-                cfg.nodes = 1;
-                cfg.workers_per_node = 1;
-                cfg.pool_pages = pool_pages;
-                cfg.concurrency = 1;
-                cfg.pool_policy = policy;
-                // Fresh engine per cell: every configuration starts cold
-                // and serves the whole workload once.
-                QueryEngine<2> engine(pgf2, assignment, cfg);
-                const ServingReport r = engine.run(engine_queries).report;
-                const BufferPool::Stats& pool = r.node_pools.at(0);
-                if (!have_expected) {
-                    expected_records = r.records_returned;
-                    have_expected = true;
-                } else if (r.records_returned != expected_records) {
-                    consistent = false;
-                }
-                const std::string cell = wl.name + "/p=" +
-                                         std::to_string(pool_pages) + "/" +
-                                         to_string(policy);
-                report.serving(cell, r);
-                report.pool(cell, pool);
-                report.metric(cell, "io_per_query", io_per_query(r), "count",
-                              Better::kLower);
-                table.add(pool_pages, to_string(policy),
-                          format_double(pool.hit_rate(), 3),
-                          format_double(io_per_query(r)),
-                          format_double(r.p50_ms, 3),
-                          format_double(r.p99_ms, 3));
+            ServingConfig cfg;
+            cfg.nodes = 1;
+            cfg.workers_per_node = 1;
+            cfg.pool_pages = pool_pages;
+            cfg.concurrency = 1;
+            // Fresh engine per cell: every configuration starts cold and
+            // serves the whole workload once.
+            QueryEngine<2> engine(pgf2, assignment, cfg);
+            const ServingReport r = engine.run(engine_queries).report;
+            const BufferPool::Stats& pool = r.node_pools.at(0);
+            if (!have_expected) {
+                expected_records = r.records_returned;
+                have_expected = true;
+            } else if (r.records_returned != expected_records) {
+                consistent = false;
             }
+            const std::string cell =
+                wl.name + "/p=" + std::to_string(pool_pages);
+            report.serving(cell, r);
+            report.pool(cell, pool);
+            report.metric(cell, "io_per_query", io_per_query(r), "count",
+                          Better::kLower);
+            table.add(pool_pages, format_double(pool.hit_rate(), 3),
+                      format_double(io_per_query(r)),
+                      format_double(r.p50_ms, 3), format_double(r.p99_ms, 3));
         }
         emit(opt, table, "ext_caching_" + wl.name);
     }

@@ -83,11 +83,6 @@ int run(int argc, char** argv) {
     PGF_CHECK(bench.paged != nullptr, "serving bench needs the paged build");
     const PagedGridFile<4>& pgf4 = *bench.paged;
     std::cout << bench.summary() << "\n";
-    if (opt.caching_tuned()) {
-        // Printed only when --policy deviates from the default, so unset
-        // runs stay byte-identical with earlier revisions.
-        std::cout << "caching: policy=" << opt.policy << "\n";
-    }
 
     Rng qrng(opt.seed + 14000);
     auto queries = square_queries(bench.dataset.domain, 0.01, opt.queries,
@@ -118,7 +113,6 @@ int run(int argc, char** argv) {
     report.param("queries", static_cast<double>(opt.queries));
     report.param("nodes", kNodes);
     report.param("pool_pages", static_cast<double>(opt.node_pool_pages));
-    report.param("policy", opt.policy);
     bool all_verified = true;
 
     for (Method method : methods) {
@@ -132,7 +126,6 @@ int run(int argc, char** argv) {
             cfg.nodes = kNodes;
             cfg.workers_per_node = workers;
             cfg.pool_pages = opt.node_pool_pages;
-            cfg.pool_policy = opt.pool_policy();
             for (std::size_t conc : concurrency_sweep) {
                 cfg.concurrency = conc;
                 QueryEngine<4> engine(pgf4, a, cfg);

@@ -76,21 +76,16 @@ require "${bc}" 'PGF_GUARDED_BY\(mutex_\)'             'BuildCache entries_/stat
 bp='src/include/pgf/storage/buffer_pool.hpp'
 require "${bp}" 'frames_ PGF_GUARDED_BY\(latch_\)'     'BufferPool::frames_ guarded by latch_'
 require "${bp}" 'PGF_GUARDED_BY\(latch_\);  // page -> frame' 'BufferPool::table_ guarded by latch_'
-require "${bp}" 'policy_ PGF_GUARDED_BY\(latch_\)'     'BufferPool::policy_ guarded by latch_'
 require "${bp}" 'grab_frame\(\) PGF_REQUIRES\(latch_\)' 'BufferPool::grab_frame requires latch_'
 
-# Replacement policies run entirely under the pool's latch, expressed as a
-# capability-by-parameter: every Replacer hook (4 base virtuals + the 4
-# overrides in each of the 2 policies = 12 declarations) must demand the
-# caller-held latch via PGF_REQUIRES(latch).
-rp='src/include/pgf/storage/replacement.hpp'
-require "${rp}" 'Mutex& latch\b'                       'Replacer hooks take the pool latch by parameter'
-requires_count=$(grep -cE 'PGF_REQUIRES\(latch\)' "${rp}" || true)
-if [ "${requires_count}" -lt 12 ]; then
-    echo "check_locks.sh: ${rp}: only ${requires_count} PGF_REQUIRES(latch)" \
-         "annotations (expected >= 12 — every Replacer hook and override)." >&2
-    fail=1
-fi
+# The LRU list lives under the pool latch: its links, head and tail are
+# guarded members, and the helpers that relink frames demand the latch.
+require "${bp}" 'lru_prev_ PGF_GUARDED_BY\(latch_\)'   'BufferPool::lru_prev_ guarded by latch_'
+require "${bp}" 'lru_next_ PGF_GUARDED_BY\(latch_\)'   'BufferPool::lru_next_ guarded by latch_'
+require "${bp}" 'lru_head_ PGF_GUARDED_BY\(latch_\)'   'BufferPool::lru_head_ guarded by latch_'
+require "${bp}" 'lru_tail_ PGF_GUARDED_BY\(latch_\)'   'BufferPool::lru_tail_ guarded by latch_'
+require "${bp}" 'lru_unlink\(std::size_t frame\) PGF_REQUIRES\(latch_\)' 'BufferPool::lru_unlink requires latch_'
+require "${bp}" 'lru_append\(std::size_t frame\) PGF_REQUIRES\(latch_\)' 'BufferPool::lru_append requires latch_'
 
 # The write-ahead log's append buffer and LSN bookkeeping live under its
 # own latch; the buffer pool enforces WAL-before-data by flushing the log

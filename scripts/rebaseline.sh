@@ -9,7 +9,7 @@ set -euo pipefail
 [ $# -eq 0 ] || { echo "usage: scripts/rebaseline.sh" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 # Environment overrides would change what the artifacts measure.
-unset PGF_THREADS PGF_INNER_THREADS PGF_BUILD_CACHE PGF_BACKEND PGF_POLICY \
+unset PGF_THREADS PGF_INNER_THREADS PGF_BUILD_CACHE PGF_BACKEND \
       PGF_FULL_SCALE PGF_EXTBUILD_N PGF_EXTBUILD_HUGE PGF_WAL_N
 
 cmake --preset release-bench

@@ -18,9 +18,8 @@ namespace pgf {
 struct NodeBacking {
     PageFile file;
     BufferPool pool;
-    NodeBacking(const std::string& path, std::size_t pool_pages,
-                ReplacementPolicy policy = ReplacementPolicy::kLru)
-        : file(PageFile::open(path)), pool(file, pool_pages, policy) {}
+    NodeBacking(const std::string& path, std::size_t pool_pages)
+        : file(PageFile::open(path)), pool(file, pool_pages) {}
 };
 
 }  // namespace pgf

@@ -78,8 +78,6 @@ struct ServingConfig {
     /// Closed-loop admission window: submit() blocks while this many
     /// queries are in flight — the bench's concurrency knob.
     std::size_t concurrency = 16;
-    /// Replacement policy of every node pool (default: historical LRU).
-    ReplacementPolicy pool_policy = ReplacementPolicy::kLru;
 };
 
 /// Aggregate outcome of a served batch (see QueryEngine::run).
@@ -159,7 +157,7 @@ public:
         node_queues_.reserve(config_.nodes);
         for (std::uint32_t n = 0; n < config_.nodes; ++n) {
             backing_.push_back(std::make_unique<NodeBacking>(
-                gf_.path(), config_.pool_pages, config_.pool_policy));
+                gf_.path(), config_.pool_pages));
             // A query occupies at most one slot per node queue, so the
             // admission window bounds every queue's depth: the dispatcher
             // can never deadlock pushing node tasks.
@@ -292,8 +290,8 @@ public:
                       "drop_caches with queries in flight");
         }
         for (auto& nb : backing_) {
-            nb = std::make_unique<NodeBacking>(
-                gf_.path(), config_.pool_pages, config_.pool_policy);
+            nb = std::make_unique<NodeBacking>(gf_.path(),
+                                               config_.pool_pages);
         }
     }
 

@@ -1,11 +1,10 @@
-// Latched, thread-safe buffer pool over a PageFile with a pluggable
-// replacement policy (LRU / LRU-K, see pgf/storage/replacement.hpp).
+// Latched, thread-safe LRU buffer pool over a PageFile.
 //
 // Pages are pinned through RAII PageRef handles; unpinned pages stay
-// cached until the policy evicts them (only pin == 0 frames are
-// evictable). Dirty pages are written back on eviction and on
-// flush_all(). Statistics (hits/misses/evictions/writebacks) feed the
-// storage micro-benchmarks, the serving reports and tests.
+// cached until LRU evicts them (only pin == 0 frames are evictable).
+// Dirty pages are written back on eviction and on flush_all().
+// Statistics (hits/misses/evictions/writebacks) feed the storage
+// micro-benchmarks, the serving reports and tests.
 //
 // Durability: frames hold full pages including the 16-byte header of
 // pgf/storage/page.hpp, but PageRef::data() exposes only the *payload* —
@@ -16,21 +15,18 @@
 // may reach the data file (eviction and flush_all alike). With no WAL
 // attached (the default) page LSNs stay 0 and the ordering hook is inert.
 //
-// Replacement: the pool owns frames, page table and pins; the Replacer
-// owns recency metadata and the victim choice, with every policy call
-// made under the pool latch (the Replacer interface requires the latch
-// by parameter — see replacement.hpp). Every eviction is the policy's
-// choice. The default policy is plain LRU with an access-stamp sequence
-// identical to the pool's historical built-in LRU, so existing callers
-// see the exact same eviction/writeback order (golden-tested). Victim
-// selection is O(log frames) or better: the pool hands the policy a lazy
-// EvictableView (pin-state probe) instead of materializing an O(frames)
-// eligibility vector per eviction, and free frames come off a stack
-// instead of a scan.
+// Replacement: LRU, kept as an intrusive doubly-linked list of frame
+// indices in access order (head = least recently used). A hit, a miss
+// fill and an allocation move their frame to the tail in O(1); the
+// victim is the first unpinned frame from the head, so an eviction costs
+// O(pinned frames at the cold end + 1). The list order equals the order
+// of the historical per-access stamps, so the eviction/writeback sequence
+// is the one the pool has always had (golden-tested in
+// tests/storage/test_buffer_pool.cpp). Free frames come off a stack.
 //
 // Concurrency (lock discipline machine-checked via pgf/util/annotations.hpp):
 //   - One pool latch guards the page table, the frame metadata (pin
-//     counts, dirty bits, policy recency state) and all PageFile I/O — the
+//     counts, dirty bits, the LRU list) and all PageFile I/O — the
 //     PageFile's seek+read/write stream is not independently thread-safe,
 //     so misses, evictions and flushes serialize on the latch.
 //   - A PageRef captures its frame's payload span at pin time; readers of
@@ -55,14 +51,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "pgf/storage/page.hpp"
 #include "pgf/storage/page_file.hpp"
-#include "pgf/storage/replacement.hpp"
 #include "pgf/storage/wal.hpp"
 #include "pgf/util/annotations.hpp"
 #include "pgf/util/check.hpp"
@@ -71,12 +65,10 @@ namespace pgf {
 
 class BufferPool {
 public:
-    /// `capacity` = maximum resident pages; must be >= 1. The default
-    /// `policy` is the historical LRU. `wal`, when given, is the log whose
-    /// durable horizon gates dirty-page write-back (WAL-before-data); the
-    /// pool does not own it.
+    /// `capacity` = maximum resident pages; must be >= 1. `wal`, when
+    /// given, is the log whose durable horizon gates dirty-page write-back
+    /// (WAL-before-data); the pool does not own it.
     BufferPool(PageFile& file, std::size_t capacity,
-               ReplacementPolicy policy = ReplacementPolicy::kLru,
                WriteAheadLog* wal = nullptr);
 
     BufferPool(const BufferPool&) = delete;
@@ -131,7 +123,8 @@ public:
     /// share one frame (and each holds its own pin on it).
     PageRef fetch(std::uint64_t id) PGF_EXCLUDES(latch_);
 
-    /// Allocates a fresh zeroed page in the file and pins it.
+    /// Allocates a fresh zeroed page in the file and pins it. The frame is
+    /// taken first, so an exhausted pool throws without growing the file.
     PageRef allocate() PGF_EXCLUDES(latch_);
 
     /// Writes back every dirty page and syncs the file, flushing the WAL
@@ -144,8 +137,6 @@ public:
     void flush_all() PGF_EXCLUDES(latch_);
 
     std::size_t capacity() const { return capacity_; }
-    /// The construction-time policy selection (immutable).
-    ReplacementPolicy policy() const { return policy_kind_; }
     std::size_t resident() const PGF_EXCLUDES(latch_);
     /// Number of frames currently holding at least one pin. A quiescent
     /// pool (no live PageRef) reports 0 — the audit layer checks this.
@@ -206,23 +197,25 @@ private:
         bool in_use = false;
     };
 
-    /// EvictableView probe: a lazy pin-state check handed to the policy,
-    /// called only from inside victim() (which requires the latch), so
-    /// the frames vector access is latch-protected by construction.
-    static bool unpinned(const void* frames, std::size_t i);
-
     /// Returns a frame ready for reuse: a never-used frame off the free
-    /// stack if one exists, else the policy's victim among unpinned frames
+    /// stack if one exists, else the least recently used unpinned frame
     /// (written back first when dirty). Throws CheckError when every frame
     /// is pinned.
     std::size_t grab_frame() PGF_REQUIRES(latch_);
     /// Evicts the page held by `frame` (WAL flush per write-back ordering,
-    /// writeback if dirty, table erase, policy notification, counters).
+    /// writeback if dirty, table erase, LRU unlink, counters).
     void evict_frame(std::size_t frame) PGF_REQUIRES(latch_);
     /// Returns a grabbed-but-unfilled frame to the free stack — the
-    /// exception path when the file read of a miss fill fails (e.g. a
-    /// checksum mismatch): the frame must not leak out of circulation.
+    /// exception path when the file read of a miss fill or the file
+    /// growth of an allocation fails: the frame must not leak out of
+    /// circulation.
     void release_frame(std::size_t frame) PGF_REQUIRES(latch_);
+    /// Takes a filled frame into the page table as page `id`, pinned once
+    /// and most recently used.
+    PageRef install(std::size_t frame, std::uint64_t id) PGF_REQUIRES(latch_);
+    /// LRU list maintenance; a frame is linked exactly while it is in use.
+    void lru_unlink(std::size_t frame) PGF_REQUIRES(latch_);
+    void lru_append(std::size_t frame) PGF_REQUIRES(latch_);
     void unpin(std::size_t frame) PGF_EXCLUDES(latch_);
     void mark_dirty_frame(std::size_t frame) PGF_EXCLUDES(latch_);
     void set_frame_lsn(std::size_t frame, std::uint64_t lsn)
@@ -233,7 +226,6 @@ private:
 
     PageFile& file_ PGF_PT_GUARDED_BY(latch_);
     const std::size_t capacity_;
-    const ReplacementPolicy policy_kind_;
     /// Write-back ordering gate; nullptr = durability off. The pointer is
     /// immutable after construction; the WAL has its own latch.
     WriteAheadLog* const wal_;
@@ -241,8 +233,14 @@ private:
     std::vector<Frame> frames_ PGF_GUARDED_BY(latch_);
     std::unordered_map<std::uint64_t, std::size_t> table_
         PGF_GUARDED_BY(latch_);  // page -> frame
-    std::unique_ptr<Replacer> policy_ PGF_GUARDED_BY(latch_);
     std::vector<std::size_t> free_ PGF_GUARDED_BY(latch_);  // never-used frames
+    /// The LRU list: per-frame links, head = least recently used, tail =
+    /// most recently used, kNoFrame at either end.
+    static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
+    std::vector<std::size_t> lru_prev_ PGF_GUARDED_BY(latch_);
+    std::vector<std::size_t> lru_next_ PGF_GUARDED_BY(latch_);
+    std::size_t lru_head_ PGF_GUARDED_BY(latch_) = kNoFrame;
+    std::size_t lru_tail_ PGF_GUARDED_BY(latch_) = kNoFrame;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};

@@ -97,18 +97,14 @@ public:
         return kPageHeaderBytes + kCountBytes + capacity * kRecordBytes;
     }
 
-    /// Creates (truncating) the backing file at `path`. `pool_policy`
-    /// selects the builder pool's replacement policy (default LRU — the
-    /// historical behavior; serving-side node pools pick their own policy
-    /// via NodeBacking). A non-empty `wal.path` turns on write-ahead
-    /// logging (and truncates any log already there).
+    /// Creates (truncating) the backing file at `path`. A non-empty
+    /// `wal.path` turns on write-ahead logging (and truncates any log
+    /// already there).
     PagedBucketStore(const std::string& path, std::size_t page_size,
-                     std::size_t pool_pages,
-                     ReplacementPolicy pool_policy = ReplacementPolicy::kLru,
-                     WalSetup<D> wal_setup = {})
+                     std::size_t pool_pages, WalSetup<D> wal_setup = {})
         : file_(make_file(path, page_size, wal_setup.injector)),
           wal_(make_wal(wal_setup)),
-          pool_(*file_, pool_pages, pool_policy, wal_.get()),
+          pool_(*file_, pool_pages, wal_.get()),
           capacity_(capacity_for(page_size)) {
         if (wal_ != nullptr) log_genesis(page_size, wal_setup);
     }
@@ -120,11 +116,10 @@ public:
     PagedBucketStore(OpenTag, std::unique_ptr<PageFile> file,
                      std::vector<Meta> metas,
                      std::unique_ptr<WriteAheadLog> wal,
-                     std::size_t pool_pages,
-                     ReplacementPolicy pool_policy = ReplacementPolicy::kLru)
+                     std::size_t pool_pages)
         : file_(std::move(file)),
           wal_(std::move(wal)),
-          pool_(*file_, pool_pages, pool_policy, wal_.get()),
+          pool_(*file_, pool_pages, wal_.get()),
           capacity_(capacity_for(file_->page_size())),
           metas_(std::move(metas)) {}
 

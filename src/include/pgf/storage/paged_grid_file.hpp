@@ -47,8 +47,6 @@ public:
         std::size_t page_size = 4096;
         std::size_t pool_pages = 128;
         SplitPolicy split_policy = SplitPolicy::kMidpoint;
-        /// Builder-pool replacement policy (default: historical LRU).
-        ReplacementPolicy pool_policy = ReplacementPolicy::kLru;
         /// Write-ahead log path; empty (the default) disables durability —
         /// the historical behavior, with on-disk output byte-identical to
         /// the same build without this field.
@@ -63,8 +61,7 @@ public:
                   Config config = {})
         : Core(domain, checked_capacity(config.page_size),
                config.split_policy, path, config.page_size,
-               config.pool_pages, config.pool_policy,
-               wal_setup(domain, config)),
+               config.pool_pages, wal_setup(domain, config)),
           config_(std::move(config)) {
         if (this->store_.wal() != nullptr) {
             // Baseline commit: the empty grid (genesis + root bucket) is a
@@ -156,7 +153,7 @@ private:
         : Core(typename Core::RestoreTag{}, rec.domain, rec.bucket_capacity,
                rec.split_policy, rec.refines, typename Store::OpenTag{},
                std::move(rec.file), std::move(rec.metas), std::move(rec.wal),
-               config.pool_pages, config.pool_policy),
+               config.pool_pages),
           config_(std::move(config)),
           recovery_stats_(rec.stats) {
         config_.page_size = rec.page_size;

@@ -5,12 +5,13 @@
 namespace pgf {
 
 BufferPool::BufferPool(PageFile& file, std::size_t capacity,
-                       ReplacementPolicy policy, WriteAheadLog* wal)
-    : file_(file), capacity_(capacity), policy_kind_(policy), wal_(wal) {
+                       WriteAheadLog* wal)
+    : file_(file), capacity_(capacity), wal_(wal) {
     PGF_CHECK(capacity_ >= 1, "BufferPool needs at least one frame");
     MutexLock lock(latch_);
     frames_.resize(capacity_);
-    policy_ = make_replacer(policy_kind_, capacity_);
+    lru_prev_.resize(capacity_, kNoFrame);
+    lru_next_.resize(capacity_, kNoFrame);
     // Stack of never-used frames, popped back-to-front so frames fill in
     // index order — the same order the historical linear free scan used.
     free_.reserve(capacity_);
@@ -43,25 +44,21 @@ void BufferPool::set_frame_lsn(std::size_t frame, std::uint64_t lsn) {
     set_page_lsn(frames_[frame].data, lsn);
 }
 
-bool BufferPool::unpinned(const void* frames, std::size_t i) {
-    const auto& fs = *static_cast<const std::vector<Frame>*>(frames);
-    return fs[i].pin_count == 0;
-}
-
 BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
     MutexLock lock(latch_);
     auto it = table_.find(id);
     if (it != table_.end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        Frame& f = frames_[it->second];
+        const std::size_t frame = it->second;
+        Frame& f = frames_[frame];
         ++f.pin_count;
-        policy_->on_access(it->second, latch_);
-        return PageRef(this, it->second, payload_of(f), f.page_id);
+        lru_unlink(frame);
+        lru_append(frame);
+        return PageRef(this, frame, payload_of(f), f.page_id);
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t frame = grab_frame();
+    const std::size_t frame = grab_frame();
     Frame& f = frames_[frame];
-    f.page_id = id;
     f.data.assign(file_.page_size(), std::byte{0});
     try {
         file_.read(id, f.data);
@@ -71,26 +68,32 @@ BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
         release_frame(frame);
         throw;
     }
-    f.pin_count = 1;
-    f.dirty = false;
-    f.in_use = true;
-    table_[id] = frame;
-    policy_->on_insert(frame, latch_);
-    return PageRef(this, frame, payload_of(f), id);
+    return install(frame, id);
 }
 
 BufferPool::PageRef BufferPool::allocate() {
     MutexLock lock(latch_);
-    std::uint64_t id = file_.allocate();
-    std::size_t frame = grab_frame();
+    // Frame first: an exhausted pool must throw before the file grows.
+    const std::size_t frame = grab_frame();
+    std::uint64_t id = 0;
+    try {
+        id = file_.allocate();
+    } catch (...) {
+        release_frame(frame);
+        throw;
+    }
+    frames_[frame].data.assign(file_.page_size(), std::byte{0});
+    return install(frame, id);
+}
+
+BufferPool::PageRef BufferPool::install(std::size_t frame, std::uint64_t id) {
     Frame& f = frames_[frame];
     f.page_id = id;
-    f.data.assign(file_.page_size(), std::byte{0});
     f.pin_count = 1;
     f.dirty = false;
     f.in_use = true;
     table_[id] = frame;
-    policy_->on_insert(frame, latch_);
+    lru_append(frame);
     return PageRef(this, frame, payload_of(f), id);
 }
 
@@ -105,7 +108,7 @@ void BufferPool::evict_frame(std::size_t frame) {
         writebacks_.fetch_add(1, std::memory_order_relaxed);
     }
     table_.erase(f.page_id);
-    policy_->on_evict(frame, latch_);
+    lru_unlink(frame);
     f.in_use = false;
     evictions_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -122,16 +125,33 @@ std::size_t BufferPool::grab_frame() {
         free_.pop_back();
         if (!frames_[i].in_use) return i;
     }
-    // Policy victim among unpinned frames — a pinned frame is never a
-    // victim, so its data span (captured by live PageRefs) stays valid.
-    // The view probes pin state lazily; ordered policies only test the
-    // few frames at the head of their structure.
-    EvictableView view(&frames_, &unpinned, frames_.size());
-    const std::size_t victim = policy_->victim(view, latch_);
-    PGF_CHECK(victim < frames_.size(),
+    // Least recently used unpinned frame: walk from the cold end past the
+    // pinned ones. A pinned frame is never a victim, so its data span
+    // (captured by live PageRefs) stays valid.
+    std::size_t victim = lru_head_;
+    while (victim != kNoFrame && frames_[victim].pin_count > 0) {
+        victim = lru_next_[victim];
+    }
+    PGF_CHECK(victim != kNoFrame,
               "BufferPool exhausted: every frame is pinned");
     evict_frame(victim);
     return victim;
+}
+
+// Each end of a link is either a neighbour's link or the list's head or
+// tail; the conditional picks which slot to rewrite.
+void BufferPool::lru_unlink(std::size_t frame) {
+    const std::size_t prev = lru_prev_[frame];
+    const std::size_t next = lru_next_[frame];
+    (prev == kNoFrame ? lru_head_ : lru_next_[prev]) = next;
+    (next == kNoFrame ? lru_tail_ : lru_prev_[next]) = prev;
+}
+
+void BufferPool::lru_append(std::size_t frame) {
+    lru_prev_[frame] = lru_tail_;
+    lru_next_[frame] = kNoFrame;
+    (lru_tail_ == kNoFrame ? lru_head_ : lru_next_[lru_tail_]) = frame;
+    lru_tail_ = frame;
 }
 
 void BufferPool::unpin(std::size_t frame) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
 #include <filesystem>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "pgf/storage/page.hpp"
 #include "pgf/util/check.hpp"
+#include "pgf/util/rng.hpp"
 #include "temp_path.hpp"
 
 namespace pgf {
@@ -63,6 +71,20 @@ TEST_F(BufferPoolTest, LruKeepsHotPages) {
     EXPECT_EQ(pool.misses(), misses_before);  // 0 still resident
     (void)pool.fetch(1);
     EXPECT_EQ(pool.misses(), misses_before + 1);  // 1 was evicted
+}
+
+TEST_F(BufferPoolTest, ExhaustedAllocateLeavesFileUnchanged) {
+    auto pf = PageFile::create(path_.string(), 128);
+    BufferPool pool(pf, 1);
+    {
+        auto held = pool.allocate();
+        ASSERT_EQ(held.page_id(), 0u);
+        // The only frame is pinned: no frame, so no new page either.
+        EXPECT_THROW(pool.allocate(), CheckError);
+        EXPECT_EQ(pf.page_count(), 1u) << "a failed allocate grew the file";
+    }
+    EXPECT_EQ(pool.allocate().page_id(), 1u);
+    EXPECT_EQ(pf.page_count(), 2u);
 }
 
 TEST_F(BufferPoolTest, PinnedPagesCannotBeEvicted) {
@@ -179,6 +201,136 @@ TEST_F(BufferPoolTest, MoveOfPageRefTransfersPin) {
     }
     // After q's destruction the frame is evictable again.
     EXPECT_NO_THROW(pool.fetch(1));
+}
+
+// ------------------------------------------------- golden LRU trace --
+
+/// Verbatim model of the historical BufferPool: free-frame-first scan,
+/// then minimum last_use among unpinned frames; last_use = ++clock_ on
+/// hit and miss fill; writeback on dirty eviction.
+class HistoricalLruPool {
+public:
+    explicit HistoricalLruPool(std::size_t capacity) : frames_(capacity) {}
+
+    /// A fetch; `pin` leaves the page pinned once more afterwards.
+    void fetch(std::uint64_t id, bool dirty, bool pin) {
+        auto it = table_.find(id);
+        std::size_t frame = 0;
+        if (it != table_.end()) {
+            ++hits;
+            frame = it->second;
+        } else {
+            ++misses;
+            frame = grab_frame();
+            frames_[frame] = Frame{id, 0, 0, false, true};
+            table_[id] = frame;
+        }
+        Frame& f = frames_[frame];
+        f.last_use = ++clock_;
+        f.dirty |= dirty;
+        if (pin) ++f.pins;
+    }
+
+    void unpin(std::uint64_t id) { --frames_[table_.at(id)].pins; }
+
+    std::vector<std::uint64_t> resident() const {
+        std::vector<std::uint64_t> pages;
+        for (const auto& [page, frame] : table_) pages.push_back(page);
+        std::sort(pages.begin(), pages.end());
+        return pages;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+    /// Evictions whose least recently used frame was pinned, so the
+    /// victim came from further up the list.
+    std::uint64_t pinned_skips = 0;
+
+private:
+    struct Frame {
+        std::uint64_t page = 0;
+        std::uint64_t last_use = 0;
+        std::uint32_t pins = 0;
+        bool dirty = false;
+        bool in_use = false;
+    };
+
+    std::size_t grab_frame() {
+        for (std::size_t i = 0; i < frames_.size(); ++i) {
+            if (!frames_[i].in_use) return i;
+        }
+        std::size_t victim = frames_.size();
+        std::size_t oldest = 0;
+        for (std::size_t i = 0; i < frames_.size(); ++i) {
+            if (frames_[i].last_use < frames_[oldest].last_use) oldest = i;
+            if (frames_[i].pins > 0) continue;
+            if (victim == frames_.size() ||
+                frames_[i].last_use < frames_[victim].last_use) {
+                victim = i;
+            }
+        }
+        if (victim != oldest) ++pinned_skips;
+        if (frames_[victim].dirty) ++writebacks;
+        table_.erase(frames_[victim].page);
+        frames_[victim].in_use = false;
+        ++evictions;
+        return victim;
+    }
+
+    std::vector<Frame> frames_;
+    std::unordered_map<std::uint64_t, std::size_t> table_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(GoldenLruTrace, DefaultPoolMatchesHistoricalEvictionSequence) {
+    const auto path = test::unique_temp_path("pgf_lru_golden");
+    constexpr std::size_t kCapacity = 4;
+    constexpr std::uint32_t kPages = 11;
+    constexpr int kOps = 3000;
+    {
+        auto pf = PageFile::create(path.string(), 64);
+        for (std::uint64_t p = 0; p < kPages; ++p) pf.allocate();
+
+        BufferPool pool(pf, kCapacity);
+        HistoricalLruPool model(kCapacity);
+        // Up to kCapacity - 1 live pins: a fetch always finds a victim,
+        // but the cold end of the list is often pinned and must be walked
+        // past. The pins draw from their own stream, so the page/dirty
+        // sequence is the historical trace's.
+        std::array<std::optional<BufferPool::PageRef>, kCapacity - 1> held;
+        Rng rng(20240807);
+        Rng pin_rng(7);
+        for (int op = 0; op < kOps; ++op) {
+            // Mild skew so hits, misses and dirty evictions all occur.
+            const std::uint64_t id = rng.below(2) == 0
+                                         ? rng.below(3)
+                                         : rng.below(kPages);
+            const bool dirty = rng.below(4) == 0;
+            auto& slot = held[pin_rng.below(kCapacity - 1)];
+            if (slot.has_value() && pin_rng.below(2) == 0) {
+                model.unpin(slot->page_id());
+                slot.reset();
+            }
+            const bool keep = !slot.has_value() && pin_rng.below(2) == 0;
+            {
+                auto ref = pool.fetch(id);
+                if (dirty) ref.mark_dirty();
+                if (keep) slot.emplace(std::move(ref));
+            }
+            model.fetch(id, dirty, keep);
+            ASSERT_EQ(pool.resident_pages(), model.resident())
+                << "resident set diverged at op " << op;
+        }
+        EXPECT_GT(model.pinned_skips, 0u)
+            << "the trace never pinned the least recently used frame";
+        EXPECT_EQ(pool.hits(), model.hits);
+        EXPECT_EQ(pool.misses(), model.misses);
+        EXPECT_EQ(pool.evictions(), model.evictions);
+        EXPECT_EQ(pool.writebacks(), model.writebacks);
+    }
+    std::filesystem::remove(path);
 }
 
 }  // namespace

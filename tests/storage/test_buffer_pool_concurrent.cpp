@@ -30,11 +30,7 @@
 namespace pgf {
 namespace {
 
-// Parameterized over every replacement policy: the concurrency contract
-// (pins gate eviction, no lost updates, exact hit+miss ledger) is policy-
-// independent, so the same stressors must pass for LRU and LRU-K alike.
-class BufferPoolConcurrentTest
-    : public ::testing::TestWithParam<ReplacementPolicy> {
+class BufferPoolConcurrentTest : public ::testing::Test {
 protected:
     std::filesystem::path path_ =
         test::unique_temp_path("pgf_bufpool_conc_test");
@@ -48,11 +44,11 @@ protected:
 // increment must survive the page's round trips through disk, so a single
 // lost update (torn eviction, stale reload, aliased frame) shows up in the
 // final tally.
-TEST_P(BufferPoolConcurrentTest, TinyPoolEvictionStressKeepsEveryUpdate) {
+TEST_F(BufferPoolConcurrentTest, TinyPoolEvictionStressKeepsEveryUpdate) {
     constexpr unsigned kThreads = 8;
     constexpr int kIters = 400;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 2, GetParam());
+    BufferPool pool(pf, 2);
     for (unsigned t = 0; t < kThreads; ++t) {
         auto page = pool.allocate();
         ASSERT_EQ(page.page_id(), t);
@@ -112,10 +108,10 @@ TEST_P(BufferPoolConcurrentTest, TinyPoolEvictionStressKeepsEveryUpdate) {
 // Many readers share one frame: all pins land on the same page, so the
 // pin-count bookkeeping and the PageRef data-span snapshot are exercised
 // with maximal aliasing. Readers verify the bytes they see.
-TEST_P(BufferPoolConcurrentTest, ConcurrentReadersShareOneFrame) {
+TEST_F(BufferPoolConcurrentTest, ConcurrentReadersShareOneFrame) {
     constexpr unsigned kThreads = 8;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 2, GetParam());
+    BufferPool pool(pf, 2);
     {
         auto page = pool.allocate();
         auto data = page.data();
@@ -150,11 +146,11 @@ TEST_P(BufferPoolConcurrentTest, ConcurrentReadersShareOneFrame) {
 
 // Concurrent allocate() calls must hand out distinct pages and keep each
 // initial stamp intact through eviction pressure.
-TEST_P(BufferPoolConcurrentTest, ConcurrentAllocationsAreDistinct) {
+TEST_F(BufferPoolConcurrentTest, ConcurrentAllocationsAreDistinct) {
     constexpr unsigned kThreads = 4;
     constexpr int kPerThread = 16;
     auto pf = PageFile::create(path_.string(), 128);
-    BufferPool pool(pf, 4, GetParam());  // 4 frames, <= 4 concurrent pins
+    BufferPool pool(pf, 4);  // 4 frames, <= 4 concurrent pins
 
     std::vector<std::vector<std::uint64_t>> ids(kThreads);
     std::vector<std::thread> threads;
@@ -190,10 +186,10 @@ TEST_P(BufferPoolConcurrentTest, ConcurrentAllocationsAreDistinct) {
 // Unpins racing evictions: one half of the threads cycles pins on a hot
 // page while the other half streams through cold pages, forcing the hot
 // frame's pin count to gate eviction correctly.
-TEST_P(BufferPoolConcurrentTest, PinsGateEvictionUnderChurn) {
+TEST_F(BufferPoolConcurrentTest, PinsGateEvictionUnderChurn) {
     auto pf = PageFile::create(path_.string(), 128);
     constexpr std::uint64_t kCold = 6;
-    BufferPool pool(pf, 3, GetParam());
+    BufferPool pool(pf, 3);
     for (std::uint64_t i = 0; i < 1 + kCold; ++i) pf.allocate();
     {
         auto hot = pool.fetch(0);
@@ -232,13 +228,6 @@ TEST_P(BufferPoolConcurrentTest, PinsGateEvictionUnderChurn) {
     EXPECT_EQ(bad_reads.load(), 0);
     EXPECT_EQ(pool.pinned_frames(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllPolicies, BufferPoolConcurrentTest,
-    ::testing::Values(ReplacementPolicy::kLru, ReplacementPolicy::kLruK),
-    [](const ::testing::TestParamInfo<ReplacementPolicy>& param_info) {
-        return param_info.param == ReplacementPolicy::kLru ? "lru" : "lruk";
-    });
 
 }  // namespace
 }  // namespace pgf

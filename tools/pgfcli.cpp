@@ -667,10 +667,8 @@ int validate_impl(const Cli& cli, const std::string& file) {
                       << " page buckets (page size " << cfg.page_size
                       << ")\n";
             const BufferPool::Stats stats = paged.pool().stats();
-            std::cout << "paged pool: policy "
-                      << to_string(paged.pool().policy()) << ", "
-                      << stats.hits << " hits / " << stats.misses
-                      << " misses (hit rate "
+            std::cout << "paged pool: " << stats.hits << " hits / "
+                      << stats.misses << " misses (hit rate "
                       << format_double(stats.hit_rate(), 3) << "), "
                       << stats.evictions << " evictions, "
                       << stats.writebacks << " writebacks\n";
