@@ -23,8 +23,8 @@ int run(int argc, char** argv) {
                  "quality under variations of weights/seeding/refinement");
     auto inner_pool = make_inner_pool(opt);
     Rng rng(opt.seed);
-    auto wb = cached_workbench<2>(opt, "hotspot.2d", 10000, rng,
-                                  [](Rng& r) { return make_hotspot2d(r); });
+    auto wb = make_workbench<2>(opt, rng,
+                                [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";
     auto qb = bench.workload(0.01, opt.queries, opt.seed + 6000);

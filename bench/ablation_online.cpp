@@ -34,8 +34,8 @@ int run(int argc, char** argv) {
                  "hot.2d, r = 0.01; streaming placement in creation order / "
                  "random order vs offline Algorithm 2 and round-robin");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<2>(opt, "hotspot.2d", 10000, rng,
-                                  [](Rng& r) { return make_hotspot2d(r); });
+    auto wb = make_workbench<2>(opt, rng,
+                                [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";
     auto qb = bench.workload(0.01, opt.queries, opt.seed + 9000);

@@ -19,13 +19,6 @@ unsigned default_threads() {
     return 0;  // resolved to hardware concurrency
 }
 
-bool default_build_cache() {
-    if (const char* env = std::getenv("PGF_BUILD_CACHE")) {
-        return std::string(env) != "0";
-    }
-    return true;
-}
-
 unsigned default_inner_threads() {
     if (const char* env = std::getenv("PGF_INNER_THREADS")) {
         const long v = std::atol(env);
@@ -53,7 +46,6 @@ Options::Options(int argc, const char* const* argv) {
     inner_threads = static_cast<unsigned>(cli.get_int(
         "inner-threads", static_cast<std::int64_t>(default_inner_threads())));
     bench_json = cli.get_string("bench-json", "");
-    build_cache = cli.get_bool("build-cache", default_build_cache());
     backend = cli.get_string("backend", default_backend());
     if (backend != "memory" && backend != "paged") {
         std::cerr << "unknown --backend '" << backend
@@ -77,14 +69,6 @@ unsigned Options::resolved_inner_threads() const {
     if (inner_threads != 0) return inner_threads;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
-}
-
-BuildCache& workbench_cache(const Options& opt) {
-    // Function-local static so the cache outlives every workbench handle;
-    // the enabled flag latches from the first Options (binaries parse
-    // options exactly once, before any build).
-    static BuildCache cache(opt.build_cache);
-    return cache;
 }
 
 std::unique_ptr<ThreadPool> make_inner_pool(const Options& opt) {

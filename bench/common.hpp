@@ -18,10 +18,6 @@
 //                       Output is byte-identical at every setting.
 //   --bench-json <f>    write the run's timings to <f> as a pgf-bench-v2
 //                       report (report.hpp; compare with tools/bench_diff)
-//   --build-cache[=on|off]  memoize dataset+grid-file construction across
-//                       repeated identical build requests (default: on;
-//                       PGF_BUILD_CACHE=0 in the environment disables).
-//                       Output is byte-identical either way.
 //   --backend <b>       grid-file backend: memory (default) or paged.
 //                       Paged builds the workbench's dataset into a real
 //                       one-bucket-per-page disk file too; experiments
@@ -45,7 +41,6 @@
 
 #include "latency.hpp"
 #include "report.hpp"
-#include "pgf/core/build_cache.hpp"
 #include "pgf/core/declusterer.hpp"
 #include "pgf/core/sweep.hpp"
 #include "pgf/disksim/simulator.hpp"
@@ -65,7 +60,6 @@ struct Options {
     unsigned threads = 0;  ///< 0 = hardware concurrency
     unsigned inner_threads = 1;  ///< intra-algorithm scans; 0 = hw concurrency
     std::string bench_json;
-    bool build_cache = true;
     std::string backend = "memory";  ///< "memory" or "paged"
     std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
     bool full_scale = false;
@@ -223,34 +217,12 @@ struct Workbench {
     }
 };
 
-/// The process-wide workbench cache. Enabled state is set once, from the
-/// first Options seen (every bench binary parses options before building).
-BuildCache& workbench_cache(const Options& opt);
-
-/// Builds (or fetches) the Workbench for `maker(rng)` through the shared
-/// BuildCache. `distribution` must name the generator including any
-/// non-default parameters; `n` is the requested record count and
-/// `bucket_capacity` the override (0 = generator default) — together with
-/// the Rng's current stream position they form the cache key, so distinct
-/// configurations never alias. On a hit `rng` is fast-forwarded exactly as
-/// if the generator had run (see pgf/core/build_cache.hpp), keeping every
-/// later draw — and therefore stdout/CSV — byte-identical with the cache
-/// on or off.
+/// Builds the Workbench for the dataset `maker(rng)` returns, with the
+/// paged backend too when --backend=paged.
 template <std::size_t D, typename Maker>
-std::shared_ptr<const Workbench<D>> cached_workbench(
-    const Options& opt, std::string distribution, std::size_t n, Rng& rng,
-    Maker&& maker, std::uint64_t bucket_capacity = 0) {
-    // The paged workbench carries extra state (the backing file), so it
-    // never aliases a memory-backend cache entry.
-    const bool with_paged = opt.paged();
-    if (with_paged) distribution += "/backend=paged";
-    BuildKey key{std::move(distribution), rng.state(), n,
-                 static_cast<std::uint32_t>(D), bucket_capacity};
-    return workbench_cache(opt).get_or_build<Workbench<D>>(
-        key, rng,
-        [&maker, with_paged](Rng& r) {
-            return Workbench<D>(maker(r), with_paged);
-        });
+std::unique_ptr<const Workbench<D>> make_workbench(const Options& opt,
+                                                   Rng& rng, Maker&& maker) {
+    return std::make_unique<const Workbench<D>>(maker(rng), opt.paged());
 }
 
 }  // namespace pgf::bench

@@ -119,10 +119,9 @@ int run(int argc, char** argv) {
                  "hit rate, physical reads/query and p50/p99 latency vs "
                  "pool-pages x workload");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<2>(paged_opt, "hotspot.2d", 10000, rng,
-                                  [](Rng& r) {
-                                      return make_hotspot2d(r, 10000);
-                                  });
+    auto wb = make_workbench<2>(paged_opt, rng, [](Rng& r) {
+        return make_hotspot2d(r, 10000);
+    });
     const Workbench<2>& bench = *wb;
     PGF_CHECK(bench.paged != nullptr, "caching bench needs the paged build");
     const PagedGridFile<2>& pgf2 = *bench.paged;

@@ -21,10 +21,9 @@ int run(int argc, char** argv) {
                  "4-d DSMC data, 16 nodes, 200 random r = 0.01 queries; "
                  "elapsed seconds vs closed-loop concurrency");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<4>(opt, "dsmc.4d/s=12/p=15000", 12 * 15000,
-                                  rng, [](Rng& r) {
-                                      return make_dsmc4d(r, 12, 15000);
-                                  });
+    auto wb = make_workbench<4>(opt, rng, [](Rng& r) {
+        return make_dsmc4d(r, 12, 15000);
+    });
     const Workbench<4>& bench = *wb;
     std::cout << bench.summary() << "\n";
     Rng qrng(opt.seed + 12000);

@@ -27,10 +27,8 @@ int run(int argc, char** argv) {
                      " steps, box side 5%; response per declustering, plus "
                      "the 16x7-disk SP-2 configuration");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<4>(
-        opt, "dsmc.4d/s=" + std::to_string(snapshots) + "/p=12000",
-        snapshots * 12000, rng,
-        [&](Rng& r) { return make_dsmc4d(r, snapshots, 12000); });
+    auto wb = make_workbench<4>(
+        opt, rng, [&](Rng& r) { return make_dsmc4d(r, snapshots, 12000); });
     const Workbench<4>& bench = *wb;
     std::cout << bench.summary() << "\n";
 

@@ -75,10 +75,9 @@ int run(int argc, char** argv) {
                      "-node QueryEngine; queries/sec and p50/p99 latency "
                      "vs workers-per-node x concurrency x declustering");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<4>(paged_opt, "dsmc.4d/s=12/p=15000",
-                                  12 * 15000, rng, [](Rng& r) {
-                                      return make_dsmc4d(r, 12, 15000);
-                                  });
+    auto wb = make_workbench<4>(paged_opt, rng, [](Rng& r) {
+        return make_dsmc4d(r, 12, 15000);
+    });
     const Workbench<4>& bench = *wb;
     PGF_CHECK(bench.paged != nullptr, "serving bench needs the paged build");
     const PagedGridFile<4>& pgf4 = *bench.paged;

@@ -38,8 +38,8 @@
 #include "common.hpp"
 
 #include "pgf/analysis/paged_audit.hpp"
-#include "pgf/storage/fault_injection.hpp"
 #include "pgf/storage/recovery.hpp"
+#include "pgf/util/file.hpp"
 
 namespace pgf::bench {
 namespace {

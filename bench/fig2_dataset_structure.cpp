@@ -61,16 +61,16 @@ int run(int argc, char** argv) {
                      "paper merged"});
     Rng rng(opt.seed);
     report(opt,
-           *cached_workbench<2>(opt, "uniform.2d", 10000, rng,
-                                [](Rng& r) { return make_uniform2d(r); }),
+           *make_workbench<2>(opt, rng,
+                              [](Rng& r) { return make_uniform2d(r); }),
            252, 4, table);
     report(opt,
-           *cached_workbench<2>(opt, "hotspot.2d", 10000, rng,
-                                [](Rng& r) { return make_hotspot2d(r); }),
+           *make_workbench<2>(opt, rng,
+                              [](Rng& r) { return make_hotspot2d(r); }),
            241, 169, table);
     report(opt,
-           *cached_workbench<2>(opt, "correl.2d", 10000, rng,
-                                [](Rng& r) { return make_correl2d(r); }),
+           *make_workbench<2>(opt, rng,
+                              [](Rng& r) { return make_correl2d(r); }),
            242, 164, table);
     emit(opt, table, "fig2_dataset_structure");
     return 0;

@@ -34,8 +34,8 @@ int run(int argc, char** argv) {
                  "r = 0.05; data balance should win, HCAM should be "
                  "insensitive, FX most sensitive");
     Rng rng(opt.seed);
-    auto wb = cached_workbench<2>(opt, "hotspot.2d", 10000, rng,
-                                  [](Rng& r) { return make_hotspot2d(r); });
+    auto wb = make_workbench<2>(opt, rng,
+                                [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";
     auto qb = harness.timed("workload_hot2d", [&] {

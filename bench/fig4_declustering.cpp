@@ -76,9 +76,8 @@ int run(int argc, char** argv) {
     for (PanelSpec spec : {PanelSpec{"uniform.2d", &make_uniform2d},
                            PanelSpec{"hotspot.2d", &make_hotspot2d},
                            PanelSpec{"correl.2d", &make_correl2d}}) {
-        auto wb = cached_workbench<2>(
-            opt, spec.name, 10000, rng,
-            [&spec](Rng& r) { return spec.maker(r, 10000); });
+        auto wb = make_workbench<2>(
+            opt, rng, [&spec](Rng& r) { return spec.maker(r, 10000); });
         std::cout << "\n" << wb->summary() << "\n";
         panel(opt, harness, *wb);
     }

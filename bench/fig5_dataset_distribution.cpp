@@ -17,8 +17,8 @@ namespace pgf::bench {
 namespace {
 
 void dsmc_panel(const Options& opt, Rng& rng) {
-    auto wb = cached_workbench<3>(opt, "dsmc.3d", 52857, rng,
-                                  [](Rng& r) { return make_dsmc3d(r); });
+    auto wb = make_workbench<3>(opt, rng,
+                                [](Rng& r) { return make_dsmc3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << "\n" << bench.summary() << "  (paper: 52857 records, 1536 "
               << "subspaces -> 444 buckets)\n";
@@ -52,8 +52,8 @@ void dsmc_panel(const Options& opt, Rng& rng) {
 }
 
 void stock_panel(const Options& opt, Rng& rng) {
-    auto wb = cached_workbench<3>(opt, "stock.3d", 127026, rng,
-                                  [](Rng& r) { return make_stock3d(r); });
+    auto wb = make_workbench<3>(opt, rng,
+                                [](Rng& r) { return make_stock3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << "\n" << bench.summary() << "  (paper: 127026 records, 6336 "
               << "subspaces -> 1218 buckets)\n";

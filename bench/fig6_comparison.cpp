@@ -74,14 +74,12 @@ int run(int argc, char** argv) {
                  "MiniMax < SSP <= HCAM/D << DM/D, FX/D");
     Rng rng(opt.seed);
     panel(opt, harness,
-          *cached_workbench<2>(opt, "hotspot.2d", 10000, rng,
-                               [](Rng& r) { return make_hotspot2d(r); }));
+          *make_workbench<2>(opt, rng,
+                             [](Rng& r) { return make_hotspot2d(r); }));
     panel(opt, harness,
-          *cached_workbench<3>(opt, "dsmc.3d", 52857, rng,
-                               [](Rng& r) { return make_dsmc3d(r); }));
+          *make_workbench<3>(opt, rng, [](Rng& r) { return make_dsmc3d(r); }));
     panel(opt, harness,
-          *cached_workbench<3>(opt, "stock.3d", 127026, rng,
-                               [](Rng& r) { return make_stock3d(r); }));
+          *make_workbench<3>(opt, rng, [](Rng& r) { return make_stock3d(r); }));
     return harness.write_timings() ? 0 : 1;
 }
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "pgf/core/build_cache.hpp"
 #include "pgf/decluster/registry.hpp"
 #include "pgf/decluster/similarity.hpp"
 #include "pgf/decluster/weights.hpp"
@@ -341,25 +340,6 @@ void BM_DirectoryExpand(benchmark::State& state) {
                    std::to_string(side));
 }
 BENCHMARK(BM_DirectoryExpand)->Arg(64)->Arg(128);
-
-// Hit path of the workbench cache: key construction + lookup + Rng replay.
-void BM_BuildCacheHit(benchmark::State& state) {
-    BuildCache cache;
-    const auto build = [](Rng& r) { return make_hotspot2d(r, 10000).build(); };
-    {
-        Rng rng(3);
-        BuildKey key{"hotspot.2d", rng.state(), 10000, 2, 0};
-        (void)cache.get_or_build<GridFile<2>>(key, rng, build);  // warm
-    }
-    for (auto _ : state) {
-        Rng rng(3);
-        BuildKey key{"hotspot.2d", rng.state(), 10000, 2, 0};
-        benchmark::DoNotOptimize(
-            cache.get_or_build<GridFile<2>>(key, rng, build));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BuildCacheHit);
 
 void BM_GridFileRangeQuery(benchmark::State& state) {
     Rng rng(4);

@@ -41,13 +41,9 @@ int run(int argc, char** argv) {
                      std::to_string(per_snapshot) + " records");
 
     Rng rng(opt.seed);
-    auto wb = cached_workbench<4>(
-        opt,
-        "dsmc.4d/s=" + std::to_string(snapshots) +
-            "/p=" + std::to_string(per_snapshot),
-        snapshots * per_snapshot, rng, [&](Rng& r) {
-            return make_dsmc4d(r, snapshots, per_snapshot);
-        });
+    auto wb = make_workbench<4>(opt, rng, [&](Rng& r) {
+        return make_dsmc4d(r, snapshots, per_snapshot);
+    });
     const Workbench<4>& bench = *wb;
     auto shape = bench.gf.grid_shape();
     std::cout << bench.summary() << "  grid " << shape[0] << "x" << shape[1]

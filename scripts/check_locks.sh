@@ -18,8 +18,8 @@
 #      member with PGF_GUARDED_BY — a latch that guards nothing is either
 #      dead or undocumented.
 #
-#   3. The named shared-state classes (ThreadPool, BuildCache, BufferPool,
-#      SweepRunner) keep their specific invariant annotations — the
+#   3. The named shared-state classes (ThreadPool, BufferPool,
+#      WriteAheadLog, SweepRunner) keep their specific invariant annotations — the
 #      acceptance bar of the thread-safety refactor. This catches an edit
 #      that quietly drops an annotation on a gcc-only box where the macros
 #      compile to nothing.
@@ -70,9 +70,6 @@ require "${tp}" 'task_ PGF_GUARDED_BY\(mutex_\)'       'ThreadPool::task_ guarde
 require "${tp}" 'shutdown_ PGF_GUARDED_BY\(mutex_\)'   'ThreadPool::shutdown_ guarded by mutex_'
 require "${tp}" 'submit_mutex_ PGF_ACQUIRED_BEFORE\(mutex_\)' 'ThreadPool lock ordering'
 
-bc='src/include/pgf/core/build_cache.hpp'
-require "${bc}" 'PGF_GUARDED_BY\(mutex_\)'             'BuildCache entries_/stats_ guarded by mutex_'
-
 bp='src/include/pgf/storage/buffer_pool.hpp'
 require "${bp}" 'frames_ PGF_GUARDED_BY\(latch_\)'     'BufferPool::frames_ guarded by latch_'
 require "${bp}" 'PGF_GUARDED_BY\(latch_\);  // page -> frame' 'BufferPool::table_ guarded by latch_'
@@ -87,14 +84,15 @@ require "${bp}" 'lru_tail_ PGF_GUARDED_BY\(latch_\)'   'BufferPool::lru_tail_ gu
 require "${bp}" 'lru_unlink\(std::size_t frame\) PGF_REQUIRES\(latch_\)' 'BufferPool::lru_unlink requires latch_'
 require "${bp}" 'lru_append\(std::size_t frame\) PGF_REQUIRES\(latch_\)' 'BufferPool::lru_append requires latch_'
 
-# The write-ahead log's append buffer and LSN bookkeeping live under its
-# own latch; the buffer pool enforces WAL-before-data by flushing the log
+# The write-ahead log's file, append buffer and LSN bookkeeping live
+# under its own latch; the buffer pool enforces WAL-before-data by flushing the log
 # up to a dirty page's LSN before every write-back (eviction and
 # flush_all). Losing either the annotations or the ordering calls silently
 # voids the recovery guarantee on gcc-only boxes.
 wal='src/include/pgf/storage/wal.hpp'
 require "${wal}" 'buf_ PGF_GUARDED_BY\(latch_\)'        'WriteAheadLog::buf_ guarded by latch_'
 require "${wal}" 'last_lsn_ PGF_GUARDED_BY\(latch_\)'   'WriteAheadLog::last_lsn_ guarded by latch_'
+require "${wal}" 'File file_ PGF_GUARDED_BY\(latch_\)'  'WriteAheadLog::file_ guarded by latch_'
 require "${wal}" 'flush_locked\(\) PGF_REQUIRES\(latch_\)' 'WriteAheadLog::flush_locked requires latch_'
 bpc='src/storage/buffer_pool.cpp'
 ordering_count=$(grep -cE 'wal_->flush_up_to\(' "${bpc}" || true)

@@ -9,7 +9,7 @@ set -euo pipefail
 [ $# -eq 0 ] || { echo "usage: scripts/rebaseline.sh" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 # Environment overrides would change what the artifacts measure.
-unset PGF_THREADS PGF_INNER_THREADS PGF_BUILD_CACHE PGF_BACKEND \
+unset PGF_THREADS PGF_INNER_THREADS PGF_BACKEND \
       PGF_FULL_SCALE PGF_EXTBUILD_N PGF_EXTBUILD_HUGE PGF_WAL_N
 
 cmake --preset release-bench
@@ -31,7 +31,7 @@ run micro_benchmarks \
     --benchmark_min_time=0.2 --benchmark_out="$out/BENCH_kernels.json" \
     --benchmark_out_format=json
 run micro_benchmarks \
-    --benchmark_filter='GridFileInsert|GridFileBuildBulk|DirectoryExpand|BuildCacheHit' \
+    --benchmark_filter='GridFileInsert|GridFileBuildBulk|DirectoryExpand' \
     --benchmark_min_time=0.2 --benchmark_out="$out/BENCH_build.json" \
     --benchmark_out_format=json
 run ext_serving --bench-json "$out/BENCH_serving.json"

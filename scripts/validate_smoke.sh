@@ -17,7 +17,9 @@
 #   8. a single flipped byte mid-file trips the page checksum (exit != 0),
 #   9. a crash-injected durable build (buildx --wal --crash-after-writes)
 #      exits 9 and `pgfcli recover` replays the committed WAL prefix into
-#      a deep-audit-clean file — twice, since replay must be idempotent.
+#      a deep-audit-clean file — twice, since replay must be idempotent,
+#  10. an operating-system failure (recover on a missing log) exits 3 and
+#      names the path.
 set -u
 
 PGFCLI="${1:?usage: validate_smoke.sh <path-to-pgfcli>}"
@@ -130,5 +132,12 @@ for attempt in 1 2; do
 done
 grep -q 'recover: OK' "${WORK}/recover.out" \
     || fail "recover did not report a clean deep audit"
+
+# 10. I/O errors have their own exit code and name the file.
+"${PGFCLI}" recover --file "${WORK}/crash.pgf.staging" \
+    --wal "${WORK}/missing.wal" > "${WORK}/missing.out" 2>&1
+[ $? -eq 3 ] || fail "recover on a missing log did not exit 3"
+grep -q "${WORK}/missing.wal" "${WORK}/missing.out" \
+    || fail "the I/O error does not name the missing log"
 
 echo "validate_smoke: OK"

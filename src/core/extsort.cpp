@@ -10,12 +10,9 @@ namespace pgf::extsort::detail {
 
 RunWriter::RunWriter(const std::filesystem::path& path,
                      std::size_t record_bytes, std::size_t buffer_records)
-    : out_(path, std::ios::binary | std::ios::trunc),
-      path_(path.string()),
+    : out_(path.string(), File::Mode::kCreate),
       record_bytes_(record_bytes),
-      buf_(record_bytes * std::max<std::size_t>(buffer_records, 1)) {
-    PGF_CHECK(out_.good(), "extsort: cannot create run file " + path_);
-}
+      buf_(record_bytes * std::max<std::size_t>(buffer_records, 1)) {}
 
 void RunWriter::append(const std::byte* records, std::size_t count) {
     std::size_t done = 0;
@@ -26,52 +23,36 @@ void RunWriter::append(const std::byte* records, std::size_t count) {
                     buf_.data() + buffered_ * record_bytes_);
         buffered_ += take;
         done += take;
-        if (buffered_ == cap) {
-            out_.write(reinterpret_cast<const char*>(buf_.data()),
-                       static_cast<std::streamsize>(buffered_ *
-                                                    record_bytes_));
-            bytes_ += buffered_ * record_bytes_;
-            buffered_ = 0;
-        }
+        if (buffered_ == cap) flush();
     }
 }
 
 std::uint64_t RunWriter::finish() {
-    if (buffered_ > 0) {
-        out_.write(reinterpret_cast<const char*>(buf_.data()),
-                   static_cast<std::streamsize>(buffered_ * record_bytes_));
-        bytes_ += buffered_ * record_bytes_;
-        buffered_ = 0;
-    }
-    out_.flush();
-    PGF_CHECK(out_.good(), "extsort: write failed for run file " + path_);
-    out_.close();
+    flush();
     return bytes_;
+}
+
+void RunWriter::flush() {
+    const std::size_t n = buffered_ * record_bytes_;
+    out_.write_at(bytes_, std::span<const std::byte>(buf_.data(), n));
+    bytes_ += n;
+    buffered_ = 0;
 }
 
 // -- RunReader ---------------------------------------------------------------
 
 RunReader::RunReader(const std::filesystem::path& path,
                      std::size_t record_bytes, std::size_t buffer_records)
-    : in_(path, std::ios::binary),
-      path_(path.string()),
-      record_bytes_(record_bytes),
-      buf_(record_bytes * std::max<std::size_t>(buffer_records, 1)) {
-    PGF_CHECK(in_.good(), "extsort: cannot open run file " + path_);
-}
+    : in_(path.string(),
+          record_bytes * std::max<std::size_t>(buffer_records, 1)),
+      record_bytes_(record_bytes) {}
 
 const std::byte* RunReader::advance() {
-    if (pos_ == filled_) {
-        in_.read(reinterpret_cast<char*>(buf_.data()),
-                 static_cast<std::streamsize>(buf_.size()));
-        const auto got = static_cast<std::size_t>(in_.gcount());
-        PGF_CHECK(got % record_bytes_ == 0,
-                  "extsort: torn record in run file " + path_);
-        filled_ = got / record_bytes_;
-        pos_ = 0;
-        if (filled_ == 0) return nullptr;
-    }
-    return buf_.data() + (pos_++) * record_bytes_;
+    const auto rec = in_.next(record_bytes_);
+    if (rec.empty()) return nullptr;
+    PGF_CHECK(rec.size() == record_bytes_,
+              "extsort: torn record in run file " + in_.path());
+    return rec.data();
 }
 
 // -- KWayMerge ---------------------------------------------------------------
@@ -95,8 +76,8 @@ KWayMerge::KWayMerge(std::vector<std::filesystem::path> runs,
             paths_[i], record_bytes_, buffer_records));
         rec_[i] = readers_[i]->advance();
         if (rec_[i] != nullptr) {
-            key_[i] = read_u64le(rec_[i]);
-            seq_[i] = read_u64le(rec_[i] + 8);
+            key_[i] = load_le<std::uint64_t>(rec_[i]);
+            seq_[i] = load_le<std::uint64_t>(rec_[i] + 8);
             ++alive_;
         } else {
             retire(i);
@@ -161,8 +142,8 @@ std::size_t KWayMerge::next(std::byte* out, std::size_t max_records) {
         ++produced;
         rec_[w] = readers_[w]->advance();
         if (rec_[w] != nullptr) {
-            key_[w] = read_u64le(rec_[w]);
-            seq_[w] = read_u64le(rec_[w] + 8);
+            key_[w] = load_le<std::uint64_t>(rec_[w]);
+            seq_[w] = load_le<std::uint64_t>(rec_[w] + 8);
         } else {
             retire(w);
             --alive_;

@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,6 +49,7 @@
 #include "pgf/geom/point.hpp"
 #include "pgf/sfc/hilbert.hpp"
 #include "pgf/util/check.hpp"
+#include "pgf/util/file.hpp"
 #include "pgf/util/temp_dir.hpp"
 #include "pgf/util/thread_pool.hpp"
 
@@ -87,20 +87,6 @@ namespace detail {
 // payload (the D point doubles). Key and seq sit at fixed offsets, so the
 // merge machinery below is dimension-erased — only `record_bytes` varies.
 
-inline std::uint64_t read_u64le(const std::byte* p) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    }
-    return v;
-}
-
-inline void write_u64le(std::byte* p, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-    }
-}
-
 /// Buffered sequential writer for one run file.
 class RunWriter {
 public:
@@ -108,12 +94,13 @@ public:
               std::size_t buffer_records);
     /// Appends `count` consecutive records.
     void append(const std::byte* records, std::size_t count);
-    /// Flushes and closes; returns total bytes written.
+    /// Writes out what is still buffered; returns total bytes written.
     std::uint64_t finish();
 
 private:
-    std::ofstream out_;
-    std::string path_;
+    void flush();
+
+    File out_;
     std::size_t record_bytes_;
     std::vector<std::byte> buf_;
     std::size_t buffered_ = 0;  ///< records currently in buf_
@@ -129,12 +116,8 @@ public:
     const std::byte* advance();
 
 private:
-    std::ifstream in_;
-    std::string path_;
+    FileReader in_;
     std::size_t record_bytes_;
-    std::vector<std::byte> buf_;
-    std::size_t pos_ = 0;    ///< next record index within buf_
-    std::size_t filled_ = 0; ///< records currently in buf_
 };
 
 /// Loser-tree k-way merge over sorted run files, ordered by (key, seq).
@@ -230,7 +213,7 @@ public:
             const std::byte* rec = byte_buf_.data() + k * kRecordBytes;
             for (std::size_t i = 0; i < D; ++i) {
                 out[k][i] = std::bit_cast<double>(
-                    detail::read_u64le(rec + (2 + i) * 8));
+                    load_le<std::uint64_t>(rec + (2 + i) * 8));
             }
         }
         if (n == 0) merge_.reset();  // release readers promptly
@@ -353,10 +336,10 @@ private:
         encode_buf.resize(kRecordBytes);
         for (const Keyed& r : chunk) {
             std::byte* p = encode_buf.data();
-            detail::write_u64le(p, r.key);
-            detail::write_u64le(p + 8, r.seq);
+            store_le<std::uint64_t>(p, r.key);
+            store_le<std::uint64_t>(p + 8, r.seq);
             for (std::size_t i = 0; i < D; ++i) {
-                detail::write_u64le(p + (2 + i) * 8,
+                store_le<std::uint64_t>(p + (2 + i) * 8,
                                     std::bit_cast<std::uint64_t>(r.point[i]));
             }
             writer.append(encode_buf.data(), 1);

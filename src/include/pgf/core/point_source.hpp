@@ -22,15 +22,17 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pgf/geom/point.hpp"
 #include "pgf/util/check.hpp"
+#include "pgf/util/file.hpp"
 
 namespace pgf {
 
@@ -99,21 +101,16 @@ namespace binary_points {
 inline constexpr char kMagic[8] = {'P', 'G', 'F', 'P', 'T', 'S', '1', '\0'};
 inline constexpr std::size_t kHeaderBytes = 24;
 
-inline void write_u64le(std::ostream& out, std::uint64_t v) {
-    char b[8];
-    for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-    out.write(b, 8);
-}
-
-inline std::uint64_t read_u64le(std::istream& in) {
-    char b[8] = {};
-    in.read(b, 8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(static_cast<unsigned char>(b[i]))
-             << (8 * i);
-    }
-    return v;
+/// Reads and validates the header; returns the file's (dims, count).
+/// Bad magic and a header cut short are CheckErrors.
+inline std::pair<std::uint64_t, std::uint64_t> read_header(FileReader& in) {
+    const auto header = in.next(kHeaderBytes);
+    PGF_CHECK(header.size() >= sizeof(kMagic) &&
+                  std::memcmp(header.data(), kMagic, sizeof(kMagic)) == 0,
+              "binary points: bad magic in " + in.path());
+    PGF_CHECK(header.size() == kHeaderBytes,
+              "binary points: truncated header in " + in.path());
+    return {load_le<std::uint64_t>(header.data() + 8), load_le<std::uint64_t>(header.data() + 16)};
 }
 }  // namespace binary_points
 
@@ -121,18 +118,25 @@ inline std::uint64_t read_u64le(std::istream& in) {
 template <std::size_t D>
 void write_binary_points(const std::filesystem::path& path,
                          std::span<const Point<D>> points) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    PGF_CHECK(out.good(), "write_binary_points: cannot open " + path.string());
-    out.write(binary_points::kMagic, 8);
-    binary_points::write_u64le(out, D);
-    binary_points::write_u64le(out, points.size());
-    for (const Point<D>& p : points) {
-        for (std::size_t i = 0; i < D; ++i) {
-            binary_points::write_u64le(out, std::bit_cast<std::uint64_t>(p[i]));
+    File out(path.string(), File::Mode::kCreate);
+    std::byte header[binary_points::kHeaderBytes];
+    std::memcpy(header, binary_points::kMagic, sizeof(binary_points::kMagic));
+    store_le<std::uint64_t>(header + 8, D);
+    store_le<std::uint64_t>(header + 16, points.size());
+    out.append(header);
+    constexpr std::size_t kBlockPoints = 4096;
+    std::vector<std::byte> block;
+    for (std::size_t k = 0; k < points.size(); k += kBlockPoints) {
+        const std::size_t n = std::min(kBlockPoints, points.size() - k);
+        block.resize(n * D * 8);
+        for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t i = 0; i < D; ++i) {
+                store_le<std::uint64_t>(block.data() + (j * D + i) * 8,
+                            std::bit_cast<std::uint64_t>(points[k + j][i]));
+            }
         }
+        out.append(block);
     }
-    PGF_CHECK(out.good(), "write_binary_points: write failed for " +
-                              path.string());
 }
 
 /// Streams a flat binary point file written by write_binary_points.
@@ -142,42 +146,25 @@ template <std::size_t D>
 class BinaryFilePointSource final : public PointSource<D> {
 public:
     explicit BinaryFilePointSource(const std::filesystem::path& path)
-        : in_(path, std::ios::binary) {
-        PGF_CHECK(in_.good(),
-                  "binary points: cannot open " + path.string());
-        char magic[8] = {};
-        in_.read(magic, 8);
-        PGF_CHECK(in_.good() && std::string(magic, 8) ==
-                                    std::string(binary_points::kMagic, 8),
-                  "binary points: bad magic in " + path.string());
-        const std::uint64_t dims = binary_points::read_u64le(in_);
+        : in_(path.string()) {
+        const auto [dims, count] = binary_points::read_header(in_);
         PGF_CHECK(dims == D, "binary points: file is " +
                                  std::to_string(dims) + "-d, expected " +
-                                 std::to_string(D) + "-d: " + path.string());
-        remaining_ = binary_points::read_u64le(in_);
-        PGF_CHECK(in_.good(),
-                  "binary points: truncated header in " + path.string());
-        path_ = path.string();
+                                 std::to_string(D) + "-d: " + in_.path());
+        remaining_ = count;
     }
 
     std::size_t next(std::span<Point<D>> out) override {
-        const std::size_t want = static_cast<std::size_t>(std::min<std::uint64_t>(out.size(), remaining_));
+        const std::size_t want = static_cast<std::size_t>(
+            std::min<std::uint64_t>(out.size(), remaining_));
         if (want == 0) return 0;
-        buf_.resize(want * D * 8);
-        in_.read(reinterpret_cast<char*>(buf_.data()),
-                 static_cast<std::streamsize>(buf_.size()));
-        PGF_CHECK(in_.gcount() == static_cast<std::streamsize>(buf_.size()),
-                  "binary points: truncated body in " + path_);
+        const auto bytes = in_.next(want * D * 8);
+        PGF_CHECK(bytes.size() == want * D * 8,
+                  "binary points: truncated body in " + in_.path());
         for (std::size_t k = 0; k < want; ++k) {
             for (std::size_t i = 0; i < D; ++i) {
-                const char* w = buf_.data() + (k * D + i) * 8;
-                std::uint64_t v = 0;
-                for (int b = 0; b < 8; ++b) {
-                    v |= static_cast<std::uint64_t>(
-                             static_cast<unsigned char>(w[b]))
-                         << (8 * b);
-                }
-                out[k][i] = std::bit_cast<double>(v);
+                out[k][i] = std::bit_cast<double>(
+                    load_le<std::uint64_t>(bytes.data() + (k * D + i) * 8));
             }
         }
         remaining_ -= want;
@@ -187,10 +174,8 @@ public:
     std::uint64_t remaining() const { return remaining_; }
 
 private:
-    std::ifstream in_;
+    FileReader in_;
     std::uint64_t remaining_ = 0;
-    std::string path_;
-    std::vector<char> buf_;
 };
 
 }  // namespace pgf

@@ -16,9 +16,7 @@
 // loop, which is what the determinism tests compare against.
 //
 // The workbenches the sweep tasks read are built once, before the fan-out,
-// and shared read-only across every configuration — see
-// pgf/core/build_cache.hpp for the memoization layer and its Rng replay
-// contract.
+// and shared read-only across every configuration.
 #pragma once
 
 #include <cstddef>

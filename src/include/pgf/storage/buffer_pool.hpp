@@ -26,9 +26,10 @@
 //
 // Concurrency (lock discipline machine-checked via pgf/util/annotations.hpp):
 //   - One pool latch guards the page table, the frame metadata (pin
-//     counts, dirty bits, the LRU list) and all PageFile I/O — the
-//     PageFile's seek+read/write stream is not independently thread-safe,
-//     so misses, evictions and flushes serialize on the latch.
+//     counts, dirty bits, the LRU list) and all PageFile I/O: misses,
+//     evictions and flushes serialize on the latch. (PageFile::read is
+//     positional and const, so the miss read itself needs no lock; it
+//     still runs under the latch because the frame it fills does.)
 //   - A PageRef captures its frame's payload span at pin time; readers of
 //     a pinned page touch no shared pool state at all. A frame's bytes are
 //     stable while pinned because eviction skips pin > 0 frames and the

@@ -43,7 +43,6 @@
 #include "pgf/gridfile/bucket_store.hpp"
 #include "pgf/gridfile/directory.hpp"
 #include "pgf/storage/buffer_pool.hpp"
-#include "pgf/storage/fault_injection.hpp"
 #include "pgf/storage/page.hpp"
 #include "pgf/storage/page_file.hpp"
 #include "pgf/storage/wal.hpp"
@@ -102,8 +101,12 @@ public:
     /// already there).
     PagedBucketStore(const std::string& path, std::size_t page_size,
                      std::size_t pool_pages, WalSetup<D> wal_setup = {})
-        : file_(make_file(path, page_size, wal_setup.injector)),
-          wal_(make_wal(wal_setup)),
+        : file_(std::make_unique<PageFile>(
+              PageFile::create(path, page_size, wal_setup.injector))),
+          wal_(wal_setup.path.empty()
+                   ? nullptr
+                   : WriteAheadLog::create(wal_setup.path,
+                                           wal_setup.injector)),
           pool_(*file_, pool_pages, wal_.get()),
           capacity_(capacity_for(page_size)) {
         if (wal_ != nullptr) log_genesis(page_size, wal_setup);
@@ -326,7 +329,7 @@ public:
     /// audits compare this against the in-memory metadata before trusting
     /// it for a decode).
     static std::uint64_t page_record_count(std::span<const std::byte> data) {
-        return read_u64(data.data());
+        return load_le<std::uint64_t>(data.data());
     }
 
     /// Decodes a raw page payload (count header + records) into `out`.
@@ -336,16 +339,17 @@ public:
     /// checksum-valid but malformed page) throws CheckError.
     static void decode_page(std::span<const std::byte> data, Records& out) {
         const std::byte* p = data.data();
-        const std::uint64_t count = read_u64(p);
+        const std::uint64_t count = load_le<std::uint64_t>(p);
         PGF_CHECK(count <= (data.size() - kCountBytes) / kRecordBytes,
                   "store: page count word exceeds the page");
         out.resize(count);
         for (std::uint64_t k = 0; k < count; ++k) {
             const std::byte* rec = p + kCountBytes + k * kRecordBytes;
             for (std::size_t i = 0; i < D; ++i) {
-                out[k].point[i] = std::bit_cast<double>(read_u64(rec + i * 8));
+                out[k].point[i] =
+                    std::bit_cast<double>(load_le<std::uint64_t>(rec + i * 8));
             }
-            out[k].id = read_u64(rec + D * 8);
+            out[k].id = load_le<std::uint64_t>(rec + D * 8);
         }
     }
 
@@ -354,49 +358,19 @@ public:
     static void encode_page(std::span<std::byte> data,
                             const GridRecord<D>* records, std::size_t count) {
         std::byte* p = data.data();
-        write_u64(p, count);
+        store_le<std::uint64_t>(p, count);
         for (std::size_t k = 0; k < count; ++k) {
             std::byte* rec = p + kCountBytes + k * kRecordBytes;
             for (std::size_t i = 0; i < D; ++i) {
-                write_u64(rec + i * 8,
-                          std::bit_cast<std::uint64_t>(records[k].point[i]));
+                store_le<std::uint64_t>(
+                    rec + i * 8,
+                    std::bit_cast<std::uint64_t>(records[k].point[i]));
             }
-            write_u64(rec + D * 8, records[k].id);
+            store_le<std::uint64_t>(rec + D * 8, records[k].id);
         }
     }
 
 private:
-    static std::uint64_t read_u64(const std::byte* p) {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i) {
-            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-        }
-        return v;
-    }
-
-    static void write_u64(std::byte* p, std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-        }
-    }
-
-    static std::unique_ptr<PageFile> make_file(const std::string& path,
-                                               std::size_t page_size,
-                                               FaultInjector* injector) {
-        if (injector != nullptr) {
-            return std::make_unique<FaultInjectingPageFile>(
-                PageFile::create(path, page_size), injector);
-        }
-        return std::make_unique<PageFile>(PageFile::create(path, page_size));
-    }
-
-    static std::unique_ptr<WriteAheadLog> make_wal(const WalSetup<D>& setup) {
-        if (setup.path.empty()) return nullptr;
-        auto wal = WriteAheadLog::create(setup.path);
-        if (setup.injector != nullptr) wal->set_fault_injector(setup.injector);
-        return wal;
-    }
-
     void log_genesis(std::size_t page_size, const WalSetup<D>& setup) {
         std::vector<std::byte> body;
         wal_put_u32(body, static_cast<std::uint32_t>(D));
@@ -423,7 +397,7 @@ private:
     void load(std::uint32_t b, Records& out) const {
         auto page = pool_.fetch(metas_[b].page);
         const std::byte* data = page.data().data();
-        const std::uint64_t count = read_u64(data);
+        const std::uint64_t count = load_le<std::uint64_t>(data);
         PGF_CHECK(count == metas_[b].count,
                   "page header disagrees with bucket metadata");
         decode_page(page.data(), out);

@@ -52,7 +52,8 @@ public:
         /// the same build without this field.
         std::string wal_path;
         /// Crash-injection hook for the durability tests (see
-        /// pgf/storage/fault_injection.hpp); ignored without a wal_path.
+        /// pgf/util/file.hpp): page writes and log flushes spend its
+        /// budget.
         FaultInjector* fault_injector = nullptr;
     };
 

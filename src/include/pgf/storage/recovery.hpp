@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -244,11 +243,11 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                   "recover: page image overflows its bucket");
     }
 
-    // Drop the uncommitted log suffix for good, then reopen the log for
+    // Drop the uncommitted log suffix for good and reopen the log for
     // appending — new operations continue the LSN sequence from the
-    // commit marker.
-    std::filesystem::resize_file(wal_path, scan.commit_bytes);
-    out.wal = WriteAheadLog::open(wal_path);
+    // commit marker. The scan above already found both.
+    out.wal = WriteAheadLog::resume(wal_path, scan.commit_bytes,
+                                    scan.last_commit_lsn);
     return out;
 }
 

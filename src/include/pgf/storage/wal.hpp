@@ -10,7 +10,8 @@
 // so a scan can detect the torn tail a crash leaves behind: the valid
 // prefix ends at the last record whose length fits, whose checksum
 // verifies, and whose LSN continues the sequence. open() truncates the
-// tail; recovery replays records up to the last commit marker.
+// tail; recovery replays records up to the last commit marker and
+// resumes the log there.
 //
 // Record kinds (bodies are little-endian; dimension-typed bodies are
 // encoded/decoded by the templated store/recovery layer on top):
@@ -33,23 +34,23 @@
 // flush() — group commit. durable_lsn() is the last LSN actually on
 // disk; the BufferPool's write-back ordering invariant (WAL before data)
 // calls flush_up_to() before letting a dirty page with a newer LSN out.
+// With a FaultInjector every group flush is one crash-injection point
+// (see pgf/util/file.hpp); the file header is not.
 #pragma once
 
 #include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "pgf/util/annotations.hpp"
+#include "pgf/util/file.hpp"
 
 namespace pgf {
-
-class FaultInjector;
 
 enum class WalRecordKind : std::uint8_t {
     kGenesis = 1,
@@ -63,11 +64,19 @@ enum class WalRecordKind : std::uint8_t {
 class WriteAheadLog {
 public:
     /// Creates (truncating) a fresh log.
-    static std::unique_ptr<WriteAheadLog> create(const std::string& path);
+    static std::unique_ptr<WriteAheadLog> create(
+        const std::string& path, FaultInjector* injector = nullptr);
 
     /// Opens an existing log for appending: scans for the valid prefix,
-    /// truncates the torn tail, and resumes the LSN sequence.
+    /// then resume()s at its end.
     static std::unique_ptr<WriteAheadLog> open(const std::string& path);
+
+    /// Reopens a log already scanned by the caller: cuts the file to
+    /// `length` bytes and continues the LSN sequence after `last_lsn`,
+    /// the last record inside them.
+    static std::unique_ptr<WriteAheadLog> resume(const std::string& path,
+                                                 std::uint64_t length,
+                                                 std::uint64_t last_lsn);
 
     ~WriteAheadLog();
     WriteAheadLog(const WriteAheadLog&) = delete;
@@ -95,11 +104,6 @@ public:
     /// already are. The WAL-before-data ordering hook.
     void flush_up_to(std::uint64_t lsn) PGF_EXCLUDES(latch_);
 
-    /// Crash-injection hook: when set, flushes consult the injector and a
-    /// triggered fault writes a torn buffer prefix, poisons the log, and
-    /// throws CrashError (see pgf/storage/fault_injection.hpp).
-    void set_fault_injector(FaultInjector* injector) PGF_EXCLUDES(latch_);
-
     struct Stats {
         std::uint64_t records = 0;  ///< appended this session
         std::uint64_t bytes = 0;    ///< encoded bytes appended this session
@@ -111,23 +115,22 @@ public:
     static constexpr std::size_t kAutoFlushBytes = 1u << 20;
 
 private:
-    WriteAheadLog() = default;
+    WriteAheadLog(File file, std::uint64_t last_lsn);
     void flush_locked() PGF_REQUIRES(latch_);
 
     std::string path_;
     mutable Mutex latch_;
-    mutable std::fstream stream_ PGF_GUARDED_BY(latch_);
+    File file_ PGF_GUARDED_BY(latch_);
     std::vector<std::byte> buf_ PGF_GUARDED_BY(latch_);  // encoded, unflushed
     std::uint64_t last_lsn_ PGF_GUARDED_BY(latch_) = 0;
     std::atomic<std::uint64_t> durable_lsn_{0};
-    bool dead_ PGF_GUARDED_BY(latch_) = false;  // post-crash: drop everything
-    FaultInjector* injector_ PGF_GUARDED_BY(latch_) = nullptr;
     Stats stats_ PGF_GUARDED_BY(latch_);
 };
 
 /// Streaming reader over a WAL file. scan() finds the valid prefix (pass
 /// one); rewind()/next() then iterate the records inside it (pass two) —
-/// recovery's two-pass replay.
+/// recovery's two-pass replay. Both passes read front to back through one
+/// FileReader buffer.
 class WalReader {
 public:
     explicit WalReader(const std::string& path);
@@ -162,11 +165,9 @@ public:
     void rewind();
 
 private:
-    bool read_record(Record& out, std::uint64_t& consumed);
+    bool read_record(Record& out);
 
-    std::string path_;
-    std::ifstream stream_;
-    std::uint64_t pos_ = 0;
+    FileReader in_;
     std::uint64_t valid_bytes_ = 0;
     std::uint64_t prev_lsn_ = 0;
     bool scanned_ = false;
@@ -175,13 +176,13 @@ private:
 // -- little-endian body builders/parsers (shared by store and recovery) ------
 
 inline void wal_put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+    out.resize(out.size() + 4);
+    store_le<std::uint32_t>(out.data() + out.size() - 4, v);
 }
 
 inline void wal_put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+    out.resize(out.size() + 8);
+    store_le<std::uint64_t>(out.data() + out.size() - 8, v);
 }
 
 inline void wal_put_f64(std::vector<std::byte>& out, double v) {
@@ -190,24 +191,14 @@ inline void wal_put_f64(std::vector<std::byte>& out, double v) {
 
 inline std::uint32_t wal_get_u32(std::span<const std::byte> in,
                                  std::size_t& off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(
-                 in[off + static_cast<std::size_t>(i)]))
-             << (8 * i);
     off += 4;
-    return v;
+    return load_le<std::uint32_t>(in.subspan(off - 4, 4).data());
 }
 
 inline std::uint64_t wal_get_u64(std::span<const std::byte> in,
                                  std::size_t& off) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(
-                 in[off + static_cast<std::size_t>(i)]))
-             << (8 * i);
     off += 8;
-    return v;
+    return load_le<std::uint64_t>(in.subspan(off - 8, 8).data());
 }
 
 inline double wal_get_f64(std::span<const std::byte> in, std::size_t& off) {

@@ -30,40 +30,12 @@ private:
     std::uint64_t state_;
 };
 
-/// Full snapshot of an Rng's generator state: the PCG32 state/stream pair
-/// plus the Box–Muller spare (normal() produces deviates in pairs, so the
-/// cached second deviate is part of the observable stream position).
-/// Restorable via Rng::set_state(); the build cache uses this to replay
-/// exactly the draws a memoized dataset generation would have consumed.
-struct RngState {
-    std::uint64_t state = 0;
-    std::uint64_t inc = 0;
-    bool has_spare_normal = false;
-    double spare_normal = 0.0;
-
-    friend bool operator==(const RngState&, const RngState&) = default;
-};
-
 /// PCG32 (O'Neill): the workhorse generator. 64-bit state, 32-bit output,
 /// excellent statistical quality, trivially reproducible.
 class Rng {
 public:
     /// Seeds state and stream from `seed` via SplitMix64 expansion.
     explicit Rng(std::uint64_t seed = 0x853c49e6748fea9bULL);
-
-    /// Snapshot of the current generator state (see RngState).
-    RngState state() const {
-        return RngState{state_, inc_, has_spare_normal_, spare_normal_};
-    }
-
-    /// Restores a snapshot taken with state(): subsequent draws continue
-    /// exactly as they would have from the snapshotted position.
-    void set_state(const RngState& s) {
-        state_ = s.state;
-        inc_ = s.inc;
-        has_spare_normal_ = s.has_spare_normal;
-        spare_normal_ = s.spare_normal;
-    }
 
     /// Uniform 32-bit value.
     std::uint32_t next_u32();

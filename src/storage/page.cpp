@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "pgf/util/file.hpp"
+
 namespace pgf {
 namespace {
 
@@ -26,29 +28,6 @@ constexpr std::size_t kCrcBytes = 4;
 constexpr std::size_t kVersionOffset = 4;
 constexpr std::size_t kLsnOffset = 8;
 
-std::uint32_t get_u32(std::span<const std::byte> p, std::size_t off) {
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(
-                 p[off + i]))
-             << (8 * i);
-    return v;
-}
-
-std::uint64_t get_u64(std::span<const std::byte> p, std::size_t off) {
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(
-                 p[off + i]))
-             << (8 * i);
-    return v;
-}
-
-void put_u64(std::span<std::byte> p, std::size_t off, std::uint64_t v) {
-    for (std::size_t i = 0; i < 8; ++i)
-        p[off + i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
-}
-
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
@@ -60,7 +39,7 @@ std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) {
 }
 
 std::uint32_t page_stored_crc(std::span<const std::byte> page) {
-    return get_u32(page, kCrcOffset);
+    return load_le<std::uint32_t>(page.data() + kCrcOffset);
 }
 
 std::uint32_t page_compute_crc(std::span<const std::byte> page) {
@@ -79,11 +58,11 @@ std::uint16_t page_version(std::span<const std::byte> page) {
 }
 
 std::uint64_t page_lsn(std::span<const std::byte> page) {
-    return get_u64(page, kLsnOffset);
+    return load_le<std::uint64_t>(page.data() + kLsnOffset);
 }
 
 void set_page_lsn(std::span<std::byte> page, std::uint64_t lsn) {
-    put_u64(page, kLsnOffset, lsn);
+    store_le<std::uint64_t>(page.data() + kLsnOffset, lsn);
 }
 
 }  // namespace pgf

@@ -13,58 +13,41 @@ namespace {
 constexpr char kMagic[8] = {'P', 'G', 'F', 'P', 'A', 'G', 'E', '2'};
 constexpr std::size_t kSuperblockSize = 24;  // magic + page_size + page_count
 
-void put_u64(std::byte* out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-        out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-    }
-}
-
-std::uint64_t get_u64(const std::byte* in) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-        v |= static_cast<std::uint64_t>(in[i]) << (8 * i);
-    }
-    return v;
-}
-
 }  // namespace
 
-PageFile PageFile::create(const std::string& path, std::size_t page_size) {
+PageFile PageFile::create(const std::string& path, std::size_t page_size,
+                          FaultInjector* injector) {
     PGF_CHECK(page_size >= kMinPageSize, "page size too small");
     PGF_CHECK(page_size > kPageHeaderBytes, "page size below header size");
-    PageFile pf;
-    pf.path_ = path;
+    PageFile pf(File(path, File::Mode::kCreate, injector));
     pf.page_size_ = page_size;
-    pf.page_count_ = 0;
-    pf.stream_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                              std::ios::trunc);
-    PGF_CHECK(pf.stream_.is_open(), "PageFile: cannot create " + path);
     pf.write_superblock();
     return pf;
 }
 
 PageFile PageFile::open(const std::string& path) {
-    PageFile pf;
-    pf.path_ = path;
-    pf.stream_.open(path, std::ios::binary | std::ios::in | std::ios::out);
-    PGF_CHECK(pf.stream_.is_open(), "PageFile: cannot open " + path);
+    PageFile pf(File(path, File::Mode::kReadWrite));
     std::byte header[kSuperblockSize];
-    pf.stream_.seekg(0);
-    pf.stream_.read(reinterpret_cast<char*>(header), kSuperblockSize);
-    PGF_CHECK(pf.stream_.good(), "PageFile: truncated superblock in " + path);
+    const std::size_t got = pf.file_.read_at(0, header);
+    PGF_CHECK(got == kSuperblockSize,
+              "PageFile: truncated superblock in " + path);
     PGF_CHECK(std::memcmp(header, kMagic, sizeof(kMagic)) == 0,
               "PageFile: bad magic in " + path);
-    pf.page_size_ = static_cast<std::size_t>(get_u64(header + 8));
-    pf.page_count_ = get_u64(header + 16);
+    pf.page_size_ = static_cast<std::size_t>(load_le<std::uint64_t>(header + 8));
+    pf.page_count_ = load_le<std::uint64_t>(header + 16);
+    pf.superblock_count_ = pf.page_count_;
     PGF_CHECK(pf.page_size_ >= kMinPageSize,
               "PageFile: corrupt page size in " + path);
     return pf;
 }
 
 PageFile::~PageFile() {
-    if (stream_.is_open() && !dead_) {
-        write_superblock();
-        stream_.flush();
+    if (!file_.is_open()) return;  // moved from
+    // A destructor cannot report a failed superblock write; callers that
+    // must know call sync() first.
+    try {
+        sync();
+    } catch (...) {  // NOLINT(bugprone-empty-catch)
     }
 }
 
@@ -72,16 +55,17 @@ std::size_t PageFile::payload_size() const {
     return page_size_ - kPageHeaderBytes;
 }
 
+std::uint64_t PageFile::page_offset(std::uint64_t id) const {
+    return kSuperblockSize + id * page_size_;
+}
+
 void PageFile::write_superblock() {
-    if (dead_) return;
     std::byte header[kSuperblockSize] = {};
     std::memcpy(header, kMagic, sizeof(kMagic));
-    put_u64(header + 8, page_size_);
-    put_u64(header + 16, page_count_);
-    stream_.clear();
-    stream_.seekp(0);
-    stream_.write(reinterpret_cast<const char*>(header), kSuperblockSize);
-    PGF_CHECK(stream_.good(), "PageFile: superblock write failed");
+    store_le<std::uint64_t>(header + 8, page_size_);
+    store_le<std::uint64_t>(header + 16, page_count_);
+    file_.write_at(0, header, CrashSite::kNo);
+    superblock_count_ = page_count_;
 }
 
 std::uint64_t PageFile::allocate() {
@@ -91,73 +75,38 @@ std::uint64_t PageFile::allocate() {
     return id;
 }
 
-void PageFile::read(std::uint64_t id, std::span<std::byte> out) {
+void PageFile::read(std::uint64_t id, std::span<std::byte> out) const {
     PGF_CHECK(id < page_count_, "PageFile: read past end");
     PGF_CHECK(out.size() == page_size_, "PageFile: read buffer size mismatch");
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(kSuperblockSize +
-                                              id * page_size_));
-    stream_.read(reinterpret_cast<char*>(out.data()),
-                 static_cast<std::streamsize>(page_size_));
-    PGF_CHECK(stream_.good(), "PageFile: read failed");
+    const std::size_t got = file_.read_at(page_offset(id), out);
+    PGF_CHECK(got == page_size_, "PageFile: short read of page " +
+                                     std::to_string(id) + " of " + path());
     PGF_CHECK(page_checksum_ok(out),
               "PageFile: checksum mismatch on page " + std::to_string(id) +
-                  " of " + path_ + " (torn or corrupt page)");
+                  " of " + path() + " (torn or corrupt page)");
 }
 
-bool PageFile::try_read(std::uint64_t id, std::span<std::byte> out) {
+bool PageFile::try_read(std::uint64_t id, std::span<std::byte> out) const {
     if (id >= page_count_ || out.size() != page_size_) return false;
-    std::fill(out.begin(), out.end(), std::byte{0});
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(kSuperblockSize +
-                                              id * page_size_));
-    stream_.read(reinterpret_cast<char*>(out.data()),
-                 static_cast<std::streamsize>(page_size_));
-    // A short read at the tail of a crashed file leaves the zero fill in
-    // place; the checksum decides whether what we got is a whole page.
-    stream_.clear();
+    // A short read at the tail of a crashed file leaves a zero fill; the
+    // checksum decides whether what we got is a whole page.
+    const std::size_t got = file_.read_at(page_offset(id), out);
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(got), out.end(),
+              std::byte{0});
     return page_checksum_ok(out);
-}
-
-std::span<const std::byte> PageFile::stamp_image(
-    std::span<const std::byte> data) {
-    scratch_.assign(data.begin(), data.end());
-    scratch_[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
-    scratch_[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
-    scratch_[6] = std::byte{0};  // flags (reserved)
-    scratch_[7] = std::byte{0};
-    const std::uint32_t crc = page_compute_crc(scratch_);
-    for (int i = 0; i < 4; ++i)
-        scratch_[static_cast<std::size_t>(i)] =
-            static_cast<std::byte>((crc >> (8 * i)) & 0xff);
-    return scratch_;
-}
-
-void PageFile::write_image(std::uint64_t id,
-                           std::span<const std::byte> image) {
-    if (dead_) return;
-    stream_.clear();
-    stream_.seekp(static_cast<std::streamoff>(kSuperblockSize +
-                                              id * page_size_));
-    stream_.write(reinterpret_cast<const char*>(image.data()),
-                  static_cast<std::streamsize>(image.size()));
-    PGF_CHECK(stream_.good(), "PageFile: write failed");
 }
 
 void PageFile::write(std::uint64_t id, std::span<const std::byte> data) {
     PGF_CHECK(id < page_count_, "PageFile: write past end");
     PGF_CHECK(data.size() == page_size_,
               "PageFile: write buffer size mismatch");
-    write_image(id, stamp_image(data));
-}
-
-void PageFile::write_torn(std::uint64_t id, std::span<const std::byte> data,
-                          std::size_t keep_bytes) {
-    PGF_CHECK(id < page_count_, "PageFile: write past end");
-    PGF_CHECK(data.size() == page_size_,
-              "PageFile: write buffer size mismatch");
-    const auto image = stamp_image(data);
-    write_image(id, image.first(std::min(keep_bytes, image.size())));
+    scratch_.assign(data.begin(), data.end());
+    scratch_[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
+    scratch_[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
+    scratch_[6] = std::byte{0};  // flags (reserved)
+    scratch_[7] = std::byte{0};
+    store_le<std::uint32_t>(scratch_.data(), page_compute_crc(scratch_));
+    file_.write_at(page_offset(id), scratch_);
 }
 
 void PageFile::write_payload(std::uint64_t id,
@@ -177,10 +126,7 @@ void PageFile::ensure_page_count(std::uint64_t n) {
 }
 
 void PageFile::sync() {
-    if (dead_) return;
-    write_superblock();
-    stream_.flush();
-    PGF_CHECK(stream_.good(), "PageFile: sync failed");
+    if (page_count_ != superblock_count_) write_superblock();
 }
 
 }  // namespace pgf

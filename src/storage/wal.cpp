@@ -1,9 +1,7 @@
 #include "pgf/storage/wal.hpp"
 
 #include <cstring>
-#include <filesystem>
 
-#include "pgf/storage/fault_injection.hpp"
 #include "pgf/storage/page.hpp"
 #include "pgf/util/check.hpp"
 
@@ -24,61 +22,54 @@ void encode_record(std::vector<std::byte>& out, std::uint64_t lsn,
     const std::size_t start = out.size();
     out.resize(start + kEnvelopeBytes);
     auto* p = out.data() + start;
-    const auto len = static_cast<std::uint32_t>(body.size());
-    for (int i = 0; i < 4; ++i)
-        p[4 + i] = static_cast<std::byte>((len >> (8 * i)) & 0xff);
-    for (int i = 0; i < 8; ++i)
-        p[8 + i] = static_cast<std::byte>((lsn >> (8 * i)) & 0xff);
+    store_le<std::uint32_t>(p + 4, static_cast<std::uint32_t>(body.size()));
+    store_le<std::uint64_t>(p + 8, lsn);
     p[16] = static_cast<std::byte>(kind);
     out.insert(out.end(), body.begin(), body.end());
     // Checksum over everything after the crc field (len, lsn, kind, body).
     const std::uint32_t crc = crc32c(
         std::span<const std::byte>(out).subspan(start + 4));
-    p = out.data() + start;  // insert() may have reallocated
-    for (int i = 0; i < 4; ++i)
-        p[i] = static_cast<std::byte>((crc >> (8 * i)) & 0xff);
+    store_le<std::uint32_t>(out.data() + start, crc);
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------- WAL writer
 
-std::unique_ptr<WriteAheadLog> WriteAheadLog::create(const std::string& path) {
-    auto wal = std::unique_ptr<WriteAheadLog>(new WriteAheadLog());
-    wal->path_ = path;
-    MutexLock lock(wal->latch_);
-    wal->stream_.open(path, std::ios::binary | std::ios::in | std::ios::out |
-                                std::ios::trunc);
-    PGF_CHECK(wal->stream_.is_open(), "WAL: cannot create " + path);
+WriteAheadLog::WriteAheadLog(File file, std::uint64_t last_lsn)
+    : path_(file.path()),
+      file_(std::move(file)),
+      last_lsn_(last_lsn),
+      durable_lsn_(last_lsn) {}
+
+std::unique_ptr<WriteAheadLog> WriteAheadLog::create(const std::string& path,
+                                                     FaultInjector* injector) {
+    File file(path, File::Mode::kCreate, injector);
     std::byte header[kFileHeaderBytes] = {};
     std::memcpy(header, kWalMagic, sizeof(kWalMagic));
-    wal->stream_.write(reinterpret_cast<const char*>(header),
-                       kFileHeaderBytes);
-    wal->stream_.flush();
-    PGF_CHECK(wal->stream_.good(), "WAL: header write failed for " + path);
-    return wal;
+    file.write_at(0, header, CrashSite::kNo);
+    return std::unique_ptr<WriteAheadLog>(
+        new WriteAheadLog(std::move(file), 0));
 }
 
 std::unique_ptr<WriteAheadLog> WriteAheadLog::open(const std::string& path) {
-    WalReader reader(path);
-    const auto scan = reader.scan();
-    // Drop the torn tail so the resumed LSN sequence stays dense.
-    std::filesystem::resize_file(path, scan.valid_bytes);
+    const auto scan = WalReader(path).scan();
+    return resume(path, scan.valid_bytes, scan.last_lsn);
+}
 
-    auto wal = std::unique_ptr<WriteAheadLog>(new WriteAheadLog());
-    wal->path_ = path;
-    MutexLock lock(wal->latch_);
-    wal->stream_.open(path, std::ios::binary | std::ios::in | std::ios::out);
-    PGF_CHECK(wal->stream_.is_open(), "WAL: cannot open " + path);
-    wal->stream_.seekp(0, std::ios::end);
-    wal->last_lsn_ = scan.last_lsn;
-    wal->durable_lsn_.store(scan.last_lsn, std::memory_order_release);
-    return wal;
+std::unique_ptr<WriteAheadLog> WriteAheadLog::resume(const std::string& path,
+                                                     std::uint64_t length,
+                                                     std::uint64_t last_lsn) {
+    File file(path, File::Mode::kReadWrite);
+    // Drop the torn tail so the resumed LSN sequence stays dense.
+    file.truncate(length);
+    return std::unique_ptr<WriteAheadLog>(
+        new WriteAheadLog(std::move(file), last_lsn));
 }
 
 WriteAheadLog::~WriteAheadLog() {
     // Destructor flush: a triggered crash fault must not escape — the
-    // poisoned state *is* the simulated crash.
+    // frozen file *is* the simulated crash.
     try {
         MutexLock lock(latch_);
         flush_locked();
@@ -90,7 +81,6 @@ std::uint64_t WriteAheadLog::append(WalRecordKind kind,
                                     std::span<const std::byte> body) {
     MutexLock lock(latch_);
     const std::uint64_t lsn = ++last_lsn_;
-    if (dead_) return lsn;  // post-crash: everything is silently dropped
     encode_record(buf_, lsn, kind, body);
     ++stats_.records;
     stats_.bytes += kEnvelopeBytes + body.size();
@@ -113,44 +103,14 @@ void WriteAheadLog::flush_up_to(std::uint64_t lsn) {
     flush();
 }
 
-void WriteAheadLog::set_fault_injector(FaultInjector* injector) {
-    MutexLock lock(latch_);
-    injector_ = injector;
-}
-
 WriteAheadLog::Stats WriteAheadLog::stats() const {
     MutexLock lock(latch_);
     return stats_;
 }
 
 void WriteAheadLog::flush_locked() {
-    if (dead_) {
-        buf_.clear();
-        return;
-    }
     if (buf_.empty()) return;
-    if (injector_ != nullptr) {
-        if (injector_->crashed()) {  // crash already happened elsewhere
-            dead_ = true;
-            buf_.clear();
-            return;
-        }
-        if (injector_->should_crash()) {
-            // Torn group write: half the buffer reaches disk, then the
-            // "process" dies. The tail scan on reopen must cut this off.
-            const std::size_t keep = buf_.size() / 2;
-            stream_.write(reinterpret_cast<const char*>(buf_.data()),
-                          static_cast<std::streamsize>(keep));
-            stream_.flush();
-            dead_ = true;
-            buf_.clear();
-            throw CrashError("injected crash during WAL flush");
-        }
-    }
-    stream_.write(reinterpret_cast<const char*>(buf_.data()),
-                  static_cast<std::streamsize>(buf_.size()));
-    stream_.flush();
-    PGF_CHECK(stream_.good(), "WAL: flush failed for " + path_);
+    file_.append(buf_);
     buf_.clear();
     ++stats_.flushes;
     durable_lsn_.store(last_lsn_, std::memory_order_release);
@@ -158,36 +118,29 @@ void WriteAheadLog::flush_locked() {
 
 // ---------------------------------------------------------------- WAL reader
 
-WalReader::WalReader(const std::string& path) : path_(path) {
-    stream_.open(path, std::ios::binary);
-    PGF_CHECK(stream_.is_open(), "WAL: cannot open " + path);
-}
+WalReader::WalReader(const std::string& path) : in_(path) {}
 
 WalReader::ScanResult WalReader::scan() {
-    std::byte header[kFileHeaderBytes];
-    stream_.clear();
-    stream_.seekg(0);
-    stream_.read(reinterpret_cast<char*>(header), kFileHeaderBytes);
-    PGF_CHECK(stream_.good() &&
-                  std::memcmp(header, kWalMagic, sizeof(kWalMagic)) == 0,
-              "WAL: bad magic in " + path_ + " (not a write-ahead log)");
-    pos_ = kFileHeaderBytes;
+    in_.seek(0);
+    const auto header = in_.next(kFileHeaderBytes);
+    PGF_CHECK(header.size() == kFileHeaderBytes &&
+                  std::memcmp(header.data(), kWalMagic, sizeof(kWalMagic)) ==
+                      0,
+              "WAL: bad magic in " + in_.path() + " (not a write-ahead log)");
     prev_lsn_ = 0;
 
     ScanResult result;
     result.valid_bytes = kFileHeaderBytes;
     result.commit_bytes = kFileHeaderBytes;
     Record rec;
-    std::uint64_t consumed = 0;
-    while (read_record(rec, consumed)) {
-        pos_ += consumed;
+    while (read_record(rec)) {
         prev_lsn_ = rec.lsn;
-        result.valid_bytes = pos_;
+        result.valid_bytes = in_.position();
         ++result.records;
         result.last_lsn = rec.lsn;
         if (rec.kind == WalRecordKind::kCommit) {
             result.last_commit_lsn = rec.lsn;
-            result.commit_bytes = pos_;
+            result.commit_bytes = result.valid_bytes;
         }
         if (rec.kind == WalRecordKind::kGenesis) result.has_genesis = true;
     }
@@ -198,47 +151,27 @@ WalReader::ScanResult WalReader::scan() {
 }
 
 void WalReader::rewind() {
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(kFileHeaderBytes));
-    pos_ = kFileHeaderBytes;
+    in_.seek(kFileHeaderBytes);
     prev_lsn_ = 0;
 }
 
 bool WalReader::next(Record& out) {
     PGF_CHECK(scanned_, "WAL: next() before scan()");
-    if (pos_ >= valid_bytes_) return false;
-    std::uint64_t consumed = 0;
-    const bool ok = read_record(out, consumed);
+    if (in_.position() >= valid_bytes_) return false;
+    const bool ok = read_record(out);
     PGF_CHECK(ok, "WAL: record inside the valid prefix failed to re-read");
-    pos_ += consumed;
     prev_lsn_ = out.lsn;
     return true;
 }
 
-bool WalReader::read_record(Record& out, std::uint64_t& consumed) {
-    std::byte env[kEnvelopeBytes];
-    stream_.clear();
-    stream_.seekg(static_cast<std::streamoff>(pos_));
-    stream_.read(reinterpret_cast<char*>(env), kEnvelopeBytes);
-    if (stream_.gcount() != static_cast<std::streamsize>(kEnvelopeBytes))
-        return false;
+bool WalReader::read_record(Record& out) {
+    const auto env = in_.next(kEnvelopeBytes);
+    if (env.size() != kEnvelopeBytes) return false;
 
-    std::uint32_t stored_crc = 0;
-    std::uint32_t len = 0;
-    std::uint64_t lsn = 0;
-    for (int i = 0; i < 4; ++i) {
-        stored_crc |= static_cast<std::uint32_t>(
-                          std::to_integer<std::uint8_t>(env[i]))
-                      << (8 * i);
-        len |= static_cast<std::uint32_t>(
-                   std::to_integer<std::uint8_t>(env[4 + i]))
-               << (8 * i);
-    }
-    for (int i = 0; i < 8; ++i)
-        lsn |= static_cast<std::uint64_t>(
-                   std::to_integer<std::uint8_t>(env[8 + i]))
-               << (8 * i);
-    const auto kind = std::to_integer<std::uint8_t>(env[16]);
+    const auto stored_crc = load_le<std::uint32_t>(env.data());
+    const auto len = load_le<std::uint32_t>(env.data() + 4);
+    const auto lsn = load_le<std::uint64_t>(env.data() + 8);
+    const auto kind = static_cast<std::uint8_t>(env[16]);
 
     if (len > kMaxBodyBytes) return false;
     if (kind < static_cast<std::uint8_t>(WalRecordKind::kGenesis) ||
@@ -246,22 +179,16 @@ bool WalReader::read_record(Record& out, std::uint64_t& consumed) {
         return false;
     if (lsn != prev_lsn_ + 1) return false;  // LSNs are dense and increasing
 
-    out.body.resize(len);
-    if (len > 0) {
-        stream_.read(reinterpret_cast<char*>(out.body.data()),
-                     static_cast<std::streamsize>(len));
-        if (stream_.gcount() != static_cast<std::streamsize>(len))
-            return false;
-    }
-
-    std::uint32_t crc = crc32c(
-        std::span<const std::byte>(env).subspan(4));
-    crc = crc32c(out.body, crc);
+    // The envelope's checksum is taken before next() reuses the buffer.
+    std::uint32_t crc = crc32c(env.subspan(4));
+    const auto body = in_.next(len);
+    if (body.size() != len) return false;
+    crc = crc32c(body, crc);
     if (crc != stored_crc) return false;
 
     out.lsn = lsn;
     out.kind = static_cast<WalRecordKind>(kind);
-    consumed = kEnvelopeBytes + len;
+    out.body.assign(body.begin(), body.end());
     return true;
 }
 

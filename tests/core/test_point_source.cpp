@@ -75,7 +75,7 @@ TEST_F(BinaryPointsTest, RoundTripStreamsInBlocks) {
 
 TEST_F(BinaryPointsTest, MissingFileAndBadMagicAreTypedErrors) {
     EXPECT_THROW(BinaryFilePointSource<2>("/nonexistent-dir/pts.bin"),
-                 CheckError);
+                 IoError);
     {
         std::ofstream out(path_, std::ios::binary);
         out << "these are not the points you are looking for";

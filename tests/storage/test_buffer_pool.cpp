@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -201,6 +202,36 @@ TEST_F(BufferPoolTest, MoveOfPageRefTransfersPin) {
     }
     // After q's destruction the frame is evictable again.
     EXPECT_NO_THROW(pool.fetch(1));
+}
+
+TEST_F(BufferPoolTest, FailedMissReadHandsItsFrameBack) {
+    // A 2-frame pool over a 3-page file whose page 2 is unreadable behind
+    // the pool's back — first a flipped byte (checksum mismatch), then a
+    // truncation (short read). The failing fetch must return its frame:
+    // otherwise pages 0 and 1 could no longer be pinned at the same time.
+    for (const bool truncated : {false, true}) {
+        SCOPED_TRACE(truncated ? "short read" : "corrupt page");
+        {
+            auto pf = PageFile::create(path_.string(), 128);
+            for (int i = 0; i < 3; ++i) pf.allocate();
+        }
+        auto pf = PageFile::open(path_.string());
+        BufferPool pool(pf, 2);
+        const std::uint64_t page2 = 24 + 2 * 128;  // superblock + 2 pages
+        if (truncated) {
+            std::filesystem::resize_file(path_, page2 + 50);
+        } else {
+            std::fstream f(path_, std::ios::binary | std::ios::in |
+                                      std::ios::out);
+            f.seekp(static_cast<std::streamoff>(page2 + 40));
+            f.put('\x5a');
+        }
+        EXPECT_THROW(pool.fetch(2), CheckError);
+        EXPECT_EQ(pool.pinned_frames(), 0u);
+        auto p0 = pool.fetch(0);
+        auto p1 = pool.fetch(1);
+        EXPECT_EQ(pool.pinned_frames(), 2u);
+    }
 }
 
 // ------------------------------------------------- golden LRU trace --

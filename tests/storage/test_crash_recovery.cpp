@@ -27,11 +27,11 @@
 #include <vector>
 
 #include "pgf/analysis/paged_audit.hpp"
-#include "pgf/storage/fault_injection.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/storage/recovery.hpp"
 #include "pgf/storage/wal.hpp"
 #include "pgf/util/check.hpp"
+#include "pgf/util/file.hpp"
 #include "pgf/util/rng.hpp"
 #include "temp_path.hpp"
 

@@ -109,7 +109,7 @@ TEST_F(PageFileTest, RejectsTinyPagesAndBadMagic) {
         out << "this is not a page file at all, sorry";
     }
     EXPECT_THROW(PageFile::open(path_.string()), CheckError);
-    EXPECT_THROW(PageFile::open("/nonexistent-dir/nope.db"), CheckError);
+    EXPECT_THROW(PageFile::open("/nonexistent-dir/nope.db"), IoError);
 }
 
 TEST_F(PageFileTest, ManyPagesRandomAccess) {

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <set>
 
 #include "pgf/gridfile/grid_file.hpp"
+#include "pgf/parallel/node_backing.hpp"
 #include "pgf/util/rng.hpp"
 #include "temp_path.hpp"
 
@@ -174,6 +176,30 @@ TEST_F(PagedGridFileTest, FlushPersistsPages) {
     // Every bucket page made it to disk (file has at least that many pages).
     auto file = PageFile::open(path_.string());
     EXPECT_GE(file.page_count(), pages);
+}
+
+TEST_F(PagedGridFileTest, ClosingAReaderKeepsTheOwnersPageCount) {
+    // A serving node opens the flushed file; the owner then grows it and
+    // flushes again. Closing the node's handle must not roll the on-disk
+    // page count back to the one it saw at open — a reopen would then
+    // refuse every page past it.
+    auto pf = make();
+    Rng rng(23);
+    std::uint64_t id = 0;
+    for (; id < 300; ++id) pf.insert({{rng.uniform(), rng.uniform()}}, id);
+    pf.flush();
+    auto node = std::make_unique<NodeBacking>(path_.string(), 4);
+    const std::uint64_t seen = node->file.page_count();
+    for (; id < 1200; ++id) pf.insert({{rng.uniform(), rng.uniform()}}, id);
+    pf.flush();
+    const std::uint64_t grown = PageFile::open(path_.string()).page_count();
+    ASSERT_GT(grown, seen);
+
+    node.reset();
+    auto reopened = PageFile::open(path_.string());
+    EXPECT_EQ(reopened.page_count(), grown);
+    std::vector<std::byte> page(reopened.page_size());
+    EXPECT_NO_THROW(reopened.read(grown - 1, page));
 }
 
 TEST_F(PagedGridFileTest, EraseRemovesExactRecord) {

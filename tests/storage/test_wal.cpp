@@ -190,8 +190,7 @@ TEST_F(WalTest, BadMagicAndMissingFileAreTypedErrors) {
     }
     EXPECT_THROW(WalReader(path_.string()).scan(), CheckError);
     EXPECT_THROW(WriteAheadLog::open(path_.string()), CheckError);
-    EXPECT_THROW(WriteAheadLog::open("/nonexistent-dir/nope.wal"),
-                 CheckError);
+    EXPECT_THROW(WriteAheadLog::open("/nonexistent-dir/nope.wal"), IoError);
 }
 
 TEST_F(WalTest, EmptyLogScansCleanly) {

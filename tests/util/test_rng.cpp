@@ -203,41 +203,5 @@ TEST(Rng, SampleIndicesIsUniform) {
     }
 }
 
-TEST(Rng, StateRoundTripResumesStream) {
-    Rng rng(99);
-    for (int i = 0; i < 17; ++i) rng.next_u32();
-    const RngState snap = rng.state();
-    std::vector<std::uint64_t> expected;
-    for (int i = 0; i < 8; ++i) expected.push_back(rng.next_u64());
-
-    Rng other(1);  // different seed; set_state must fully overwrite
-    other.set_state(snap);
-    for (std::uint64_t v : expected) EXPECT_EQ(other.next_u64(), v);
-}
-
-TEST(Rng, StateCapturesBoxMullerSpare) {
-    // normal() produces deviates in pairs; the cached second deviate is
-    // part of the stream position and must survive a snapshot/restore.
-    Rng rng(7);
-    (void)rng.normal();  // leaves a spare cached
-    const RngState snap = rng.state();
-    EXPECT_TRUE(snap.has_spare_normal);
-    const double expected_spare = rng.normal();
-    const double expected_next = rng.normal();
-
-    Rng other(3);
-    other.set_state(snap);
-    EXPECT_EQ(other.normal(), expected_spare);
-    EXPECT_EQ(other.normal(), expected_next);
-}
-
-TEST(Rng, StateEqualityDetectsConsumption) {
-    Rng rng(5);
-    const RngState before = rng.state();
-    EXPECT_EQ(before, rng.state());
-    rng.next_u32();
-    EXPECT_NE(before, rng.state());
-}
-
 }  // namespace
 }  // namespace pgf

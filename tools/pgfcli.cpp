@@ -53,6 +53,11 @@
 //       rebuilt in a temporary disk-backed grid file and the page-level
 //       checkers (page ownership, scale reconstruction, header/roundtrip)
 //       run against it. Exit 0 = clean, 1 = findings or unreadable.
+//
+// Exit codes of every command: 0 success, 1 error or audit findings,
+// 2 usage, 3 I/O error (the operating system refused a file operation;
+// the message names the operation, the path and the errno), 9 injected
+// crash (buildx --crash-after-writes).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -64,12 +69,12 @@
 #include "pgf/core/declusterer.hpp"
 #include "pgf/core/extsort.hpp"
 #include "pgf/core/point_source.hpp"
-#include "pgf/storage/fault_injection.hpp"
 #include "pgf/storage/gridfile_io.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/storage/partition.hpp"
 #include "pgf/storage/recovery.hpp"
 #include "pgf/util/cli.hpp"
+#include "pgf/util/file.hpp"
 #include "pgf/util/points_io.hpp"
 #include "pgf/util/table.hpp"
 #include "pgf/util/thread_pool.hpp"
@@ -83,7 +88,9 @@ int usage() {
     std::cerr << "usage: pgfcli "
                  "<gen|build|buildx|recover|info|query|decluster|partition|"
                  "validate> [flags]\n"
-              << "run with a command and no flags for its required flags\n";
+              << "run with a command and no flags for its required flags\n"
+              << "exit codes: 0 ok, 1 error or findings, 2 usage, "
+                 "3 I/O error, 9 injected crash\n";
     return 2;
 }
 
@@ -222,14 +229,8 @@ int cmd_build(const Cli& cli) {
 
 /// Dimensionality recorded in a binary point file (for buildx dispatch).
 std::uint32_t binary_points_dims(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    PGF_CHECK(in.good(), "cannot open " + path);
-    char magic[8] = {};
-    in.read(magic, 8);
-    PGF_CHECK(in.good() && std::string(magic, 8) ==
-                               std::string(binary_points::kMagic, 8),
-              "not a binary point file: " + path);
-    return static_cast<std::uint32_t>(binary_points::read_u64le(in));
+    FileReader in(path, binary_points::kHeaderBytes);
+    return static_cast<std::uint32_t>(binary_points::read_header(in).first);
 }
 
 /// Bounding box of a binary point file, streamed in bounded blocks (the
@@ -792,6 +793,9 @@ int main(int argc, char** argv) {
         if (command == "decluster") return cmd_decluster(cli);
         if (command == "partition") return cmd_partition(cli);
         if (command == "validate") return cmd_validate(cli);
+    } catch (const IoError& e) {
+        std::cerr << "I/O error: " << e.what() << "\n";
+        return 3;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
