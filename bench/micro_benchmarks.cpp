@@ -270,24 +270,6 @@ void BM_GridFileInsert(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_GridFileInsert, 2)->Arg(10000)->Arg(100000);
 BENCHMARK_TEMPLATE(BM_GridFileInsert, 3)->Arg(10000)->Arg(100000);
 
-// The batched fast path — must stay structurally identical to the insert
-// loop (tests/gridfile/test_bulk_load.cpp) while winning on throughput.
-template <std::size_t D>
-void BM_GridFileBuildBulk(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const auto pts = uniform_points<D>(n);
-    for (auto _ : state) {
-        GridFile<D> gf(build_domain<D>(), {.bucket_capacity = 56});
-        gf.bulk_load(pts);
-        benchmark::DoNotOptimize(gf.bucket_count());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(n));
-}
-BENCHMARK_TEMPLATE(BM_GridFileBuildBulk, 2)->Arg(10000)->Arg(100000);
-BENCHMARK_TEMPLATE(BM_GridFileBuildBulk, 3)->Arg(10000)->Arg(100000);
-
 // This binary does not link pgf_bench_common, so it carries its own
 // collision-free backing-path helper for the disk-backed benchmarks.
 std::string paged_backing_path(const std::string& tag) {
@@ -298,10 +280,11 @@ std::string paged_backing_path(const std::string& tag) {
         .string();
 }
 
-// Disk-backed construction: the same batched bulk load, but every bucket
-// mutation round-trips through the page codec and the LRU buffer pool
-// (sized so the working set stays resident — the honest "paging tax"
-// floor). Compare against BM_GridFileBuildBulk at equal capacity.
+// Disk-backed construction: the same insert loop (through bulk_load), but
+// every bucket mutation round-trips through the page codec and the LRU
+// buffer pool (sized so the working set stays resident — the honest
+// "paging tax" floor). Compare against BM_GridFileInsert at equal
+// capacity.
 template <std::size_t D>
 void BM_PagedBuild(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));

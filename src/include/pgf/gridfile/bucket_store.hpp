@@ -8,7 +8,6 @@
 //   using Records = std::vector<GridRecord<D>>;
 //   static constexpr bool kStrictCapacity;    // may a bucket stay oversized?
 //   std::size_t bucket_count() const;
-//   void reserve(std::size_t buckets);        // bucket-table headroom
 //   std::uint32_t create_bucket(const CellBox<D>& cells,
 //                               std::size_t reserve_hint);
 //   const CellBox<D>& cells(std::uint32_t b) const;   // + mutable overload
@@ -73,7 +72,6 @@ public:
     static constexpr bool kStrictCapacity = false;
 
     std::size_t bucket_count() const { return buckets_.size(); }
-    void reserve(std::size_t buckets) { buckets_.reserve(buckets); }
 
     std::uint32_t create_bucket(const CellBox<D>& cells,
                                 std::size_t reserve_hint) {

@@ -33,12 +33,10 @@ public:
         /// Maximum records per bucket. The paper fixes bucket size at 4 KB;
         /// with ~72-byte records that is 56 records per bucket.
         std::size_t bucket_capacity = 56;
-        SplitPolicy split_policy = SplitPolicy::kMidpoint;
     };
 
     GridFile(const Rect<D>& domain, Config config = {})
-        : Core(domain, config.bucket_capacity, config.split_policy),
-          config_(config) {}
+        : Core(domain, config.bucket_capacity), config_(config) {}
 
     const Config& config() const { return config_; }
 
@@ -51,42 +49,20 @@ public:
     /// Reassembles a grid file from persisted state: the per-dimension
     /// scales and the buckets (records + cell boxes). The directory is
     /// rebuilt from the bucket cell boxes, which must tile the grid exactly
-    /// (checked). Used by the storage layer's load path.
+    /// (checked by retile()). Used by the storage layer's load path.
     static GridFile restore(const Rect<D>& domain, Config config,
                             std::vector<LinearScale> scales,
                             std::vector<Bucket> buckets) {
         PGF_CHECK(scales.size() == D, "restore: one scale per dimension");
-        PGF_CHECK(!buckets.empty(), "restore: at least one bucket required");
+        for (std::size_t i = 0; i < D; ++i) {
+            PGF_CHECK(scales[i].lo() == domain.lo[i] &&
+                          scales[i].hi() == domain.hi[i],
+                      "restore: scale does not span the domain");
+        }
         GridFile gf(domain, config);
         gf.scales_ = std::move(scales);
-        std::array<std::uint32_t, D> shape;
-        for (std::size_t i = 0; i < D; ++i) {
-            PGF_CHECK(gf.scales_[i].lo() == domain.lo[i] &&
-                          gf.scales_[i].hi() == domain.hi[i],
-                      "restore: scale does not span the domain");
-            shape[i] = gf.scales_[i].intervals();
-        }
-        gf.dir_ = GridDirectory<D>(shape, GridDirectory<D>::kNoBucket);
         gf.store_.entries() = std::move(buckets);
-        gf.record_count_ = 0;
-        std::uint64_t covered = 0;
-        const auto& entries = gf.store_.entries();
-        for (BucketId b = 0; b < entries.size(); ++b) {
-            const CellBox<D>& box = entries[b].cells;
-            for (std::size_t i = 0; i < D; ++i) {
-                PGF_CHECK(box.lo[i] < box.hi[i] && box.hi[i] <= shape[i],
-                          "restore: bucket cell box out of grid");
-            }
-            for_each_cell(box, [&](const std::array<std::uint32_t, D>& cell) {
-                PGF_CHECK(gf.dir_.at(cell) == GridDirectory<D>::kNoBucket,
-                          "restore: overlapping bucket cell boxes");
-                gf.dir_.set(cell, b);
-            });
-            covered += box.cell_count();
-            gf.record_count_ += entries[b].records.size();
-        }
-        PGF_CHECK(covered == gf.dir_.cell_count(),
-                  "restore: buckets must tile the whole grid");
+        gf.retile();
         return gf;
     }
 

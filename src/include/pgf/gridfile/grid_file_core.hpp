@@ -11,8 +11,9 @@
 //   - if it spans more than one cell along some axis, the bucket is split
 //     along an existing grid line (no directory growth);
 //   - otherwise the grid itself is refined (a new split point enters one
-//     scale and the directory doubles along that axis), after which the
-//     bucket spans two cells and is split as above.
+//     scale at the midpoint of the cell's interval and the directory
+//     doubles along that axis), after which the bucket spans two cells and
+//     is split as above.
 //
 // GridFileCore owns exactly this access structure — scales, directory,
 // cell-box bookkeeping, the relative-longest-axis refinement rule and the
@@ -21,6 +22,11 @@
 // on record *sets* (counts and coordinate multisets), never on record
 // order, so every store that receives the same insertion sequence produces
 // byte-identical scales, directory, and bucket numbering.
+//
+// Every build (bulk_load, bulk_load_stream) drains through insert();
+// retile() alone rebuilds the directory from bucket boxes (snapshot load,
+// crash recovery); range and partial-match queries share one cell walk and
+// one record filter.
 //
 // Supports insertion, deletion (without bucket re-merging: emptied buckets
 // simply stay under-full, which is the common simplification and does not
@@ -31,8 +37,8 @@
 
 #include <algorithm>
 #include <array>
+#include <concepts>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -76,11 +82,16 @@ private:
     std::uint64_t epoch_ = 0;
 };
 
-/// Where a grid refinement places the new split inside an overflowing cell.
-enum class SplitPolicy {
-    kMidpoint,  ///< geometric midpoint of the cell interval (default)
-    kMedian,    ///< median of the overflowing bucket's coordinates
-};
+/// The byte the snapshot header and the WAL genesis record keep for the
+/// split rule, 0 = midpoint. Midpoint is the only rule, so writers write
+/// this value and readers reject any other.
+inline constexpr std::uint8_t kSplitRuleMidpoint = 0;
+
+/// The two query kinds the engine answers: a half-open range box and a
+/// partial match. Both filter records through contains(point).
+template <typename Q, std::size_t D>
+concept GridQuery =
+    std::same_as<Q, Rect<D>> || std::same_as<Q, PartialMatch<D>>;
 
 /// One journaled grid refinement (axis, created interval index, split
 /// coordinate) — the unit crash recovery replays to rebuild the scales
@@ -118,47 +129,20 @@ public:
         note_op_end();
     }
 
-    /// Bulk insertion (ids are assigned 0..n-1 plus `id_base`), structurally
-    /// byte-identical to inserting the points one by one in order: same
-    /// scales, same directory, same bucket contents in the same order
-    /// (asserted by tests/gridfile/test_bulk_load.cpp).
-    ///
-    /// The fast path over the insert loop: the bucket table is pre-reserved
-    /// for the expected final split count, and the per-point locate_cell()
-    /// scale walks are batched dimension-major over blocks of points, so
-    /// each scale's split array streams once per block instead of being
-    /// re-fetched per point. Cached cells stay valid until a grid
-    /// refinement changes a scale (and renumbers directory slices); since
-    /// locate() counts splits <= x, a single new split at coordinate x
-    /// shifts a cached index by exactly (point >= x) along the split axis,
-    /// so the unconsumed tail of the block is patched with one compare per
-    /// point instead of re-searched. Bucket splits without refinement keep
-    /// all cached cells valid — only the directory's cell → bucket mapping
-    /// moved, and that is consulted at insertion time.
+    /// Bulk insertion: the insert() loop over `points` in order, with ids
+    /// id_base..id_base+n-1.
     void bulk_load(const std::vector<Point<D>>& points,
                    std::uint64_t id_base = 0) {
-        const std::size_t n = points.size();
-        // Each split adds one bucket and frees ~capacity/2 slots, so the
-        // final bucket count is about 2n/capacity; headroom avoids moving
-        // the bucket table more than once even on skewed data.
-        store_.reserve(store_.bucket_count() + 2 * n / bucket_capacity_ + 8);
-        std::size_t i = 0;
-        while (i < n) {
-            const std::size_t count = std::min(kLoadBlock, n - i);
-            load_block(&points[i], count, id_base + i);
-            i += count;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            insert(points[i], id_base + i);
         }
     }
 
     /// Streaming bulk load: drains `source` — any object with
     /// `std::size_t next(std::span<Point<D>> out)` filling a prefix of
-    /// `out` and returning the count (0 = exhausted) — through the same
-    /// batched block loader as bulk_load, never holding more than one
-    /// bounded block of points in memory. Because bulk_load is golden-
-    /// tested byte-identical to the one-by-one insert loop, the structure
-    /// produced is independent of how the source chunks its output:
-    /// streaming the same point sequence yields byte-identical scales,
-    /// directory, and bucket contents to an in-memory bulk_load.
+    /// `out` and returning the count (0 = exhausted) — through insert(),
+    /// never holding more than one 16,384-point refill buffer. The
+    /// structure is independent of how the source chunks its output.
     ///
     /// Ids are assigned sequentially from `id_base` in arrival order.
     /// Returns the number of records loaded. On stores that support batch
@@ -167,9 +151,7 @@ public:
     /// reason the pipeline wants Hilbert-ordered input.
     template <typename Source>
     std::uint64_t bulk_load_stream(Source& source, std::uint64_t id_base = 0) {
-        // One bounded refill buffer (64 locate blocks ≈ a few hundred KB)
-        // is the only point storage this path ever allocates.
-        std::vector<Point<D>> buf(64 * kLoadBlock);
+        std::vector<Point<D>> buf(16384);
         std::uint64_t loaded = 0;
         constexpr bool kBatch = requires { store_.begin_batch(); };
         if constexpr (kBatch) store_.begin_batch();
@@ -179,15 +161,8 @@ public:
             if (filled == 0) break;
             PGF_CHECK(filled <= buf.size(),
                       "bulk_load_stream: source overfilled the block");
-            // Grow the bucket table for this block's expected splits only;
-            // reserve() below the current capacity is a no-op.
-            store_.reserve(store_.bucket_count() +
-                           2 * filled / bucket_capacity_ + 8);
-            std::size_t i = 0;
-            while (i < filled) {
-                const std::size_t count = std::min(kLoadBlock, filled - i);
-                load_block(&buf[i], count, id_base + loaded + i);
-                i += count;
+            for (std::size_t i = 0; i < filled; ++i) {
+                insert(buf[i], id_base + loaded + i);
             }
             loaded += filled;
         }
@@ -214,9 +189,12 @@ public:
 
     // -- queries -----------------------------------------------------------
 
-    /// Ids of the buckets whose region overlaps query box `q` — this is the
-    /// unit of I/O the response-time metric counts.
-    std::vector<BucketId> query_buckets(const Rect<D>& q) const {
+    /// Ids of the buckets query `q` must read — the unit of I/O the
+    /// response-time metric counts. A range query reads the buckets whose
+    /// region overlaps the box; a partial match pins one scale interval per
+    /// specified attribute and spans the whole axis for the others.
+    template <GridQuery<D> Query>
+    std::vector<BucketId> query_buckets(const Query& q) const {
         QueryScratch scratch;
         std::vector<BucketId> out;
         query_buckets(q, scratch, out);
@@ -227,7 +205,8 @@ public:
     /// ids into `out` (cleared first) in the same first-visit cell order as
     /// query_buckets(q), deduplicating through the caller's scratch. After
     /// the first few queries neither `scratch` nor `out` reallocates.
-    void query_buckets(const Rect<D>& q, QueryScratch& scratch,
+    template <GridQuery<D> Query>
+    void query_buckets(const Query& q, QueryScratch& scratch,
                        std::vector<BucketId>& out) const {
         out.clear();
         CellBox<D> box;
@@ -239,88 +218,29 @@ public:
         });
     }
 
-    /// Exact range query: records whose point lies in `q` (half-open).
-    /// On a paged store every touched bucket costs one buffer-pool fetch
-    /// (hit or page read).
-    std::vector<GridRecord<D>> query_records(const Rect<D>& q) const {
+    /// Exact query: the records `q` contains (a range query is half-open;
+    /// a partial match compares its specified attributes exactly). On a
+    /// paged store every touched bucket costs one buffer-pool fetch (hit or
+    /// page read).
+    template <GridQuery<D> Query>
+    std::vector<GridRecord<D>> query_records(const Query& q) const {
         QueryScratch scratch;
         std::vector<GridRecord<D>> out;
         query_records(q, scratch, out);
         return out;
     }
 
-    /// Scratch-reusing form of the exact range query; `out` is cleared and
+    /// Scratch-reusing form of the exact query; `out` is cleared and
     /// reserved for the candidate count before filtering.
-    void query_records(const Rect<D>& q, QueryScratch& scratch,
+    template <GridQuery<D> Query>
+    void query_records(const Query& q, QueryScratch& scratch,
                        std::vector<GridRecord<D>>& out) const {
         out.clear();
         query_buckets(q, scratch, scratch.buckets);
         out.reserve(candidate_records(scratch.buckets));
         for (BucketId b : scratch.buckets) {
-            const Records& records = store_.read(b);
-            for (const GridRecord<D>& r : records) {
+            for (const GridRecord<D>& r : store_.read(b)) {
                 if (q.contains(r.point)) out.push_back(r);
-            }
-        }
-    }
-
-    /// Buckets a partial match query must read: specified attributes pin
-    /// one scale interval, unspecified attributes span the whole axis.
-    std::vector<BucketId> query_buckets(const PartialMatch<D>& q) const {
-        QueryScratch scratch;
-        std::vector<BucketId> out;
-        query_buckets(q, scratch, out);
-        return out;
-    }
-
-    /// Allocation-free partial-match bucket lookup (see the Rect variant).
-    void query_buckets(const PartialMatch<D>& q, QueryScratch& scratch,
-                       std::vector<BucketId>& out) const {
-        PGF_CHECK(q.valid(),
-                  "partial match must leave at least one attribute free");
-        out.clear();
-        CellBox<D> box;
-        for (std::size_t i = 0; i < D; ++i) {
-            if (q.key[i].has_value()) {
-                std::uint32_t cell = scales_[i].locate(*q.key[i]);
-                box.lo[i] = cell;
-                box.hi[i] = cell + 1;
-            } else {
-                box.lo[i] = 0;
-                box.hi[i] = dir_.shape()[i];
-            }
-        }
-        scratch.begin(store_.bucket_count());
-        for_each_cell(box, [&](const std::array<std::uint32_t, D>& cell) {
-            BucketId b = dir_.at(cell);
-            if (scratch.visit(b)) out.push_back(b);
-        });
-    }
-
-    /// Records whose specified attributes match exactly.
-    std::vector<GridRecord<D>> query_records(const PartialMatch<D>& q) const {
-        QueryScratch scratch;
-        std::vector<GridRecord<D>> out;
-        query_records(q, scratch, out);
-        return out;
-    }
-
-    /// Scratch-reusing form of the partial-match record query.
-    void query_records(const PartialMatch<D>& q, QueryScratch& scratch,
-                       std::vector<GridRecord<D>>& out) const {
-        out.clear();
-        query_buckets(q, scratch, scratch.buckets);
-        out.reserve(candidate_records(scratch.buckets));
-        for (BucketId b : scratch.buckets) {
-            const Records& records = store_.read(b);
-            for (const GridRecord<D>& r : records) {
-                bool match = true;
-                for (std::size_t i = 0; i < D && match; ++i) {
-                    if (q.key[i].has_value() && r.point[i] != *q.key[i]) {
-                        match = false;
-                    }
-                }
-                if (match) out.push_back(r);
             }
         }
     }
@@ -337,7 +257,6 @@ public:
 
     /// Maximum records per bucket (page-derived for paged stores).
     std::size_t bucket_capacity() const { return bucket_capacity_; }
-    SplitPolicy split_policy() const { return split_policy_; }
 
     /// Box of grid cells covered by bucket `b`.
     const CellBox<D>& bucket_cells(BucketId b) const {
@@ -417,7 +336,114 @@ public:
         return gs;
     }
 
-    /// Cell box of grid cells overlapping query box `q`; false when the
+protected:
+    /// Builds the one-cell, one-bucket initial state. Store constructor
+    /// arguments are forwarded in place because stores may be immovable
+    /// (the paged store pins a BufferPool).
+    template <typename... StoreArgs>
+    explicit GridFileCore(const Rect<D>& domain, std::size_t bucket_capacity,
+                          StoreArgs&&... store_args)
+        : store_(std::forward<StoreArgs>(store_args)...),
+          domain_(domain),
+          bucket_capacity_(bucket_capacity),
+          dir_(BucketId{0}) {
+        init_scales();
+        CellBox<D> root;
+        root.lo.fill(0);
+        for (std::size_t i = 0; i < D; ++i) root.hi[i] = 1;
+        store_.create_bucket(root, bucket_capacity_ + 1);
+    }
+
+    /// Rebuilds the access structure over a store that already holds the
+    /// buckets (crash recovery): no root bucket is created; the scales are
+    /// regrown by replaying the journaled refinements in order, and the
+    /// directory is retiled from the store's bucket cell boxes.
+    struct RestoreTag {};
+    template <typename... StoreArgs>
+    GridFileCore(RestoreTag, const Rect<D>& domain,
+                 std::size_t bucket_capacity,
+                 const std::vector<GridRefineOp>& refines,
+                 StoreArgs&&... store_args)
+        : store_(std::forward<StoreArgs>(store_args)...),
+          domain_(domain),
+          bucket_capacity_(bucket_capacity),
+          dir_(BucketId{0}) {
+        init_scales();
+        for (const GridRefineOp& op : refines) {
+            PGF_CHECK(op.axis < D, "restore: refinement axis out of range");
+            std::uint32_t interval = 0;
+            PGF_CHECK(scales_[op.axis].insert_split(op.coord, &interval),
+                      "restore: journaled scale split no longer inserts");
+            PGF_CHECK(interval == op.interval,
+                      "restore: journaled scale split landed elsewhere");
+        }
+        refinements_ = refines.size();
+        retile();
+    }
+
+    /// Rebuilds the directory from the store's bucket cell boxes and
+    /// recounts the records — the one retile behind snapshot load and
+    /// crash recovery. The boxes must tile the scales' grid exactly
+    /// (checked: a damaged snapshot or a failed replay cannot silently
+    /// produce a half-mapped grid).
+    void retile() {
+        std::array<std::uint32_t, D> shape;
+        for (std::size_t i = 0; i < D; ++i) shape[i] = scales_[i].intervals();
+        dir_ = GridDirectory<D>(shape, GridDirectory<D>::kNoBucket);
+        const std::size_t n = store_.bucket_count();
+        PGF_CHECK(n > 0, "restore: at least one bucket required");
+        record_count_ = 0;
+        std::uint64_t covered = 0;
+        for (BucketId b = 0; b < n; ++b) {
+            const CellBox<D>& box = store_.cells(b);
+            for (std::size_t i = 0; i < D; ++i) {
+                PGF_CHECK(box.lo[i] < box.hi[i] && box.hi[i] <= shape[i],
+                          "restore: bucket cell box out of grid");
+            }
+            for_each_cell(box, [&](const std::array<std::uint32_t, D>& cell) {
+                PGF_CHECK(dir_.at(cell) == GridDirectory<D>::kNoBucket,
+                          "restore: overlapping bucket cell boxes");
+                dir_.set(cell, b);
+            });
+            covered += box.cell_count();
+            record_count_ += store_.size(b);
+        }
+        PGF_CHECK(covered == dir_.cell_count(),
+                  "restore: buckets must tile the whole grid");
+    }
+
+    Store& store() { return store_; }
+    const Store& store() const { return store_; }
+
+    Store store_;
+    Rect<D> domain_;
+    std::size_t bucket_capacity_;
+    std::vector<LinearScale> scales_;
+    GridDirectory<D> dir_;
+    std::size_t record_count_ = 0;
+    std::uint64_t refinements_ = 0;
+
+private:
+    /// Checks the capacity and builds one unsplit scale per dimension
+    /// over the domain (both constructors start here).
+    void init_scales() {
+        PGF_CHECK(bucket_capacity_ >= 2,
+                  "bucket capacity must be at least 2");
+        scales_.reserve(D);
+        for (std::size_t i = 0; i < D; ++i) {
+            scales_.emplace_back(domain_.lo[i], domain_.hi[i]);
+        }
+    }
+
+    /// Tells durability-aware stores that one logical operation completed
+    /// (they journal a commit marker); a no-op for everything else.
+    void note_op_end() {
+        if constexpr (requires { store_.note_op_end(); }) {
+            store_.note_op_end();
+        }
+    }
+
+    /// Cell box of grid cells overlapping range query `q`; false when the
     /// query misses the domain entirely or is empty.
     bool query_cell_box(const Rect<D>& q, CellBox<D>* box) const {
         for (std::size_t i = 0; i < D; ++i) {
@@ -437,157 +463,21 @@ public:
         return true;
     }
 
-protected:
-    /// Builds the one-cell, one-bucket initial state. Store constructor
-    /// arguments are forwarded in place because stores may be immovable
-    /// (the paged store pins a BufferPool).
-    template <typename... StoreArgs>
-    explicit GridFileCore(const Rect<D>& domain, std::size_t bucket_capacity,
-                          SplitPolicy split_policy, StoreArgs&&... store_args)
-        : store_(std::forward<StoreArgs>(store_args)...),
-          domain_(domain),
-          bucket_capacity_(bucket_capacity),
-          split_policy_(split_policy),
-          dir_(BucketId{0}) {
-        PGF_CHECK(bucket_capacity_ >= 2,
-                  "bucket capacity must be at least 2");
-        scales_.reserve(D);
+    /// Cell box of a partial match: specified attributes pin one scale
+    /// interval, unspecified attributes span the whole axis.
+    bool query_cell_box(const PartialMatch<D>& q, CellBox<D>* box) const {
+        PGF_CHECK(q.valid(),
+                  "partial match must leave at least one attribute free");
         for (std::size_t i = 0; i < D; ++i) {
-            scales_.emplace_back(domain.lo[i], domain.hi[i]);
-        }
-        CellBox<D> root;
-        root.lo.fill(0);
-        for (std::size_t i = 0; i < D; ++i) root.hi[i] = 1;
-        store_.create_bucket(root, bucket_capacity_ + 1);
-    }
-
-    /// Rebuilds the access structure over a store that already holds the
-    /// buckets (crash recovery): no root bucket is created; the scales are
-    /// regrown by replaying the journaled refinements in order, and the
-    /// directory is retiled from the store's bucket cell boxes, which must
-    /// cover the grid exactly (checked — a failed replay cannot silently
-    /// produce a half-mapped grid).
-    struct RestoreTag {};
-    template <typename... StoreArgs>
-    GridFileCore(RestoreTag, const Rect<D>& domain,
-                 std::size_t bucket_capacity, SplitPolicy split_policy,
-                 const std::vector<GridRefineOp>& refines,
-                 StoreArgs&&... store_args)
-        : store_(std::forward<StoreArgs>(store_args)...),
-          domain_(domain),
-          bucket_capacity_(bucket_capacity),
-          split_policy_(split_policy),
-          dir_(BucketId{0}) {
-        PGF_CHECK(bucket_capacity_ >= 2,
-                  "bucket capacity must be at least 2");
-        scales_.reserve(D);
-        for (std::size_t i = 0; i < D; ++i) {
-            scales_.emplace_back(domain.lo[i], domain.hi[i]);
-        }
-        for (const GridRefineOp& op : refines) {
-            PGF_CHECK(op.axis < D, "restore: refinement axis out of range");
-            std::uint32_t interval = 0;
-            PGF_CHECK(scales_[op.axis].insert_split(op.coord, &interval),
-                      "restore: journaled scale split no longer inserts");
-            PGF_CHECK(interval == op.interval,
-                      "restore: journaled scale split landed elsewhere");
-        }
-        refinements_ = refines.size();
-        std::array<std::uint32_t, D> shape;
-        for (std::size_t i = 0; i < D; ++i) shape[i] = scales_[i].intervals();
-        dir_ = GridDirectory<D>(shape, GridDirectory<D>::kNoBucket);
-        const std::size_t n = store_.bucket_count();
-        PGF_CHECK(n > 0, "restore: at least one bucket required");
-        std::uint64_t covered = 0;
-        for (BucketId b = 0; b < n; ++b) {
-            const CellBox<D>& box = store_.cells(b);
-            for (std::size_t i = 0; i < D; ++i) {
-                PGF_CHECK(box.lo[i] < box.hi[i] && box.hi[i] <= shape[i],
-                          "restore: bucket cell box out of grid");
+            if (q.key[i].has_value()) {
+                box->lo[i] = scales_[i].locate(*q.key[i]);
+                box->hi[i] = box->lo[i] + 1;
+            } else {
+                box->lo[i] = 0;
+                box->hi[i] = dir_.shape()[i];
             }
-            for_each_cell(box,
-                          [&](const std::array<std::uint32_t, D>& cell) {
-                              PGF_CHECK(dir_.at(cell) ==
-                                            GridDirectory<D>::kNoBucket,
-                                        "restore: overlapping bucket boxes");
-                              dir_.set(cell, b);
-                          });
-            covered += box.cell_count();
-            record_count_ += store_.size(b);
         }
-        PGF_CHECK(covered == dir_.cell_count(),
-                  "restore: buckets must tile the whole grid");
-    }
-
-    Store& store() { return store_; }
-    const Store& store() const { return store_; }
-
-    Store store_;
-    Rect<D> domain_;
-    std::size_t bucket_capacity_;
-    SplitPolicy split_policy_;
-    std::vector<LinearScale> scales_;
-    GridDirectory<D> dir_;
-    std::size_t record_count_ = 0;
-    std::uint64_t refinements_ = 0;
-    // Axis and coordinate of the most recent scale split, consumed by
-    // bulk_load to patch its cached cell block without re-locating.
-    std::size_t last_refine_axis_ = 0;
-    double last_refine_coord_ = 0.0;
-
-private:
-    /// Block width of the batched locate path: big enough that each
-    /// scale's split array streams once per block, small enough that the
-    /// cached cell array lives on the stack.
-    static constexpr std::size_t kLoadBlock = 256;
-
-    /// Tells durability-aware stores that one logical operation completed
-    /// (they journal a commit marker); a no-op for everything else.
-    void note_op_end() {
-        if constexpr (requires { store_.note_op_end(); }) {
-            store_.note_op_end();
-        }
-    }
-
-    /// One block of the batched bulk load: inserts points[0..count) with
-    /// ids id_base..id_base+count-1, batching the scale walks
-    /// dimension-major and patching cached cells across refinements (see
-    /// bulk_load). Requires count <= kLoadBlock. Byte-identical to
-    /// inserting the block's points one by one.
-    void load_block(const Point<D>* points, std::size_t count,
-                    std::uint64_t id_base) {
-        const std::size_t capacity = bucket_capacity_;
-        std::array<std::array<std::uint32_t, D>, kLoadBlock> cells;
-        locate_cells(points, count, cells.data());
-        std::size_t k = 0;
-        while (k < count) {
-            BucketId b = dir_.at(cells[k]);
-            Records& records = store_.edit(b);
-            records.push_back(GridRecord<D>{points[k], id_base + k});
-            ++k;
-            if (records.size() > capacity) {
-                const std::uint64_t before = refinements_;
-                b = resolve_overflow(b);
-                if (refinements_ == before + 1 && k < count) {
-                    // One scale split at (axis, x): the cell index of a
-                    // cached point along that axis grows by one iff the
-                    // point lies at/above the new boundary (the clamped
-                    // out-of-domain cases shift consistently too).
-                    const std::size_t axis = last_refine_axis_;
-                    const double x = last_refine_coord_;
-                    for (std::size_t j = k; j < count; ++j) {
-                        cells[j][axis] += points[j][axis] >= x ? 1u : 0u;
-                    }
-                } else if (refinements_ != before && k < count) {
-                    // Cascaded refinements (rare, skewed data): give up
-                    // on patching and re-locate the tail outright.
-                    locate_cells(points + k, count - k, cells.data() + k);
-                }
-            }
-            store_.commit(b);
-            note_op_end();
-        }
-        record_count_ += count;
+        return true;
     }
 
     /// Total records held by the given buckets — the reserve() upper bound
@@ -597,18 +487,6 @@ private:
         std::size_t n = 0;
         for (BucketId b : bucket_ids) n += store_.size(b);
         return n;
-    }
-
-    /// Batched locate_cell over `count` points, dimension-major so each
-    /// scale's split array stays cache-resident across the whole block.
-    void locate_cells(const Point<D>* points, std::size_t count,
-                      std::array<std::uint32_t, D>* cells) const {
-        for (std::size_t d = 0; d < D; ++d) {
-            const LinearScale& scale = scales_[d];
-            for (std::size_t k = 0; k < count; ++k) {
-                cells[k][d] = scale.locate(points[k][d]);
-            }
-        }
     }
 
     /// Resolves an overflow of the session's active bucket. A split may
@@ -654,37 +532,18 @@ private:
             double lo = region.lo[axis];
             double hi = region.hi[axis];
             if (hi - lo <= domain_.extent(axis) * 1e-12) continue;
-            double x = split_coordinate(store_.active(), axis, lo, hi);
+            double x = 0.5 * (lo + hi);
             if (!(x > lo && x < hi)) continue;
             std::uint32_t interval = 0;
             if (!scales_[axis].insert_split(x, &interval)) continue;
             dir_.expand(axis, interval);
             shift_cell_boxes(axis, interval);
             ++refinements_;
-            last_refine_axis_ = axis;
-            last_refine_coord_ = x;
             if constexpr (requires { store_.note_refine(axis, interval, x); })
                 store_.note_refine(axis, interval, x);
             return true;
         }
         return false;
-    }
-
-    double split_coordinate(const Records& records, std::size_t axis,
-                            double lo, double hi) const {
-        if (split_policy_ == SplitPolicy::kMidpoint) {
-            return 0.5 * (lo + hi);
-        }
-        // Median policy: the middle record coordinate, clamped strictly
-        // inside the cell (falls back to midpoint for degenerate medians).
-        std::vector<double> xs;
-        xs.reserve(records.size());
-        for (const auto& r : records) xs.push_back(r.point[axis]);
-        auto mid = xs.begin() + static_cast<std::ptrdiff_t>(xs.size() / 2);
-        std::nth_element(xs.begin(), mid, xs.end());
-        double x = *mid;
-        if (x > lo && x < hi) return x;
-        return 0.5 * (lo + hi);
     }
 
     /// After a directory expansion at (axis, interval), renumber every

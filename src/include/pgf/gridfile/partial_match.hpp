@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "pgf/geom/point.hpp"
 #include "pgf/util/check.hpp"
 
 namespace pgf {
@@ -32,6 +33,14 @@ struct PartialMatch {
     /// A valid partial match query leaves at least one attribute
     /// unspecified (otherwise it is an exact-match lookup).
     bool valid() const { return unspecified_count() >= 1; }
+
+    /// True when `p` equals every specified attribute exactly.
+    bool contains(const Point<D>& p) const {
+        for (std::size_t i = 0; i < D; ++i) {
+            if (key[i].has_value() && p[i] != *key[i]) return false;
+        }
+        return true;
+    }
 };
 
 /// Convenience factory: pass one std::optional<double> per dimension.

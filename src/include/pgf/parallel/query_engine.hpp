@@ -392,22 +392,13 @@ private:
     }
 
     static void filter(const Query& query, const Records& page, Records& out) {
-        if (const Rect<D>* rect = std::get_if<Rect<D>>(&query)) {
-            for (const GridRecord<D>& r : page) {
-                if (rect->contains(r.point)) out.push_back(r);
-            }
-            return;
-        }
-        const PartialMatch<D>& pm = std::get<PartialMatch<D>>(query);
-        for (const GridRecord<D>& r : page) {
-            bool match = true;
-            for (std::size_t i = 0; i < D && match; ++i) {
-                if (pm.key[i].has_value() && r.point[i] != *pm.key[i]) {
-                    match = false;
+        std::visit(
+            [&](const auto& q) {
+                for (const GridRecord<D>& r : page) {
+                    if (q.contains(r.point)) out.push_back(r);
                 }
-            }
-            if (match) out.push_back(r);
-        }
+            },
+            query);
     }
 
     /// Clears the previous batch's state. Requires a drained engine.

@@ -2,7 +2,8 @@
 //
 // Format (ByteWriter stream starting at page 0):
 //   magic "PGFGRID1" (string), u32 dims, domain lo/hi (f64 each per dim),
-//   u64 bucket_capacity, u8 split_policy,
+//   u64 bucket_capacity, u8 split rule (0 = midpoint; any other value is
+//   rejected),
 //   per dim: u32 split count + f64 splits,
 //   u32 bucket count, per bucket:
 //     cell lo/hi (u32 each per dim), u64 record count,
@@ -52,7 +53,7 @@ std::uint64_t save_grid_file(const GridFileCore<D, Store>& gf,
         w.put_f64(gf.domain().hi[i]);
     }
     w.put_u64(gf.bucket_capacity());
-    w.put_u8(static_cast<std::uint8_t>(gf.split_policy()));
+    w.put_u8(kSplitRuleMidpoint);
     for (std::size_t i = 0; i < D; ++i) {
         const auto& splits = gf.scale(i).splits();
         w.put_u32(static_cast<std::uint32_t>(splits.size()));
@@ -81,7 +82,7 @@ std::uint64_t save_grid_file(const GridFileCore<D, Store>& gf,
 
 /// Loads a grid file previously written by save_grid_file. Throws
 /// CheckError on any format violation (wrong magic, wrong dimensionality,
-/// non-tiling bucket boxes).
+/// an unknown split rule, non-tiling bucket boxes).
 template <std::size_t D>
 GridFile<D> load_grid_file(const std::string& path,
                            std::size_t pool_pages = 64) {
@@ -99,7 +100,8 @@ GridFile<D> load_grid_file(const std::string& path,
     }
     typename GridFile<D>::Config config;
     config.bucket_capacity = r.get_u64();
-    config.split_policy = static_cast<SplitPolicy>(r.get_u8());
+    PGF_CHECK(r.get_u8() == kSplitRuleMidpoint,
+              "load_grid_file: unknown split rule in " + path);
     std::vector<LinearScale> scales;
     scales.reserve(D);
     for (std::size_t i = 0; i < D; ++i) {

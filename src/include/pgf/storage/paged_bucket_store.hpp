@@ -12,9 +12,10 @@
 //
 // Durability (optional): constructed with a WalSetup naming a log path,
 // the store journals physical redo into a WriteAheadLog — a genesis
-// record with the grid parameters, a page image for every page encode, a
-// metadata record for every bucket create / split / refinement, and a
-// commit marker at each operation boundary. The BufferPool enforces
+// record with the grid parameters (dims, page size, capacity, a u8 split
+// rule, 0 = midpoint, and the domain), a page image for every page
+// encode, a metadata record for every bucket create / split / refinement,
+// and a commit marker at each operation boundary. The BufferPool enforces
 // WAL-before-data ordering on eviction (a dirty page's log records are
 // flushed before its image may overwrite the on-disk pre-image), so after
 // a crash anywhere, pgf/storage/recovery.hpp replays the committed log
@@ -42,6 +43,7 @@
 #include "pgf/geom/point.hpp"
 #include "pgf/gridfile/bucket_store.hpp"
 #include "pgf/gridfile/directory.hpp"
+#include "pgf/gridfile/grid_file_core.hpp"
 #include "pgf/storage/buffer_pool.hpp"
 #include "pgf/storage/page.hpp"
 #include "pgf/storage/page_file.hpp"
@@ -59,10 +61,9 @@ struct WalSetup {
     /// Crash-injection hook: wired into both the data file's page writes
     /// and the log's group flushes (tests arm it after construction).
     FaultInjector* injector = nullptr;
-    // Genesis payload — the grid parameters recovery needs to rebuild the
-    // file without any snapshot:
+    /// Genesis payload: the domain recovery needs to rebuild the file
+    /// without any snapshot (page size and capacity come from the store).
     Rect<D> domain{};
-    std::uint8_t split_policy = 0;
 };
 
 template <std::size_t D>
@@ -127,7 +128,6 @@ public:
           metas_(std::move(metas)) {}
 
     std::size_t bucket_count() const { return metas_.size(); }
-    void reserve(std::size_t buckets) { metas_.reserve(buckets); }
 
     std::uint32_t create_bucket(const CellBox<D>& cells,
                                 std::size_t /*reserve_hint*/) {
@@ -376,7 +376,7 @@ private:
         wal_put_u32(body, static_cast<std::uint32_t>(D));
         wal_put_u64(body, page_size);
         wal_put_u64(body, capacity_);
-        body.push_back(static_cast<std::byte>(setup.split_policy));
+        body.push_back(static_cast<std::byte>(kSplitRuleMidpoint));
         for (std::size_t i = 0; i < D; ++i) {
             wal_put_f64(body, setup.domain.lo[i]);
             wal_put_f64(body, setup.domain.hi[i]);

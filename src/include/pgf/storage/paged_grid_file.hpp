@@ -46,7 +46,6 @@ public:
     struct Config {
         std::size_t page_size = 4096;
         std::size_t pool_pages = 128;
-        SplitPolicy split_policy = SplitPolicy::kMidpoint;
         /// Write-ahead log path; empty (the default) disables durability —
         /// the historical behavior, with on-disk output byte-identical to
         /// the same build without this field.
@@ -60,9 +59,9 @@ public:
     /// Creates (truncating) the backing file at `path`.
     PagedGridFile(const std::string& path, const Rect<D>& domain,
                   Config config = {})
-        : Core(domain, checked_capacity(config.page_size),
-               config.split_policy, path, config.page_size,
-               config.pool_pages, wal_setup(domain, config)),
+        : Core(domain, checked_capacity(config.page_size), path,
+               config.page_size, config.pool_pages,
+               wal_setup(domain, config)),
           config_(std::move(config)) {
         if (this->store_.wal() != nullptr) {
             // Baseline commit: the empty grid (genesis + root bucket) is a
@@ -143,8 +142,6 @@ private:
         setup.path = config.wal_path;
         setup.injector = config.fault_injector;
         setup.domain = domain;
-        setup.split_policy =
-            static_cast<std::uint8_t>(config.split_policy);
         return setup;
     }
 
@@ -152,13 +149,12 @@ private:
     /// constructor's argument expression); adopt its results.
     PagedGridFile(RecoverTag, RecoveredGrid<D>&& rec, Config config)
         : Core(typename Core::RestoreTag{}, rec.domain, rec.bucket_capacity,
-               rec.split_policy, rec.refines, typename Store::OpenTag{},
+               rec.refines, typename Store::OpenTag{},
                std::move(rec.file), std::move(rec.metas), std::move(rec.wal),
                config.pool_pages),
           config_(std::move(config)),
           recovery_stats_(rec.stats) {
         config_.page_size = rec.page_size;
-        config_.split_policy = rec.split_policy;
     }
 
     Config config_;

@@ -19,7 +19,7 @@
 //               GridFileCore::shift_cell_boxes did, and record counts
 //               come from the replayed page images. The refinement list
 //               is returned for GridFileCore's RestoreTag constructor to
-//               regrow the scales and retile the directory.
+//               regrow the scales and retile() the directory.
 //
 // Initialization is not crash-protected (like a real system's mkfs): the
 // data file's superblock and the log's genesis + first commit must be on
@@ -69,21 +69,19 @@ struct RecoveredGrid {
     Rect<D> domain{};
     std::size_t page_size = 0;
     std::size_t bucket_capacity = 0;
-    SplitPolicy split_policy = SplitPolicy::kMidpoint;
     std::vector<GridRefineOp> refines;
     ReplayStats stats;
 };
 
 /// Dimension count recorded in a log's genesis record — lets a CLI
-/// dispatch to the right replay_wal<D> without external metadata.
+/// dispatch to the right replay_wal<D> without external metadata. Reads
+/// only the file header and the first record.
 inline std::uint32_t wal_probe_dims(const std::string& wal_path) {
     WalReader reader(wal_path);
-    const auto scan = reader.scan();
-    PGF_CHECK(scan.has_genesis,
-              "recover: no genesis record in " + wal_path);
     WalReader::Record rec;
-    PGF_CHECK(reader.next(rec) && rec.kind == WalRecordKind::kGenesis,
-              "recover: genesis is not the first record in " + wal_path);
+    PGF_CHECK(reader.first(rec) && rec.kind == WalRecordKind::kGenesis &&
+                  rec.body.size() >= 4,
+              "recover: " + wal_path + " does not start with a genesis");
     std::size_t off = 0;
     return wal_get_u32(rec.body, off);
 }
@@ -130,10 +128,9 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                           "recover: log is for a different dimension count");
                 out.page_size = wal_get_u64(rec.body, off);
                 out.bucket_capacity = wal_get_u64(rec.body, off);
-                const auto policy =
-                    std::to_integer<std::uint8_t>(rec.body[off]);
-                ++off;
-                out.split_policy = static_cast<SplitPolicy>(policy);
+                PGF_CHECK(std::to_integer<std::uint8_t>(rec.body[off++]) ==
+                              kSplitRuleMidpoint,
+                          "recover: genesis names an unknown split rule");
                 for (std::size_t i = 0; i < D; ++i) {
                     out.domain.lo[i] = wal_get_f64(rec.body, off);
                     out.domain.hi[i] = wal_get_f64(rec.body, off);

@@ -17,8 +17,8 @@
 // encoded/decoded by the templated store/recovery layer on top):
 //
 //   kGenesis  grid parameters: dims, page size, bucket capacity, split
-//             policy, domain — enough to re-open the file without the
-//             snapshot.
+//             rule (0 = midpoint), domain — enough to re-open the file
+//             without the snapshot.
 //   kPage     u64 page id + full page payload image (physical redo).
 //   kCreate   new bucket: u32 bucket, u64 page, box (u32 lo/hi per dim).
 //   kSplit    u32 from, u32 to, u32 axis — bucket `from` shrank along
@@ -161,10 +161,17 @@ public:
     /// scan() must have run first.
     bool next(Record& out);
 
+    /// Validates the header and reads only the first record (a genesis
+    /// probe that does not walk the log); false when it is torn or absent.
+    /// Does not prime next().
+    bool first(Record& out);
+
     /// Restarts iteration at the first record.
     void rewind();
 
 private:
+    /// Checks the file header and positions the reader at the first record.
+    void read_header();
     bool read_record(Record& out);
 
     FileReader in_;

@@ -120,7 +120,7 @@ void WriteAheadLog::flush_locked() {
 
 WalReader::WalReader(const std::string& path) : in_(path) {}
 
-WalReader::ScanResult WalReader::scan() {
+void WalReader::read_header() {
     in_.seek(0);
     const auto header = in_.next(kFileHeaderBytes);
     PGF_CHECK(header.size() == kFileHeaderBytes &&
@@ -128,6 +128,15 @@ WalReader::ScanResult WalReader::scan() {
                       0,
               "WAL: bad magic in " + in_.path() + " (not a write-ahead log)");
     prev_lsn_ = 0;
+}
+
+bool WalReader::first(Record& out) {
+    read_header();
+    return read_record(out);
+}
+
+WalReader::ScanResult WalReader::scan() {
+    read_header();
 
     ScanResult result;
     result.valid_bytes = kFileHeaderBytes;

@@ -1,9 +1,10 @@
 // bulk_load_stream golden tests: the streaming loader must produce a grid
-// file byte-identical to an in-memory bulk_load of the same point
-// sequence — same scales, directory, bucket numbering, cell boxes and
-// per-bucket record order — on both backends, for any chunking of the
-// stream, including through the paged store's deferred batch sessions and
-// under a pool small enough to thrash during the build.
+// file byte-identical to the in-memory insert loop (bulk_load) over the
+// same point sequence — same scales, directory, bucket numbering, cell
+// boxes and per-bucket record order — on both backends, for any chunking
+// of the stream, including through the paged store's deferred batch
+// sessions (where the two can still diverge) and under a pool small enough
+// to thrash during the build.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/util/rng.hpp"
 #include "pgf/util/temp_dir.hpp"
+#include "pgf/workload/datasets.hpp"
 
 namespace pgf {
 namespace {
@@ -117,28 +119,36 @@ void run_memory_case(std::size_t n, std::uint64_t seed) {
 TEST(BulkLoadStream, MemoryBackendIdentical2d) { run_memory_case<2>(6000, 51); }
 TEST(BulkLoadStream, MemoryBackendIdentical3d) { run_memory_case<3>(6000, 52); }
 
-/// Paged streamed load (batch sessions active) vs in-memory bulk_load.
+/// Paged streamed load (batch sessions active, ragged chunks) vs the
+/// in-memory insert loop over the same points.
 template <std::size_t D>
-void run_paged_case(std::size_t n, std::uint64_t seed,
-                    std::size_t pool_pages) {
+void expect_paged_stream_matches_inserts(const Rect<D>& domain,
+                                         const std::vector<Point<D>>& pts,
+                                         std::size_t capacity,
+                                         std::size_t pool_pages) {
     util::TempDir dir("pgf-blstream");
-    const auto pts = random_points<D>(n, seed);
-
     typename PagedGridFile<D>::Config pcfg;
-    pcfg.page_size = PagedBucketStore<D>::page_size_for(32);
+    pcfg.page_size = PagedBucketStore<D>::page_size_for(capacity);
     pcfg.pool_pages = pool_pages;
-    PagedGridFile<D> pf(dir.file("paged.db").string(), unit_domain<D>(),
-                        pcfg);
+    PagedGridFile<D> pf(dir.file("paged.db").string(), domain, pcfg);
 
     typename GridFile<D>::Config mcfg;
     mcfg.bucket_capacity = pf.capacity();
-    GridFile<D> golden(unit_domain<D>(), mcfg);
+    GridFile<D> golden(domain, mcfg);
     golden.bulk_load(pts);
 
     RaggedSource<D> source(pts);
     const std::uint64_t loaded = pf.bulk_load_stream(source);
     EXPECT_EQ(loaded, pts.size());
     expect_identical(golden, pf);
+}
+
+template <std::size_t D>
+void run_paged_case(std::size_t n, std::uint64_t seed,
+                    std::size_t pool_pages) {
+    expect_paged_stream_matches_inserts(unit_domain<D>(),
+                                        random_points<D>(n, seed), 32,
+                                        pool_pages);
 }
 
 TEST(BulkLoadStream, PagedBackendIdentical2d) {
@@ -153,6 +163,28 @@ TEST(BulkLoadStream, PagedTinyPoolThrash) {
     // A 4-page pool evicts the batch session's neighbors constantly; the
     // deferred encode must survive arbitrary eviction of the active page.
     run_paged_case<2>(4000, 55, 4);
+}
+
+TEST(BulkLoadStream, PagedSkewed3dMatchesInsertLoop) {
+    // Clustered around a corner so refinements concentrate and cascade,
+    // and the batch session changes bucket under every split.
+    Rng rng(72);
+    std::vector<Point<3>> pts;
+    for (int i = 0; i < 4000; ++i) {
+        double x = rng.uniform() * rng.uniform();
+        double y = rng.uniform() * rng.uniform();
+        pts.push_back({x, y, rng.uniform()});
+    }
+    expect_paged_stream_matches_inserts(unit_domain<3>(), pts, 4, 64);
+}
+
+TEST(BulkLoadStream, PagedHotspotPaperDatasetMatchesInsertLoop) {
+    // A bench dataset at realistic scale: merged buckets and the paper's
+    // bucket capacity.
+    Rng rng(1);
+    Dataset<2> ds = make_hotspot2d(rng, 6000);
+    expect_paged_stream_matches_inserts(ds.domain, ds.points,
+                                        ds.bucket_capacity, 64);
 }
 
 TEST(BulkLoadStream, EmptySourceLoadsNothing) {

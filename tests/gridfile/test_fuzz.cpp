@@ -28,8 +28,6 @@ TEST_P(GridFileFuzz, MatchesReferenceModelUnderRandomOps) {
     Rect<2> domain{{{0.0, 0.0}}, {{1.0, 1.0}}};
     GridFile<2>::Config cfg;
     cfg.bucket_capacity = capacity;
-    cfg.split_policy =
-        seed % 2 == 0 ? SplitPolicy::kMidpoint : SplitPolicy::kMedian;
     GridFile<2> gf(domain, cfg);
     std::vector<ModelRecord> model;
     std::uint64_t next_id = 0;

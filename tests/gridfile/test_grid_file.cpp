@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 
+#include "pgf/util/check.hpp"
 #include "pgf/util/rng.hpp"
 
 namespace pgf {
@@ -247,21 +248,37 @@ TEST(GridFile, UniformDataProducesFewMergedBuckets) {
     EXPECT_LT(gf.merged_bucket_count(), gf.bucket_count());
 }
 
-TEST(GridFile, MedianSplitPolicyBalancesSkew) {
-    GridFile<2>::Config cfg;
-    cfg.bucket_capacity = 8;
-    cfg.split_policy = SplitPolicy::kMedian;
-    GridFile<2> gf(unit_square(), cfg);
-    Rng rng(59);
-    // Exponential-ish skew toward the origin.
-    for (std::uint64_t i = 0; i < 1000; ++i) {
-        double x = rng.uniform() * rng.uniform();
-        double y = rng.uniform() * rng.uniform();
-        gf.insert({{x, y}}, i);
+TEST(GridFile, RestoreRejectsBucketBoxesThatDoNotTileTheGrid) {
+    // A 2x1 grid (x split at 0.5). The two one-cell buckets tile it; each
+    // bad case fails one of the directory retile's three checks.
+    auto restore = [](std::vector<CellBox<2>> boxes) {
+        LinearScale sx(0.0, 1.0), sy(0.0, 1.0);
+        EXPECT_TRUE(sx.insert_split(0.5, nullptr));
+        std::vector<GridFile<2>::Bucket> buckets;
+        for (const CellBox<2>& box : boxes) {
+            GridFile<2>::Bucket b;
+            b.cells = box;
+            buckets.push_back(std::move(b));
+        }
+        return GridFile<2>::restore(unit_square(), {}, {sx, sy},
+                                    std::move(buckets));
+    };
+    EXPECT_EQ(restore({{{0, 0}, {1, 1}}, {{1, 0}, {2, 1}}}).bucket_count(),
+              2u);
+
+    struct Case {
+        const char* name;
+        std::vector<CellBox<2>> boxes;
+    };
+    const std::vector<Case> cases = {
+        {"box outside the grid", {{{0, 0}, {3, 1}}}},
+        {"overlapping boxes", {{{0, 0}, {2, 1}}, {{1, 0}, {2, 1}}}},
+        {"boxes leave a gap", {{{0, 0}, {1, 1}}}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_THROW(restore(c.boxes), CheckError);
     }
-    EXPECT_EQ(gf.oversized_bucket_count(), 0u);
-    Rect<2> all{{{0.0, 0.0}}, {{1.0, 1.0}}};
-    EXPECT_EQ(gf.query_records(all).size(), 1000u);
 }
 
 TEST(GridFile, ThreeDimensionalRoundTrip) {

@@ -62,8 +62,7 @@ void expect_identical(const GridFile<D>& gf, const PagedGridFile<D>& pf) {
 }
 
 template <std::size_t D>
-void run_case(SplitPolicy policy, bool bulk, std::size_t n,
-              std::uint64_t seed) {
+void run_case(bool bulk, std::size_t n, std::uint64_t seed) {
     const auto path = test::unique_temp_path("pgf_backend_equiv");
     Rect<D> domain;
     for (std::size_t d = 0; d < D; ++d) {
@@ -74,12 +73,10 @@ void run_case(SplitPolicy policy, bool bulk, std::size_t n,
     typename PagedGridFile<D>::Config pcfg;
     pcfg.page_size = PagedBucketStore<D>::page_size_for(32);
     pcfg.pool_pages = 8;                    // small pool: loads thrash it
-    pcfg.split_policy = policy;
     PagedGridFile<D> pf(path.string(), domain, pcfg);
 
     typename GridFile<D>::Config mcfg;
     mcfg.bucket_capacity = pf.capacity();
-    mcfg.split_policy = policy;
     GridFile<D> gf(domain, mcfg);
 
     const auto pts = random_points<D>(n, seed);
@@ -96,29 +93,13 @@ void run_case(SplitPolicy policy, bool bulk, std::size_t n,
     std::filesystem::remove(path);
 }
 
-TEST(BackendEquivalence, Insert2dMidpoint) {
-    run_case<2>(SplitPolicy::kMidpoint, false, 3000, 41);
-}
+TEST(BackendEquivalence, Insert2dMidpoint) { run_case<2>(false, 3000, 41); }
 
-TEST(BackendEquivalence, Insert2dMedian) {
-    run_case<2>(SplitPolicy::kMedian, false, 3000, 42);
-}
+TEST(BackendEquivalence, Insert3dMidpoint) { run_case<3>(false, 4000, 43); }
 
-TEST(BackendEquivalence, Insert3dMidpoint) {
-    run_case<3>(SplitPolicy::kMidpoint, false, 4000, 43);
-}
+TEST(BackendEquivalence, BulkLoad2dMidpoint) { run_case<2>(true, 5000, 45); }
 
-TEST(BackendEquivalence, Insert3dMedian) {
-    run_case<3>(SplitPolicy::kMedian, false, 4000, 44);
-}
-
-TEST(BackendEquivalence, BulkLoad2dMidpoint) {
-    run_case<2>(SplitPolicy::kMidpoint, true, 5000, 45);
-}
-
-TEST(BackendEquivalence, BulkLoad3dMedian) {
-    run_case<3>(SplitPolicy::kMedian, true, 5000, 46);
-}
+TEST(BackendEquivalence, BulkLoad3dMidpoint) { run_case<3>(true, 5000, 46); }
 
 TEST(BackendEquivalence, InsertThenEraseStaysIdentical) {
     const auto path = test::unique_temp_path("pgf_backend_equiv");

@@ -338,6 +338,76 @@ TEST_F(CrashRecoveryTest, ReplayNeedsACommitMarker) {
     EXPECT_THROW(replay_wal<2>(data_.string(), wal_.string()), CheckError);
 }
 
+TEST_F(CrashRecoveryTest, GenesisWithUnknownSplitRuleRejected) {
+    // A committed genesis whose split-rule byte is `rule`, over an empty
+    // data file of the matching page size.
+    const std::size_t page_size = PagedBucketStore<2>::page_size_for(8);
+    { auto file = PageFile::create(data_.string(), page_size); }
+    auto write_log = [&](std::uint8_t rule) {
+        auto wal = WriteAheadLog::create(wal_.string());
+        std::vector<std::byte> body;
+        wal_put_u32(body, 2);
+        wal_put_u64(body, page_size);
+        wal_put_u64(body, 8);
+        body.push_back(std::byte{rule});
+        for (int i = 0; i < 2; ++i) {
+            wal_put_f64(body, 0.0);
+            wal_put_f64(body, 1.0);
+        }
+        wal->append(WalRecordKind::kGenesis, body);
+        wal->append(WalRecordKind::kCommit, {});
+        wal->flush();
+    };
+    write_log(kSplitRuleMidpoint);
+    EXPECT_NO_THROW(replay_wal<2>(data_.string(), wal_.string()));
+    write_log(1);
+    EXPECT_EQ(wal_probe_dims(wal_.string()), 2u);
+    EXPECT_THROW(replay_wal<2>(data_.string(), wal_.string()), CheckError);
+}
+
+TEST_F(CrashRecoveryTest, RecoveryRejectsAnOverlappingBucketBox) {
+    // A committed bucket create whose box overlaps an existing bucket
+    // replays cleanly at the log level; the directory retile must refuse
+    // the tiling when the file is reopened.
+    const Workload w = make_workload(60, 31);
+    auto cfg = durable_config(wal_.string(), nullptr);
+    std::uint32_t buckets = 0;
+    std::uint64_t fresh_page = 0;
+    CellBox<2> taken;
+    {
+        PagedGridFile<2> pf(data_.string(), domain_, cfg);
+        apply_ops(pf, w.ops);
+        pf.flush();
+        buckets = static_cast<std::uint32_t>(pf.bucket_count());
+        ASSERT_GT(buckets, 1u) << "workload never split";
+        taken = pf.bucket_cells(buckets - 1);
+        for (std::uint32_t b = 0; b < buckets; ++b) {
+            fresh_page = std::max(fresh_page, pf.bucket_page(b) + 1);
+        }
+    }
+    {
+        auto wal = WriteAheadLog::open(wal_.string());
+        std::vector<std::byte> create;
+        wal_put_u32(create, buckets);
+        wal_put_u64(create, fresh_page);
+        for (std::size_t i = 0; i < 2; ++i) {
+            wal_put_u32(create, taken.lo[i]);
+            wal_put_u32(create, taken.hi[i]);
+        }
+        wal->append(WalRecordKind::kCreate, create);
+        std::vector<std::byte> image;  // the new bucket's empty page
+        wal_put_u64(image, fresh_page);
+        image.resize(image.size() + cfg.page_size - kPageHeaderBytes);
+        wal->append(WalRecordKind::kPage, image);
+        wal->append(WalRecordKind::kCommit, {});
+        wal->flush();
+    }
+    EXPECT_NO_THROW(replay_wal<2>(data_.string(), wal_.string()));
+    EXPECT_THROW(PagedGridFile<2>(PagedGridFile<2>::RecoverTag{},
+                                  data_.string(), cfg),
+                 CheckError);
+}
+
 TEST_F(CrashRecoveryTest, WalOnAndOffBuildIdenticalGrids) {
     // Journaling must not perturb the engine: the same workload with and
     // without a WAL yields the same structure and record placement (the

@@ -109,6 +109,39 @@ TEST_F(GridFileIoTest, CorruptMagicRejected) {
     EXPECT_THROW(load_grid_file<2>(path_.string()), CheckError);
 }
 
+/// Writes a one-bucket, no-split 2-d snapshot by hand whose header carries
+/// `split_rule` in its split-rule byte.
+void write_one_bucket_snapshot(const std::string& path,
+                               std::uint8_t split_rule) {
+    auto pf = PageFile::create(path, 4096);
+    BufferPool pool(pf, 4);
+    ByteWriter w(pool);
+    w.put_string(kGridFileMagic);
+    w.put_u32(2);
+    for (int i = 0; i < 2; ++i) {
+        w.put_f64(0.0);
+        w.put_f64(1.0);
+    }
+    w.put_u64(8);  // bucket capacity
+    w.put_u8(split_rule);
+    for (int i = 0; i < 2; ++i) w.put_u32(0);  // no scale splits
+    w.put_u32(1);                              // one bucket, all cells
+    for (int i = 0; i < 2; ++i) {
+        w.put_u32(0);
+        w.put_u32(1);
+    }
+    w.put_u64(0);  // no records
+    w.finish();
+    pf.sync();
+}
+
+TEST_F(GridFileIoTest, UnknownSplitRuleRejected) {
+    write_one_bucket_snapshot(path_.string(), kSplitRuleMidpoint);
+    EXPECT_EQ(load_grid_file<2>(path_.string()).bucket_count(), 1u);
+    write_one_bucket_snapshot(path_.string(), 1);
+    EXPECT_THROW(load_grid_file<2>(path_.string()), CheckError);
+}
+
 TEST_F(GridFileIoTest, TruncatedSnapshotRejected) {
     Rng rng(7);
     auto ds = make_uniform2d(rng, 800);

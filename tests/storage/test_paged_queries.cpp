@@ -30,7 +30,7 @@ struct Twins {
 // The paged twin is immovable (it owns a buffer pool), so the pair is
 // created as a prvalue and filled in place afterwards.
 template <std::size_t D>
-Twins<D> make_twins(const std::filesystem::path& path, SplitPolicy policy,
+Twins<D> make_twins(const std::filesystem::path& path,
                     std::size_t pool_pages) {
     Rect<D> domain;
     for (std::size_t d = 0; d < D; ++d) {
@@ -40,10 +40,8 @@ Twins<D> make_twins(const std::filesystem::path& path, SplitPolicy policy,
     typename PagedGridFile<D>::Config pcfg;
     pcfg.page_size = PagedBucketStore<D>::page_size_for(24);
     pcfg.pool_pages = pool_pages;
-    pcfg.split_policy = policy;
     typename GridFile<D>::Config mcfg;
     mcfg.bucket_capacity = 24;
-    mcfg.split_policy = policy;
     return Twins<D>{GridFile<D>(domain, mcfg),
                     PagedGridFile<D>(path.string(), domain, pcfg),
                     {}};
@@ -75,7 +73,7 @@ void expect_same_answers(const Twins<D>& t, const Query& q) {
 template <std::size_t D>
 void run_range_queries(std::size_t pool_pages, std::uint64_t seed) {
     const auto path = test::unique_temp_path("pgf_paged_queries");
-    auto t = make_twins<D>(path, SplitPolicy::kMidpoint, pool_pages);
+    auto t = make_twins<D>(path, pool_pages);
     fill_twins(t, 4000, seed);
     Rng rng(seed + 100);
     for (int i = 0; i < 150; ++i) {
@@ -94,7 +92,7 @@ void run_range_queries(std::size_t pool_pages, std::uint64_t seed) {
 template <std::size_t D>
 void run_partial_match_queries(std::size_t pool_pages, std::uint64_t seed) {
     const auto path = test::unique_temp_path("pgf_paged_queries");
-    auto t = make_twins<D>(path, SplitPolicy::kMedian, pool_pages);
+    auto t = make_twins<D>(path, pool_pages);
     fill_twins(t, 4000, seed);
     Rng rng(seed + 200);
     for (int i = 0; i < 120; ++i) {
@@ -131,7 +129,7 @@ TEST(PagedQueries, PartialMatch3dThrashesPool) {
 
 TEST(PagedQueries, ThrashedPoolReallyEvicts) {
     const auto path = test::unique_temp_path("pgf_paged_queries");
-    auto t = make_twins<2>(path, SplitPolicy::kMidpoint, 2);
+    auto t = make_twins<2>(path, 2);
     fill_twins(t, 4000, 57);
     ASSERT_GT(t.pf.bucket_count(), 2u);
     const std::uint64_t evictions_before = t.pf.pool().evictions();

@@ -649,7 +649,6 @@ int validate_impl(const Cli& cli, const std::string& file) {
             cli.get_int("page-size", static_cast<long long>(default_page)));
         cfg.pool_pages =
             static_cast<std::size_t>(cli.get_int("pool-pages", 128));
-        cfg.split_policy = gf.config().split_policy;
         const std::string staging = file + ".paged-validate";
         {
             PagedGridFile<D> paged(staging, gf.domain(), cfg);
