@@ -38,6 +38,11 @@ std::string default_backend() {
 
 Options::Options(int argc, const char* const* argv) {
     Cli cli(argc, argv);
+    if (!cli.check_flags({"csv-dir", "queries", "seed", "threads",
+                          "inner-threads", "bench-json", "backend",
+                          "node-pool-pages", "full"})) {
+        std::exit(2);
+    }
     csv_dir = cli.get_string("csv-dir", "");
     queries = static_cast<std::size_t>(cli.get_int("queries", 1000));
     seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));

@@ -64,6 +64,7 @@ struct Options {
     std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
     bool full_scale = false;
 
+    /// Parses the flags above; any other --flag exits 2, naming it.
     Options(int argc, const char* const* argv);
 
     bool paged() const { return backend == "paged"; }

@@ -14,6 +14,7 @@
 
 int main(int argc, char** argv) {
     pgf::Cli cli(argc, argv);
+    if (!cli.check_flags({"size", "disks"})) return 2;
     const auto size = static_cast<std::uint32_t>(cli.get_int("size", 16));
     const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 4));
 

@@ -17,6 +17,10 @@
 
 int main(int argc, char** argv) {
     pgf::Cli cli(argc, argv);
+    if (!cli.check_flags(
+            {"nodes", "snapshots", "particles", "ratio", "method"})) {
+        return 2;
+    }
     const auto nodes = static_cast<std::uint32_t>(cli.get_int("nodes", 8));
     const auto snapshots =
         static_cast<std::size_t>(cli.get_int("snapshots", 12));

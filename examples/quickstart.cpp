@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
     pgf::Cli cli(argc, argv);
+    if (!cli.check_flags({"disks", "points"})) return 2;
     const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 8));
     const auto points = static_cast<std::size_t>(cli.get_int("points", 10000));
 

@@ -18,6 +18,7 @@
 
 int main(int argc, char** argv) {
     pgf::Cli cli(argc, argv);
+    if (!cli.check_flags({"disks", "records", "queries"})) return 2;
     const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 16));
     const auto records =
         static_cast<std::size_t>(cli.get_int("records", 60000));

@@ -62,8 +62,6 @@ public:
     using Records = std::vector<GridRecord<D>>;
 
     /// One bucket: the record vector plus the box of grid cells it covers.
-    /// (The cell box lives here rather than in the engine so restore/save
-    /// paths can treat a bucket as one self-contained unit.)
     struct Bucket {
         Records records;
         CellBox<D> cells;
@@ -108,11 +106,6 @@ public:
     }
 
     void commit(std::uint32_t /*b*/) {}
-
-    /// Direct bucket-table access for in-memory-only paths (GridFile's
-    /// bucket() accessor and the snapshot save/restore round trip).
-    std::vector<Bucket>& entries() { return buckets_; }
-    const std::vector<Bucket>& entries() const { return buckets_; }
 
 private:
     std::vector<Bucket> buckets_;

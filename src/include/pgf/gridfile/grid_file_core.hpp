@@ -24,7 +24,7 @@
 // byte-identical scales, directory, and bucket numbering.
 //
 // Every build (bulk_load, bulk_load_stream) drains through insert();
-// retile() alone rebuilds the directory from bucket boxes (snapshot load,
+// retile() alone rebuilds the directory from bucket boxes (catalog open,
 // crash recovery); range and partial-match queries share one cell walk and
 // one record filter.
 //
@@ -39,6 +39,7 @@
 #include <array>
 #include <concepts>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -82,9 +83,9 @@ private:
     std::uint64_t epoch_ = 0;
 };
 
-/// The byte the snapshot header and the WAL genesis record keep for the
-/// split rule, 0 = midpoint. Midpoint is the only rule, so writers write
-/// this value and readers reject any other.
+/// The byte the paged file's catalog and the WAL genesis record keep for
+/// the split rule, 0 = midpoint. Midpoint is the only rule, so writers
+/// write this value and readers reject any other.
 inline constexpr std::uint8_t kSplitRuleMidpoint = 0;
 
 /// The two query kinds the engine answers: a half-open range box and a
@@ -116,16 +117,18 @@ public:
     /// boundary cells (the scales' locate() semantics). On a strict-
     /// capacity store (paged), records that cannot be separated by
     /// refinement — more identical points than one bucket holds — are
-    /// rejected with CheckError instead of growing an oversized bucket.
+    /// rejected with CheckError instead of growing an oversized bucket;
+    /// every record already accepted stays (the refinements and splits
+    /// the attempt made stay too, as empty buckets).
     void insert(const Point<D>& p, std::uint64_t id) {
         BucketId b = dir_.at(locate_cell(p));
         Records& records = store_.edit(b);
         records.push_back(GridRecord<D>{p, id});
-        ++record_count_;
         if (records.size() > bucket_capacity_) {
-            b = resolve_overflow(b);
+            b = resolve_overflow(b, GridRecord<D>{p, id});
         }
         store_.commit(b);
+        ++record_count_;
         note_op_end();
     }
 
@@ -155,16 +158,29 @@ public:
         std::uint64_t loaded = 0;
         constexpr bool kBatch = requires { store_.begin_batch(); };
         if constexpr (kBatch) store_.begin_batch();
-        for (;;) {
-            const std::size_t filled =
-                source.next(std::span<Point<D>>(buf.data(), buf.size()));
-            if (filled == 0) break;
-            PGF_CHECK(filled <= buf.size(),
-                      "bulk_load_stream: source overfilled the block");
-            for (std::size_t i = 0; i < filled; ++i) {
-                insert(buf[i], id_base + loaded + i);
+        try {
+            for (;;) {
+                const std::size_t filled =
+                    source.next(std::span<Point<D>>(buf.data(), buf.size()));
+                if (filled == 0) break;
+                PGF_CHECK(filled <= buf.size(),
+                          "bulk_load_stream: source overfilled the block");
+                for (std::size_t i = 0; i < filled; ++i) {
+                    insert(buf[i], id_base + loaded + i);
+                }
+                loaded += filled;
             }
-            loaded += filled;
+        } catch (...) {
+            // Leave batch mode keeping what was accepted, so the file stays
+            // usable after a rejected record or a failing source. The first
+            // error is the one reported.
+            if constexpr (kBatch) {
+                try {
+                    store_.end_batch();
+                } catch (...) {  // NOLINT(bugprone-empty-catch)
+                }
+            }
+            throw;
         }
         if constexpr (kBatch) store_.end_batch();
         return loaded;
@@ -355,9 +371,10 @@ protected:
     }
 
     /// Rebuilds the access structure over a store that already holds the
-    /// buckets (crash recovery): no root bucket is created; the scales are
-    /// regrown by replaying the journaled refinements in order, and the
-    /// directory is retiled from the store's bucket cell boxes.
+    /// buckets (crash recovery, the paged file's catalog open): no root
+    /// bucket is created; the scales are regrown by replaying the
+    /// refinements in order, and the directory is retiled from the
+    /// store's bucket cell boxes.
     struct RestoreTag {};
     template <typename... StoreArgs>
     GridFileCore(RestoreTag, const Rect<D>& domain,
@@ -382,9 +399,9 @@ protected:
     }
 
     /// Rebuilds the directory from the store's bucket cell boxes and
-    /// recounts the records — the one retile behind snapshot load and
+    /// recounts the records — the one retile behind the catalog open and
     /// crash recovery. The boxes must tile the scales' grid exactly
-    /// (checked: a damaged snapshot or a failed replay cannot silently
+    /// (checked: a damaged catalog or a failed replay cannot silently
     /// produce a half-mapped grid).
     void retile() {
         std::array<std::uint32_t, D> shape;
@@ -489,15 +506,30 @@ private:
         return n;
     }
 
-    /// Resolves an overflow of the session's active bucket. A split may
-    /// leave one half still overflowing (skewed data), so iterate until
-    /// resolved or refinement becomes impossible. Returns the bucket that
-    /// owns the session's remaining records.
-    BucketId resolve_overflow(BucketId overflowing) {
+    /// Resolves an overflow of the session's active bucket after `added`
+    /// joined it. A split may leave one half still overflowing (skewed
+    /// data), so iterate until resolved or refinement becomes impossible.
+    /// Returns the bucket that owns the session's remaining records.
+    BucketId resolve_overflow(BucketId overflowing,
+                              const GridRecord<D>& added) {
         BucketId b = overflowing;
         while (store_.active().size() > bucket_capacity_) {
             if (max_cell_extent(b) == 1 && !refine_grid(b)) {
                 if constexpr (Store::kStrictCapacity) {
+                    // The bucket held at most a page before `added`, so
+                    // all of it is still in the session: give `added`
+                    // back and commit the rest before rejecting it.
+                    Records& records = store_.active();
+                    auto it = std::find_if(
+                        records.rbegin(), records.rend(),
+                        [&](const GridRecord<D>& r) {
+                            return r.id == added.id && r.point == added.point;
+                        });
+                    PGF_CHECK(it != records.rend(),
+                              "rejected record left the session");
+                    records.erase(std::next(it).base());
+                    store_.commit(b);
+                    note_op_end();
                     PGF_CHECK(false,
                               "records cannot be separated (too many "
                               "duplicates for one bucket page)");

@@ -1,7 +1,7 @@
 // The on-disk page format shared by every PageFile-backed store.
 //
 // Every page starts with a 16-byte header; the rest is payload owned by
-// the layer above (bucket records, snapshot byte streams, ...):
+// the layer above (bucket records):
 //
 //   offset  size  field
 //        0     4  crc32c over bytes [4, page_size)   (little endian)

@@ -17,6 +17,14 @@
 // read never writes: a reader closing after the owner grew the file
 // cannot roll the on-disk count back.
 //
+// Catalog: the layer above may append one checksummed trailer right after
+// the last page (magic "PGFCAT1\0", u64 body length, u32 CRC32C of the
+// body, then the body) — the paged grid file keeps its access structure
+// there. Page writes and allocations never keep it: the first one after
+// write_catalog() (or after an open() that found a catalog) truncates the
+// file back to the end of its pages, so a catalog on disk always
+// describes the pages before it.
+//
 // Crash injection: a file created with a FaultInjector makes every page
 // write (allocate's zero page included) an injection point; superblock
 // writes are not, and after the crash they are dropped like the rest.
@@ -88,6 +96,20 @@ public:
     /// after a crash that left the superblock's count stale).
     void ensure_page_count(std::uint64_t n);
 
+    /// Writes `body` as the catalog after the last page, syncing the
+    /// superblock first so open() finds it. Not a crash-injection point.
+    void write_catalog(std::span<const std::byte> body);
+
+    /// True while a catalog follows the last page: written by
+    /// write_catalog() or found by open(), with no page write since.
+    bool has_catalog() const { return catalog_offset_ != 0; }
+
+    /// The catalog body. Throws CheckError when there is none (the file
+    /// was never flushed, or a page was written after the flush) or when
+    /// its length or checksum does not match; the body is allocated only
+    /// after its length matched the file's.
+    std::vector<std::byte> read_catalog() const;
+
 private:
     explicit PageFile(File file) : file_(std::move(file)) {}
 
@@ -98,6 +120,7 @@ private:
     std::size_t page_size_ = 0;
     std::uint64_t page_count_ = 0;
     std::uint64_t superblock_count_ = 0;  ///< page count on disk
+    std::uint64_t catalog_offset_ = 0;    ///< 0 = no catalog on disk
     std::vector<std::byte> scratch_;      ///< stamped image of a write
 };
 

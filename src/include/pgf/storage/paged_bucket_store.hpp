@@ -62,7 +62,7 @@ struct WalSetup {
     /// and the log's group flushes (tests arm it after construction).
     FaultInjector* injector = nullptr;
     /// Genesis payload: the domain recovery needs to rebuild the file
-    /// without any snapshot (page size and capacity come from the store).
+    /// from the log alone (page size and capacity come from the store).
     Rect<D> domain{};
 };
 
@@ -113,19 +113,23 @@ public:
         if (wal_ != nullptr) log_genesis(page_size, wal_setup);
     }
 
-    /// Recovery tag: adopt an already-replayed data file, the metadata
-    /// reconstructed from the log, and the reopened (tail-truncated) log
-    /// itself. Used by pgf/storage/recovery.hpp only.
+    /// Reopen tag: adopt an existing data file and its bucket metadata —
+    /// replayed from the log by crash recovery (with the reopened,
+    /// tail-truncated log) or read from the file's catalog (no log). A
+    /// `read_only` store belongs to a log it was opened without: any
+    /// modification throws, because a later replay of that log would
+    /// silently revert it.
     struct OpenTag {};
     PagedBucketStore(OpenTag, std::unique_ptr<PageFile> file,
                      std::vector<Meta> metas,
                      std::unique_ptr<WriteAheadLog> wal,
-                     std::size_t pool_pages)
+                     std::size_t pool_pages, bool read_only = false)
         : file_(std::move(file)),
           wal_(std::move(wal)),
           pool_(*file_, pool_pages, wal_.get()),
           capacity_(capacity_for(file_->page_size())),
-          metas_(std::move(metas)) {}
+          metas_(std::move(metas)),
+          read_only_(read_only) {}
 
     std::size_t bucket_count() const { return metas_.size(); }
 
@@ -167,6 +171,9 @@ public:
     }
 
     Records& edit(std::uint32_t b) {
+        PGF_CHECK(!read_only_,
+                  "store: a journaled file opened without its log is "
+                  "read-only (recover it with its log to modify it)");
         if (batch_) {
             if (session_open_ && active_ == b) return edit_buf_;
             sync_session();  // persist the previous bucket before switching
@@ -203,12 +210,18 @@ public:
         session_dirty_ = false;
     }
 
-    /// Persists any pending session and leaves batch mode.
+    /// Persists any pending session and leaves batch mode — also when the
+    /// final sync throws.
     void end_batch() {
         PGF_CHECK(batch_, "end_batch: no batch open");
+        struct Close {
+            PagedBucketStore& store;
+            ~Close() {
+                store.batch_ = store.session_open_ = store.session_dirty_ =
+                    false;
+            }
+        } close{*this};
         sync_session();
-        session_open_ = false;
-        batch_ = false;
     }
 
     void split_active(std::uint32_t b, std::uint32_t new_id, std::size_t pivot,
@@ -293,6 +306,17 @@ public:
         sync_session();
         pool_.flush_all();
         if (wal_ != nullptr) wal_->flush();
+    }
+
+    /// Whether the file has a log (open, or left behind by a read-only
+    /// open) — recorded in the catalog.
+    bool journaled() const { return wal_ != nullptr || read_only_; }
+
+    /// The data file's catalog (see PageFile::write_catalog); flush()
+    /// first, so the pages it describes are on disk.
+    bool has_catalog() const { return file_->has_catalog(); }
+    void write_catalog(std::span<const std::byte> body) {
+        file_->write_catalog(body);
     }
 
     /// Copies the raw payload bytes of bucket `b`'s page (through the
@@ -444,6 +468,7 @@ private:
     Records edit_buf_;
     mutable Records read_buf_;
     mutable std::vector<std::byte> wal_body_;  ///< kPage encode scratch
+    bool read_only_ = false;        ///< journaled, opened without its log
     bool batch_ = false;            ///< inside begin_batch()/end_batch()
     bool session_open_ = false;     ///< edit_buf_ holds active_'s records
     mutable bool session_dirty_ = false;  ///< edit_buf_ differs from page

@@ -58,9 +58,10 @@ struct ReplayStats {
     std::uint64_t last_commit_lsn = 0;
 };
 
-/// Everything replay_wal reconstructs: the replayed data file, the
-/// reopened log, and the logical state GridFileCore needs to rebuild its
-/// access structure.
+/// Everything a reopen reconstructs — replay_wal from the log, or
+/// PagedGridFile's catalog open: the data file, the reopened log (null
+/// for a catalog open), and the logical state GridFileCore needs to
+/// rebuild its access structure.
 template <std::size_t D>
 struct RecoveredGrid {
     std::unique_ptr<PageFile> file;
@@ -71,6 +72,7 @@ struct RecoveredGrid {
     std::size_t bucket_capacity = 0;
     std::vector<GridRefineOp> refines;
     ReplayStats stats;
+    bool read_only = false;  ///< journaled, but reopened without its log
 };
 
 /// Dimension count recorded in a log's genesis record — lets a CLI

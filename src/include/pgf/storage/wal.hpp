@@ -18,7 +18,7 @@
 //
 //   kGenesis  grid parameters: dims, page size, bucket capacity, split
 //             rule (0 = midpoint), domain — enough to re-open the file
-//             without the snapshot.
+//             from the log alone.
 //   kPage     u64 page id + full page payload image (physical redo).
 //   kCreate   new bucket: u32 bucket, u64 page, box (u32 lo/hi per dim).
 //   kSplit    u32 from, u32 to, u32 axis — bucket `from` shrank along

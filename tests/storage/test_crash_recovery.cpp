@@ -408,6 +408,29 @@ TEST_F(CrashRecoveryTest, RecoveryRejectsAnOverlappingBucketBox) {
                  CheckError);
 }
 
+TEST_F(CrashRecoveryTest, RejectedDuplicateInsertKeepsAcceptedRecords) {
+    // Capacity 4 and six copies of one point: the last two are rejected.
+    // The log must replay to the four accepted records, not to the empty
+    // pages the rejected split cascade wrote.
+    PagedGridFile<2>::Config cfg = durable_config(wal_.string(), nullptr);
+    cfg.page_size = PagedBucketStore<2>::page_size_for(4);
+    const Point<2> p{{0.5, 0.5}};
+    {
+        PagedGridFile<2> pf(data_.string(), domain_, cfg);
+        for (std::uint64_t i = 0; i < 4; ++i) pf.insert(p, i);
+        EXPECT_THROW(pf.insert(p, 4), CheckError);
+        EXPECT_THROW(pf.insert(p, 5), CheckError);
+        EXPECT_EQ(pf.record_count(), 4u);
+        pf.flush();
+    }
+    PagedGridFile<2> pf(PagedGridFile<2>::RecoverTag{}, data_.string(), cfg);
+    EXPECT_EQ(pf.record_count(), 4u);
+    EXPECT_EQ(pf.query_records(domain_).size(), 4u);
+    const auto report = analysis::audit_paged_grid_file(
+        pf, analysis::ValidationLevel::kDeep);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
 TEST_F(CrashRecoveryTest, WalOnAndOffBuildIdenticalGrids) {
     // Journaling must not perturb the engine: the same workload with and
     // without a WAL yields the same structure and record placement (the

@@ -198,5 +198,36 @@ TEST_F(PageFileTest, WritePayloadRoundTripsLsn) {
     EXPECT_TRUE(pf.try_read(4, out));
 }
 
+TEST_F(PageFileTest, CatalogFollowsTheLastPageUntilAPageWrite) {
+    const auto body = pattern(100, 5);
+    {
+        auto pf = PageFile::create(path_.string(), 64);
+        pf.allocate();
+        pf.allocate();
+        EXPECT_FALSE(pf.has_catalog());
+        EXPECT_THROW(pf.read_catalog(), CheckError);
+        pf.write_catalog(body);
+        EXPECT_TRUE(pf.has_catalog());
+    }
+    // magic + length + crc, then the body, right after page 1.
+    EXPECT_EQ(std::filesystem::file_size(path_), 24u + 2 * 64 + 20 + 100);
+    {
+        auto pf = PageFile::open(path_.string());
+        ASSERT_TRUE(pf.has_catalog());
+        EXPECT_EQ(pf.read_catalog(), body);
+        // Allocating a page writes where the catalog was: it is dropped.
+        pf.allocate();
+        EXPECT_FALSE(pf.has_catalog());
+        EXPECT_EQ(std::filesystem::file_size(path_), 24u + 3 * 64);
+        pf.write_catalog(body);
+        pf.write(0, pattern(64, 9));
+        EXPECT_FALSE(pf.has_catalog());
+    }
+    auto pf = PageFile::open(path_.string());
+    EXPECT_EQ(pf.page_count(), 3u);
+    EXPECT_FALSE(pf.has_catalog());
+    EXPECT_THROW(pf.read_catalog(), CheckError);
+}
+
 }  // namespace
 }  // namespace pgf

@@ -7,6 +7,8 @@
 #include <memory>
 #include <set>
 
+#include "pgf/analysis/paged_audit.hpp"
+#include "pgf/core/point_source.hpp"
 #include "pgf/gridfile/grid_file.hpp"
 #include "pgf/parallel/node_backing.hpp"
 #include "pgf/util/rng.hpp"
@@ -160,6 +162,48 @@ TEST_F(PagedGridFileTest, DuplicateOverflowRejectedExplicitly) {
         }
     }
     EXPECT_TRUE(threw);
+}
+
+TEST_F(PagedGridFileTest, RejectedDuplicateKeepsAcceptedRecords) {
+    // Capacity 4: the fifth and sixth copy of one point cannot be
+    // separated. Each is rejected, and the four records already accepted
+    // stay, in the count and on the pages.
+    auto pf = make(PagedBucketStore<2>::page_size_for(4));
+    const Point<2> p{{0.5, 0.5}};
+    for (std::uint64_t i = 0; i < 4; ++i) pf.insert(p, i);
+    EXPECT_THROW(pf.insert(p, 4), CheckError);
+    EXPECT_THROW(pf.insert(p, 5), CheckError);
+    EXPECT_EQ(pf.record_count(), 4u);
+    std::vector<std::uint64_t> ids;
+    for (const auto& r : pf.query_records(domain_)) ids.push_back(r.id);
+    std::sort(ids.begin(), ids.end());
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    const auto report =
+        analysis::audit_paged_grid_file(pf, analysis::ValidationLevel::kDeep);
+    EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST_F(PagedGridFileTest, RejectedStreamLeavesBatchMode) {
+    // Ten copies of one point at capacity 4: the stream throws on the
+    // fifth. The file must leave batch mode with the four accepted
+    // records, so a second stream and a plain insert both work.
+    auto pf = make(PagedBucketStore<2>::page_size_for(4));
+    const std::vector<Point<2>> same(10, Point<2>{{0.25, 0.75}});
+    VectorPointSource<2> dup(same);
+    EXPECT_THROW(pf.bulk_load_stream(dup), CheckError);
+    EXPECT_EQ(pf.record_count(), 4u);
+
+    Rng rng(31);
+    std::vector<Point<2>> fresh(200);
+    for (auto& q : fresh) q = {{rng.uniform(), rng.uniform()}};
+    VectorPointSource<2> more(fresh);
+    EXPECT_EQ(pf.bulk_load_stream(more, 100), fresh.size());
+    pf.insert({{0.9, 0.1}}, 1000);
+    EXPECT_EQ(pf.record_count(), 4u + fresh.size() + 1u);
+    EXPECT_EQ(pf.query_records(domain_).size(), pf.record_count());
+    const auto report =
+        analysis::audit_paged_grid_file(pf, analysis::ValidationLevel::kDeep);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 TEST_F(PagedGridFileTest, FlushPersistsPages) {

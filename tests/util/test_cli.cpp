@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace pgf {
 namespace {
 
@@ -68,6 +70,17 @@ TEST(Cli, FlagFollowedByFlagIsBare) {
 TEST(Cli, ProgramNameCaptured) {
     Cli cli = make({});
     EXPECT_EQ(cli.program(), "prog");
+}
+
+TEST(Cli, CheckFlagsNamesTheUnknownFlag) {
+    Cli cli = make({"--points=10", "--no-such-flag", "3", "pos"});
+    EXPECT_TRUE(cli.check_flags({"points", "no-such-flag"}));
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(cli.check_flags({"points", "seed"}));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown flag --no-such-flag"), std::string::npos)
+        << err;
+    EXPECT_TRUE(make({"pos"}).check_flags({}));
 }
 
 TEST(Cli, LastValueWinsOnRepeat) {

@@ -1,12 +1,17 @@
 // pgfcli — command-line front end over the pgf library.
 //
+// Every grid file pgfcli writes is a paged grid file (one bucket per page,
+// pgf/storage/paged_grid_file.hpp) whose catalog, written after the last
+// page, lets every other command reopen it.
+//
 //   pgfcli gen --dataset hot2d --out pts.csv [--points N] [--seed S]
 //              [--format csv|bin]
 //       Generate one of the built-in datasets as CSV (or as the binary
 //       point-file format pgf/core/point_source.hpp defines, for buildx).
 //   pgfcli build --input pts.csv --out store.pgf [--capacity 56]
-//       Load a CSV of points (1-4 numeric columns) into a grid file and
-//       persist it. The domain is the data's bounding box.
+//       Load a CSV of points (1-4 numeric columns) into a paged grid file
+//       holding --capacity records per bucket page. The domain is the
+//       data's bounding box.
 //   pgfcli buildx --dataset uniform2d --points N --out store.pgf
 //                 [--input pts.bin] [--seed S] [--capacity 56]
 //                 [--pool-pages 1024] [--chunk-records 1048576]
@@ -15,50 +20,47 @@
 //       Out-of-core build: stream the points (generated on the fly, or
 //       from a binary point file written by `gen --format bin`), sort them
 //       externally along the Hilbert curve (runs spilled to temp files,
-//       k-way merged), and bulk-load the sorted stream into a disk-backed
-//       grid file whose memory is bounded by --pool-pages. The persisted
-//       snapshot is byte-compatible with `build`'s and validates the same
-//       way. Scales to 10^7-10^8 records without materializing them.
-//       With --wal the working paged file journals every operation to a
-//       write-ahead log and is kept next to the snapshot (as
-//       <out>.staging) so `recover` can reopen it; --crash-after-writes N
-//       injects a torn-page crash at the Nth page write after setup (the
-//       process exits with code 9 and leaves the crash state behind —
+//       k-way merged), and bulk-load the sorted stream into the paged grid
+//       file at --out, whose memory is bounded by --pool-pages. Scales to
+//       10^7-10^8 records without materializing them. With --wal the file
+//       journals every operation to a write-ahead log beside it, so
+//       `recover` can replay a crash; --crash-after-writes N injects a
+//       torn-page crash at the Nth page write after setup (the process
+//       exits with code 9 and leaves the crash state behind —
 //       durability-test hook).
-//   pgfcli recover --file store.pgf.staging --wal store.wal
+//   pgfcli recover --file store.pgf --wal store.wal
 //                  [--level fast|standard|deep] [--pool-pages 128]
 //       Crash recovery: replays the committed prefix of the write-ahead
 //       log over the paged data file (torn tail truncated, uncommitted
 //       suffix discarded), rebuilds the access structure, reports what the
-//       replay did, and audits the recovered file. Exit 0 = recovered and
-//       clean, 1 = unrecoverable or audit findings.
+//       replay did, audits the recovered file, and flushes it so the other
+//       commands can open it. Exit 0 = recovered and clean, 1 =
+//       unrecoverable or audit findings.
 //   pgfcli info --file store.pgf
-//       Structural summary of a persisted grid file.
+//       Structural summary of a grid file.
 //   pgfcli query --file store.pgf --lo "x,y" --hi "x,y" [--print]
 //       Range query; prints the match count (and rows with --print).
 //   pgfcli decluster --file store.pgf --disks 16 [--method minimax]
-//                    [--out assignment.csv]
+//                    [--seed S] [--out assignment.csv]
 //       Decluster the file's buckets and report the quality metrics; the
 //       optional CSV maps bucket id -> disk.
 //   pgfcli partition --file store.pgf --disks 16 --out prefix
-//                    [--method minimax] [--page-size 4096]
-//       Full deployment: decluster, rebuild the records as one-bucket-per-
-//       page stores, and write one page file per disk (prefix.disk<k>).
+//                    [--method minimax] [--seed S]
+//       Full deployment: decluster, then copy each bucket's page into one
+//       page file per disk (prefix.disk<k>).
 //   pgfcli validate --file store.pgf [--level fast|standard|deep]
-//                   [--backend memory|paged] [--page-size N]
-//                   [--assignment a.csv --disks M]
-//       Runs the pgf::analysis invariant checkers over a persisted grid
-//       file (and optionally a bucket->disk assignment CSV as written by
-//       `decluster --out`). With --backend paged the records are also
-//       rebuilt in a temporary disk-backed grid file and the page-level
-//       checkers (page ownership, scale reconstruction, header/roundtrip)
-//       run against it. Exit 0 = clean, 1 = findings or unreadable.
+//                   [--pool-pages 128] [--assignment a.csv --disks M]
+//       Runs the pgf::analysis invariant checkers over a grid file — the
+//       structure and the page-level checks (page ownership, scale
+//       reconstruction, header/roundtrip) — and optionally over a
+//       bucket->disk assignment CSV as written by `decluster --out`.
+//       Exit 0 = clean, 1 = findings or unreadable.
 //
 // Exit codes of every command: 0 success, 1 error or audit findings,
-// 2 usage, 3 I/O error (the operating system refused a file operation;
-// the message names the operation, the path and the errno), 9 injected
-// crash (buildx --crash-after-writes).
-#include <cstdio>
+// 2 usage (a missing or unknown flag), 3 I/O error (the operating system
+// refused a file operation; the message names the operation, the path and
+// the errno), 9 injected crash (buildx --crash-after-writes).
+#include <array>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -69,7 +71,6 @@
 #include "pgf/core/declusterer.hpp"
 #include "pgf/core/extsort.hpp"
 #include "pgf/core/point_source.hpp"
-#include "pgf/storage/gridfile_io.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/storage/partition.hpp"
 #include "pgf/storage/recovery.hpp"
@@ -111,6 +112,9 @@ std::vector<double> parse_tuple(const std::string& text, std::size_t dims) {
 }
 
 int cmd_gen(const Cli& cli) {
+    if (!cli.check_flags({"dataset", "out", "format", "seed", "points"})) {
+        return 2;
+    }
     std::string name = cli.get_string("dataset", "");
     std::string out = cli.get_string("out", "");
     if (name.empty() || out.empty()) {
@@ -189,23 +193,25 @@ int build_impl(const std::vector<std::vector<double>>& rows,
         double span = domain.hi[i] - domain.lo[i];
         domain.hi[i] += span > 0 ? span * 1e-9 : 1.0;
     }
-    typename GridFile<D>::Config cfg;
-    cfg.bucket_capacity = capacity;
-    GridFile<D> gf(domain, cfg);
+    std::vector<Point<D>> points(rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        Point<D> p;
-        for (std::size_t i = 0; i < D; ++i) p[i] = rows[r][i];
-        gf.insert(p, r);
+        for (std::size_t i = 0; i < D; ++i) points[r][i] = rows[r][i];
     }
-    std::uint64_t pages = save_grid_file(gf, out);
+    typename PagedGridFile<D>::Config cfg;
+    cfg.page_size = PagedBucketStore<D>::page_size_for(capacity);
+    PagedGridFile<D> gf(out, domain, cfg);
+    VectorPointSource<D> source(points);
+    gf.bulk_load_stream(source);
+    gf.flush();
     std::cout << "built " << gf.record_count() << " records into "
               << gf.bucket_count() << " buckets ("
-              << gf.merged_bucket_count() << " merged), saved " << pages
-              << " pages to " << out << "\n";
+              << gf.merged_bucket_count() << " merged), wrote "
+              << gf.bucket_count() << " pages to " << out << "\n";
     return 0;
 }
 
 int cmd_build(const Cli& cli) {
+    if (!cli.check_flags({"input", "out", "capacity"})) return 2;
     std::string input = cli.get_string("input", "");
     std::string out = cli.get_string("out", "");
     if (input.empty() || out.empty()) {
@@ -268,9 +274,8 @@ Rect<D> binary_points_bbox(const std::string& path) {
 }
 
 /// The out-of-core build: external Hilbert sort of the stream, then the
-/// batched streaming bulk load into a pool-bounded paged grid file, then
-/// the regular snapshot save (so `info`/`query`/`validate` all work on
-/// the result).
+/// batched streaming bulk load into the pool-bounded paged grid file at
+/// `out`, flushed so `info`/`query`/`validate` all open it.
 template <std::size_t D>
 int buildx_impl(const Cli& cli, PointSource<D>& source, const Rect<D>& domain,
                 std::size_t capacity, const std::string& out) {
@@ -297,46 +302,40 @@ int buildx_impl(const Cli& cli, PointSource<D>& source, const Rect<D>& domain,
                   "buildx: --crash-after-writes requires --wal");
         pcfg.fault_injector = &injector;
     }
-    const std::string staging = out + ".staging";
-    std::uint64_t loaded = 0;
-    std::uint64_t pages = 0;
-    std::uint32_t buckets = 0;
-    {
-        PagedGridFile<D> pf(staging, domain, pcfg);
-        // Setup (superblock, genesis, root bucket) is not crash-protected,
-        // like a real system's mkfs; arm the injector only now.
-        if (crash_after >= 0) {
-            injector.arm(static_cast<std::uint64_t>(crash_after));
-        }
-        try {
-            loaded = pf.bulk_load_stream(sorter);
-            pf.flush();
-        } catch (const CrashError& e) {
-            std::cerr << "crash injected: " << e.what() << "\n"
-                      << "crash state kept in " << staging << " + "
-                      << pcfg.wal_path << " (run `pgfcli recover`)\n";
-            return 9;
-        }
-        buckets = static_cast<std::uint32_t>(pf.bucket_count());
-        pages = save_grid_file(pf, out);
+    PagedGridFile<D> pf(out, domain, pcfg);
+    // Setup (superblock, genesis, root bucket) is not crash-protected,
+    // like a real system's mkfs; arm the injector only now.
+    if (crash_after >= 0) {
+        injector.arm(static_cast<std::uint64_t>(crash_after));
     }
-    if (pcfg.wal_path.empty()) {
-        std::remove(staging.c_str());
-    } else {
-        std::cout << "durable paged file kept at " << staging << " (wal "
-                  << pcfg.wal_path << ")\n";
+    std::uint64_t loaded = 0;
+    try {
+        loaded = pf.bulk_load_stream(sorter);
+        pf.flush();
+    } catch (const CrashError& e) {
+        std::cerr << "crash injected: " << e.what() << "\n"
+                  << "crash state kept in " << out << " + "
+                  << pcfg.wal_path << " (run `pgfcli recover`)\n";
+        return 9;
     }
 
     const auto& stats = sorter.stats();
-    std::cout << "built " << loaded << " records into " << buckets
+    std::cout << "built " << loaded << " records into " << pf.bucket_count()
               << " buckets via " << stats.initial_runs << " sorted runs ("
               << stats.spill_bytes << " spill bytes, " << stats.merge_passes
               << " merge passes, fan-in " << stats.final_fan_in
-              << "), saved " << pages << " pages to " << out << "\n";
+              << "), wrote " << pf.bucket_count() << " pages to " << out;
+    if (!pcfg.wal_path.empty()) std::cout << " (wal " << pcfg.wal_path << ")";
+    std::cout << "\n";
     return 0;
 }
 
 int cmd_buildx(const Cli& cli) {
+    if (!cli.check_flags({"out", "input", "dataset", "points", "seed",
+                          "capacity", "pool-pages", "chunk-records",
+                          "threads", "wal", "crash-after-writes"})) {
+        return 2;
+    }
     const std::string out = cli.get_string("out", "");
     const std::string input = cli.get_string("input", "");
     const std::string dataset = cli.get_string("dataset", "");
@@ -386,8 +385,8 @@ int cmd_buildx(const Cli& cli) {
 }
 
 /// Crash recovery: replay the committed WAL prefix over the paged data
-/// file, then audit the result. The recovered file is left ready for new
-/// operations (its log stays open until this process exits).
+/// file, audit the result, and flush it (catalog included) so the other
+/// commands can open it. The recovered file stays journaled on its log.
 template <std::size_t D>
 int recover_impl(const Cli& cli, const std::string& file,
                  const std::string& wal) {
@@ -425,12 +424,14 @@ int recover_impl(const Cli& cli, const std::string& file,
                   << report.findings.size() << " invariant check(s)\n";
         return 1;
     }
+    gf.flush();
     std::cout << "recover: OK (" << report.checks_run
               << " checks at level " << analysis::to_string(level) << ")\n";
     return 0;
 }
 
 int cmd_recover(const Cli& cli) {
+    if (!cli.check_flags({"file", "wal", "level", "pool-pages"})) return 2;
     const std::string file = cli.get_string("file", "");
     const std::string wal = cli.get_string("wal", "");
     if (file.empty() || wal.empty()) {
@@ -450,14 +451,14 @@ int cmd_recover(const Cli& cli) {
 }
 
 template <std::size_t D>
-int info_impl(const std::string& file) {
-    GridFile<D> gf = load_grid_file<D>(file);
+int info_impl(const Cli& /*cli*/, const std::string& file) {
+    PagedGridFile<D> gf(typename PagedGridFile<D>::OpenTag{}, file);
     TextTable t({"property", "value"});
     t.add("dimensions", D);
     t.add("records", gf.record_count());
     t.add("buckets", gf.bucket_count());
     t.add("merged buckets", gf.merged_bucket_count());
-    t.add("bucket capacity", gf.config().bucket_capacity);
+    t.add("bucket capacity", gf.capacity());
     std::string shape;
     for (std::size_t i = 0; i < D; ++i) {
         if (i) shape += "x";
@@ -475,7 +476,7 @@ int info_impl(const std::string& file) {
 
 template <std::size_t D>
 int query_impl(const Cli& cli, const std::string& file) {
-    GridFile<D> gf = load_grid_file<D>(file);
+    PagedGridFile<D> gf(typename PagedGridFile<D>::OpenTag{}, file);
     auto lo = parse_tuple(cli.get_string("lo", ""), D);
     auto hi = parse_tuple(cli.get_string("hi", ""), D);
     Rect<D> q;
@@ -499,7 +500,7 @@ int query_impl(const Cli& cli, const std::string& file) {
 
 template <std::size_t D>
 int decluster_impl(const Cli& cli, const std::string& file) {
-    GridFile<D> gf = load_grid_file<D>(file);
+    PagedGridFile<D> gf(typename PagedGridFile<D>::OpenTag{}, file);
     auto method = parse_method(cli.get_string("method", "minimax"));
     if (!method) {
         std::cerr << "unknown method; try dm fx hcam mst ssp simgraph "
@@ -537,46 +538,25 @@ int partition_impl(const Cli& cli, const std::string& file) {
         std::cerr << "partition requires --out <prefix>\n";
         return 2;
     }
-    GridFile<D> gf = load_grid_file<D>(file);
+    PagedGridFile<D> gf(typename PagedGridFile<D>::OpenTag{}, file);
     auto method = parse_method(cli.get_string("method", "minimax"));
     if (!method) {
         std::cerr << "unknown method\n";
         return 2;
     }
     auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 16));
-
-    // Rebuild the records in a one-bucket-per-page store (same insertion
-    // order, so the structure matches the snapshot's behavior closely).
-    std::string staging = out + ".staging";
-    typename PagedGridFile<D>::Config cfg;
-    cfg.page_size = static_cast<std::size_t>(cli.get_int("page-size", 4096));
-    PagedGridFile<D> paged(staging, gf.domain(), cfg);
-    for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-        for (const auto& rec : gf.bucket(b).records) {
-            paged.insert(rec.point, rec.id);
-        }
-    }
-    paged.flush();
-
     Assignment assignment = decluster(
-        paged.structure(), *method, disks,
+        gf.structure(), *method, disks,
         {.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1))});
-    std::vector<std::uint64_t> pages;
-    for (std::uint32_t b = 0; b < paged.bucket_count(); ++b) {
-        pages.push_back(paged.bucket_page(b));
-    }
-    PartitionResult result =
-        partition_pages(staging, pages, assignment, out);
-    std::remove(staging.c_str());
+    PartitionResult result = partition_pages(gf, assignment, out);
 
     TextTable t({"disk", "file", "pages"});
     for (std::uint32_t d = 0; d < disks; ++d) {
         t.add(d, result.paths[d], result.pages_per_disk[d]);
     }
     t.print(std::cout);
-    std::cout << paged.bucket_count() << " buckets ("
-              << paged.record_count() << " records) partitioned with "
-              << to_string(*method) << "\n";
+    std::cout << gf.bucket_count() << " buckets (" << gf.record_count()
+              << " records) partitioned with " << to_string(*method) << "\n";
     return 0;
 }
 
@@ -620,61 +600,18 @@ int validate_impl(const Cli& cli, const std::string& file) {
         return 2;
     }
 
-    const std::string backend = cli.get_string("backend", "memory");
-    if (backend != "memory" && backend != "paged") {
-        std::cerr << "unknown --backend '" << backend
-                  << "' (expected memory|paged)\n";
-        return 2;
-    }
-
-    GridFile<D> gf = load_grid_file<D>(file);
-    analysis::ValidationReport report = analysis::audit_grid_file(gf, level);
+    PagedGridFile<D> gf(
+        typename PagedGridFile<D>::OpenTag{}, file,
+        static_cast<std::size_t>(cli.get_int("pool-pages", 128)));
+    analysis::ValidationReport report =
+        analysis::audit_paged_grid_file(gf, level);
     GridStructure gs = gf.structure();
     report.merge(analysis::audit_structure(gs, level));
-
-    if (backend == "paged") {
-        if (gf.oversized_bucket_count() > 0) {
-            std::cerr << "validate: snapshot has oversized buckets "
-                         "(inseparable duplicates) — the strict-capacity "
-                         "paged backend cannot hold them\n";
-            return 1;
-        }
-        // Rebuild the snapshot's records in a disk-backed file (bucket
-        // order, page capacity matching the snapshot's bucket capacity by
-        // default) and run the page-level checkers against it.
-        const std::size_t default_page = PagedBucketStore<D>::page_size_for(
-            gf.config().bucket_capacity);
-        typename PagedGridFile<D>::Config cfg;
-        cfg.page_size = static_cast<std::size_t>(
-            cli.get_int("page-size", static_cast<long long>(default_page)));
-        cfg.pool_pages =
-            static_cast<std::size_t>(cli.get_int("pool-pages", 128));
-        const std::string staging = file + ".paged-validate";
-        {
-            PagedGridFile<D> paged(staging, gf.domain(), cfg);
-            for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-                for (const auto& rec : gf.bucket(b).records) {
-                    paged.insert(rec.point, rec.id);
-                }
-            }
-            paged.flush();
-            report.merge(analysis::audit_paged_grid_file(paged, level));
-            report.require(paged.record_count() == gf.record_count(),
-                           "paged.records.total",
-                           "paged rebuild lost or duplicated records");
-            std::cout << "paged backend: rebuilt " << paged.record_count()
-                      << " records in " << paged.bucket_count()
-                      << " page buckets (page size " << cfg.page_size
-                      << ")\n";
-            const BufferPool::Stats stats = paged.pool().stats();
-            std::cout << "paged pool: " << stats.hits << " hits / "
-                      << stats.misses << " misses (hit rate "
-                      << format_double(stats.hit_rate(), 3) << "), "
-                      << stats.evictions << " evictions, "
-                      << stats.writebacks << " writebacks\n";
-        }
-        std::remove(staging.c_str());
-    }
+    const BufferPool::Stats stats = gf.pool().stats();
+    std::cout << "paged pool: " << stats.hits << " hits / " << stats.misses
+              << " misses (hit rate " << format_double(stats.hit_rate(), 3)
+              << "), " << stats.evictions << " evictions, "
+              << stats.writebacks << " writebacks\n";
 
     std::string assignment_csv = cli.get_string("assignment", "");
     if (!assignment_csv.empty()) {
@@ -698,82 +635,82 @@ int validate_impl(const Cli& cli, const std::string& file) {
     return 0;
 }
 
-int cmd_partition(const Cli& cli) {
-    std::string file = cli.get_string("file", "");
-    if (file.empty()) {
-        std::cerr << "partition requires --file <pgf> --out <prefix>\n";
+/// A command over an existing grid file, one instantiation per
+/// dimension count.
+using FileCommand = int (*)(const Cli&, const std::string&);
+
+/// Runs the instantiation for the dimension count in `file`'s catalog.
+int dispatch_dims(const Cli& cli, const std::string& file,
+                  const std::array<FileCommand, 4>& by_dims) {
+    const std::uint32_t dims = paged_file_dims(file);
+    if (dims < 1 || dims > by_dims.size()) {
+        std::cerr << "unsupported dimensionality in " << file << "\n";
         return 2;
     }
-    switch (stored_grid_file_dims(file)) {
-        case 1: return partition_impl<1>(cli, file);
-        case 2: return partition_impl<2>(cli, file);
-        case 3: return partition_impl<3>(cli, file);
-        case 4: return partition_impl<4>(cli, file);
-        default: std::cerr << "unsupported dimensionality\n"; return 2;
-    }
-}
-
-template <int (*Fn2)(const Cli&, const std::string&),
-          int (*Fn3)(const Cli&, const std::string&),
-          int (*Fn4)(const Cli&, const std::string&),
-          int (*Fn1)(const Cli&, const std::string&)>
-int dispatch_dims(const Cli& cli, const std::string& file) {
-    switch (stored_grid_file_dims(file)) {
-        case 1: return Fn1(cli, file);
-        case 2: return Fn2(cli, file);
-        case 3: return Fn3(cli, file);
-        case 4: return Fn4(cli, file);
-        default:
-            std::cerr << "unsupported dimensionality in " << file << "\n";
-            return 2;
-    }
-}
-
-int cmd_validate(const Cli& cli) {
-    std::string file = cli.get_string("file", "");
-    if (file.empty()) {
-        std::cerr << "validate requires --file <pgf> [--level deep] "
-                     "[--backend memory|paged] [--page-size N] "
-                     "[--assignment a.csv --disks M]\n";
-        return 2;
-    }
-    return dispatch_dims<validate_impl<2>, validate_impl<3>,
-                         validate_impl<4>, validate_impl<1>>(cli, file);
+    return by_dims[dims - 1](cli, file);
 }
 
 int cmd_info(const Cli& cli) {
+    if (!cli.check_flags({"file"})) return 2;
     std::string file = cli.get_string("file", "");
     if (file.empty()) {
         std::cerr << "info requires --file <pgf>\n";
         return 2;
     }
-    switch (stored_grid_file_dims(file)) {
-        case 1: return info_impl<1>(file);
-        case 2: return info_impl<2>(file);
-        case 3: return info_impl<3>(file);
-        case 4: return info_impl<4>(file);
-        default: std::cerr << "unsupported dimensionality\n"; return 2;
-    }
+    return dispatch_dims(
+        cli, file, {info_impl<1>, info_impl<2>, info_impl<3>, info_impl<4>});
 }
 
 int cmd_query(const Cli& cli) {
+    if (!cli.check_flags({"file", "lo", "hi", "print"})) return 2;
     std::string file = cli.get_string("file", "");
     if (file.empty() || !cli.has("lo") || !cli.has("hi")) {
         std::cerr << "query requires --file <pgf> --lo \"..\" --hi \"..\"\n";
         return 2;
     }
-    return dispatch_dims<query_impl<2>, query_impl<3>, query_impl<4>,
-                         query_impl<1>>(cli, file);
+    return dispatch_dims(cli, file, {query_impl<1>, query_impl<2>,
+                                     query_impl<3>, query_impl<4>});
 }
 
 int cmd_decluster(const Cli& cli) {
+    if (!cli.check_flags({"file", "disks", "method", "seed", "out"})) {
+        return 2;
+    }
     std::string file = cli.get_string("file", "");
     if (file.empty()) {
         std::cerr << "decluster requires --file <pgf> [--disks M]\n";
         return 2;
     }
-    return dispatch_dims<decluster_impl<2>, decluster_impl<3>,
-                         decluster_impl<4>, decluster_impl<1>>(cli, file);
+    return dispatch_dims(cli, file, {decluster_impl<1>, decluster_impl<2>,
+                                     decluster_impl<3>, decluster_impl<4>});
+}
+
+int cmd_partition(const Cli& cli) {
+    if (!cli.check_flags({"file", "out", "disks", "method", "seed"})) {
+        return 2;
+    }
+    std::string file = cli.get_string("file", "");
+    if (file.empty()) {
+        std::cerr << "partition requires --file <pgf> --out <prefix>\n";
+        return 2;
+    }
+    return dispatch_dims(cli, file, {partition_impl<1>, partition_impl<2>,
+                                     partition_impl<3>, partition_impl<4>});
+}
+
+int cmd_validate(const Cli& cli) {
+    if (!cli.check_flags(
+            {"file", "level", "pool-pages", "assignment", "disks"})) {
+        return 2;
+    }
+    std::string file = cli.get_string("file", "");
+    if (file.empty()) {
+        std::cerr << "validate requires --file <pgf> [--level deep] "
+                     "[--assignment a.csv --disks M]\n";
+        return 2;
+    }
+    return dispatch_dims(cli, file, {validate_impl<1>, validate_impl<2>,
+                                     validate_impl<3>, validate_impl<4>});
 }
 
 }  // namespace
