@@ -11,27 +11,16 @@
 namespace pgf::bench {
 namespace {
 
-unsigned default_threads() {
-    if (const char* env = std::getenv("PGF_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0) return static_cast<unsigned>(v);
-    }
-    return 0;  // resolved to hardware concurrency
-}
-
-unsigned default_inner_threads() {
-    if (const char* env = std::getenv("PGF_INNER_THREADS")) {
-        const long v = std::atol(env);
-        if (v >= 0) return static_cast<unsigned>(v);
-    }
-    return 1;  // inner scans stay serial unless asked for
-}
-
 std::string default_backend() {
     if (const char* env = std::getenv("PGF_BACKEND")) {
         if (*env != '\0') return env;
     }
     return "memory";
+}
+
+[[noreturn]] void usage_exit(const std::string& message) {
+    std::cerr << message << "\n";
+    std::exit(2);
 }
 
 }  // namespace
@@ -43,25 +32,38 @@ Options::Options(int argc, const char* const* argv) {
                           "node-pool-pages", "full"})) {
         std::exit(2);
     }
-    csv_dir = cli.get_string("csv-dir", "");
-    queries = static_cast<std::size_t>(cli.get_int("queries", 1000));
-    seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
-    threads = static_cast<unsigned>(
-        cli.get_int("threads", static_cast<std::int64_t>(default_threads())));
-    inner_threads = static_cast<unsigned>(cli.get_int(
-        "inner-threads", static_cast<std::int64_t>(default_inner_threads())));
-    bench_json = cli.get_string("bench-json", "");
-    backend = cli.get_string("backend", default_backend());
+    try {
+        csv_dir = cli.get_string("csv-dir", "");
+        queries = cli.get_int<std::size_t>("queries", 1000);
+        seed = cli.get_int<std::uint64_t>("seed", 1);
+        // 0 = hardware concurrency.
+        threads = cli.get_int<unsigned>(
+            "threads", env_int<unsigned>("PGF_THREADS").value_or(0));
+        inner_threads = cli.get_int<unsigned>(
+            "inner-threads",
+            env_int<unsigned>("PGF_INNER_THREADS").value_or(1));
+        bench_json = cli.get_string("bench-json", "");
+        backend = cli.get_string("backend", default_backend());
+        node_pool_pages = cli.get_int<std::size_t>("node-pool-pages", 1024);
+        const char* env = std::getenv("PGF_FULL_SCALE");
+        full_scale =
+            cli.get_bool("full", env != nullptr && std::string(env) == "1");
+    } catch (const UsageError& e) {
+        usage_exit(cli.program() + ": " + e.what());
+    }
     if (backend != "memory" && backend != "paged") {
         std::cerr << "unknown --backend '" << backend
                   << "' (expected memory|paged)\n";
         std::exit(2);
     }
-    node_pool_pages =
-        static_cast<std::size_t>(cli.get_int("node-pool-pages", 1024));
-    const char* env = std::getenv("PGF_FULL_SCALE");
-    full_scale = cli.get_bool("full", env != nullptr &&
-                                          std::string(env) == "1");
+}
+
+std::optional<std::uint64_t> env_count(const char* var) {
+    try {
+        return env_int<std::uint64_t>(var);
+    } catch (const UsageError& e) {
+        usage_exit(e.what());
+    }
 }
 
 unsigned Options::resolved_threads() const {

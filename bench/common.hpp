@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,11 @@ struct Options {
     /// Inner-scan thread count after resolving 0 to hardware concurrency.
     unsigned resolved_inner_threads() const;
 };
+
+/// The value of a PGF_* count override (e.g. PGF_WAL_N), or nullopt when
+/// it is unset or empty; a malformed value exits 2 naming the variable,
+/// like a malformed flag.
+std::optional<std::uint64_t> env_count(const char* var);
 
 /// The inner-scan pool for a bench binary, or nullptr when
 /// --inner-threads resolves to 1 (serial scans, the default). Shared by

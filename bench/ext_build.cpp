@@ -72,9 +72,7 @@ double peak_rss_mb() {
 /// The sweep's N values: PGF_EXTBUILD_N overrides everything; otherwise
 /// {1e6, 1e7} plus 1e8 when PGF_EXTBUILD_HUGE=1.
 std::vector<std::uint64_t> record_counts() {
-    if (const char* n = std::getenv("PGF_EXTBUILD_N")) {
-        return {static_cast<std::uint64_t>(std::strtoull(n, nullptr, 10))};
-    }
+    if (const auto n = env_count("PGF_EXTBUILD_N")) return {*n};
     std::vector<std::uint64_t> counts{1000000, 10000000};
     if (const char* huge = std::getenv("PGF_EXTBUILD_HUGE");
         huge && *huge == '1') {

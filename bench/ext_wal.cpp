@@ -45,9 +45,7 @@ namespace pgf::bench {
 namespace {
 
 std::vector<std::uint64_t> record_counts() {
-    if (const char* n = std::getenv("PGF_WAL_N")) {
-        return {static_cast<std::uint64_t>(std::strtoull(n, nullptr, 10))};
-    }
+    if (const auto n = env_count("PGF_WAL_N")) return {*n};
     return {20000, 100000};
 }
 

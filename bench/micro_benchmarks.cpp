@@ -1,7 +1,8 @@
 // Micro benchmarks (google-benchmark): throughput of the primitives the
 // experiment pipeline leans on — Hilbert mapping, proximity evaluation,
 // grid-file insertion and range queries (allocating and scratch-reusing
-// paths), workload evaluation, and each declustering algorithm.
+// paths), the page checksum, workload evaluation, and each declustering
+// algorithm.
 //
 // `--csv-dir <dir>` additionally writes <dir>/BENCH_micro.json
 // (google-benchmark's JSON format; compare runs with tools/bench_diff).
@@ -25,6 +26,7 @@
 #include "pgf/gridfile/grid_file.hpp"
 #include "pgf/sfc/hilbert.hpp"
 #include "pgf/storage/buffer_pool.hpp"
+#include "pgf/storage/page.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/util/rng.hpp"
 #include "pgf/util/thread_pool.hpp"
@@ -401,6 +403,21 @@ void BM_PagedQueryRecords(benchmark::State& state) {
     std::filesystem::remove(path);
 }
 BENCHMARK(BM_PagedQueryRecords)->Arg(1024)->Arg(16);
+
+// The checksum behind every page verify and stamp, WAL record and catalog,
+// on the kernel crc32c picks for this CPU: a 64-byte buffer (a small WAL
+// record) and an 8 KB page (the benchmark workloads' page size). Random
+// bytes, so no kernel can shortcut the input.
+void BM_Crc32c(benchmark::State& state) {
+    const auto bytes = static_cast<std::size_t>(state.range(0));
+    Rng rng(5);
+    std::vector<std::byte> data(bytes);
+    for (auto& b : data) b = static_cast<std::byte>(rng.next_u32());
+    for (auto _ : state) benchmark::DoNotOptimize(crc32c(data));
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(8192);
 
 // Victim selection through a real pool: F frames over F+1 pages of 64
 // bytes, fetched in a cycle after a warm-up fill, so every iteration is

@@ -12,11 +12,11 @@
 #include "pgf/sfc/curve.hpp"
 #include "pgf/util/cli.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     pgf::Cli cli(argc, argv);
     if (!cli.check_flags({"size", "disks"})) return 2;
-    const auto size = static_cast<std::uint32_t>(cli.get_int("size", 16));
-    const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 4));
+    const auto size = cli.get_int<std::uint32_t>("size", 16);
+    const auto disks = cli.get_int<std::uint32_t>("disks", 4);
 
     pgf::GridStructure gs = pgf::make_cartesian_structure(
         {size, size}, {0.0, 0.0},
@@ -66,4 +66,7 @@ int main(int argc, char** argv) {
         std::cout << "\n";
     }
     return 0;
+} catch (const pgf::UsageError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
 }

@@ -15,17 +15,15 @@
 #include "pgf/workload/datasets.hpp"
 #include "pgf/workload/query_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     pgf::Cli cli(argc, argv);
     if (!cli.check_flags(
             {"nodes", "snapshots", "particles", "ratio", "method"})) {
         return 2;
     }
-    const auto nodes = static_cast<std::uint32_t>(cli.get_int("nodes", 8));
-    const auto snapshots =
-        static_cast<std::size_t>(cli.get_int("snapshots", 12));
-    const auto particles =
-        static_cast<std::size_t>(cli.get_int("particles", 20000));
+    const auto nodes = cli.get_int<std::uint32_t>("nodes", 8);
+    const auto snapshots = cli.get_int<std::size_t>("snapshots", 12);
+    const auto particles = cli.get_int<std::size_t>("particles", 20000);
     const double ratio = cli.get_double("ratio", 0.1);
     const std::string method_name = cli.get_string("method", "minimax");
     auto method = pgf::parse_method(method_name);
@@ -72,4 +70,7 @@ int main(int argc, char** argv) {
     std::cout << "animation rate: " << pgf::format_double(frames_per_sec)
               << " frames/s of simulated wall-clock\n";
     return 0;
+} catch (const pgf::UsageError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
 }

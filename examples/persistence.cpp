@@ -12,13 +12,13 @@
 #include "pgf/util/table.hpp"
 #include "pgf/workload/datasets.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     pgf::Cli cli(argc, argv);
     if (!cli.check_flags({"path", "points"})) return 2;
     const std::string path = cli.get_string(
         "path",
         (std::filesystem::temp_directory_path() / "pgf_example.pgf").string());
-    const auto points = static_cast<std::size_t>(cli.get_int("points", 20000));
+    const auto points = cli.get_int<std::size_t>("points", 20000);
     using File = pgf::PagedGridFile<3>;
 
     // Session 1: build the file one bucket per page; flush() writes the
@@ -69,4 +69,7 @@ int main(int argc, char** argv) {
               << gf.record_count() << " total)\n";
     std::filesystem::remove(path);
     return 0;
+} catch (const pgf::UsageError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
 }

@@ -14,11 +14,11 @@
 #include "pgf/workload/datasets.hpp"
 #include "pgf/workload/query_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     pgf::Cli cli(argc, argv);
     if (!cli.check_flags({"disks", "points"})) return 2;
-    const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 8));
-    const auto points = static_cast<std::size_t>(cli.get_int("points", 10000));
+    const auto disks = cli.get_int<std::uint32_t>("disks", 8);
+    const auto points = cli.get_int<std::size_t>("points", 10000);
 
     // 1. A skewed synthetic dataset: uniform background + central hot spot.
     pgf::Rng rng(7);
@@ -68,4 +68,7 @@ int main(int argc, char** argv) {
                   << pgf::format_double(stats.optimal) << ")\n";
     }
     return 0;
+} catch (const pgf::UsageError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
 }

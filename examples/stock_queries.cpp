@@ -16,14 +16,12 @@
 #include "pgf/workload/datasets.hpp"
 #include "pgf/workload/query_gen.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
     pgf::Cli cli(argc, argv);
     if (!cli.check_flags({"disks", "records", "queries"})) return 2;
-    const auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 16));
-    const auto records =
-        static_cast<std::size_t>(cli.get_int("records", 60000));
-    const auto n_queries =
-        static_cast<std::size_t>(cli.get_int("queries", 400));
+    const auto disks = cli.get_int<std::uint32_t>("disks", 16);
+    const auto records = cli.get_int<std::size_t>("records", 60000);
+    const auto n_queries = cli.get_int<std::size_t>("queries", 400);
 
     pgf::Rng rng(5);
     pgf::Dataset<3> ds = pgf::make_stock3d(rng, records);
@@ -61,4 +59,7 @@ int main(int argc, char** argv) {
               << " queries of the max buckets fetched from any one of "
               << disks << " disks)\n";
     return 0;
+} catch (const pgf::UsageError& e) {
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
 }

@@ -14,7 +14,8 @@
 #   6. an out-of-core streamed build (buildx: external Hilbert sort +
 #      pool-bounded bulk load of ${PGF_SMOKE_POINTS:-1000000} points)
 #      passes the same deep audit as an in-memory-sized build,
-#   7. a single flipped byte mid-file trips the page checksum (exit != 0),
+#   7. a single flipped byte mid-file is reported as a page checksum
+#      finding (exit 1), not thrown from a page read,
 #   8. a crash-injected durable build (buildx --wal --crash-after-writes)
 #      exits 9 and `pgfcli recover` replays the committed WAL prefix into
 #      a deep-audit-clean file — twice, since replay must be idempotent —
@@ -23,7 +24,9 @@
 #      names the path,
 #  10. `info` and `query` on a journaled buildx --wal output leave the
 #      file's bytes unchanged,
-#  11. every subcommand rejects an unknown flag with exit 2, naming it.
+#  11. every subcommand rejects an unknown flag with exit 2, naming it,
+#  12. a malformed flag value (not a whole, in-range number, or an unknown
+#      bool word) exits 2 naming the flag.
 set -u
 
 PGFCLI="${1:?usage: validate_smoke.sh <path-to-pgfcli>}"
@@ -106,9 +109,10 @@ cp "${WORK}/data.pgf" "${WORK}/bitrot.pgf"
 size=$(wc -c < "${WORK}/bitrot.pgf")
 printf '\xff' | dd of="${WORK}/bitrot.pgf" bs=1 seek="$((size / 2 + 3))" \
     conv=notrunc status=none || fail "could not flip a byte"
-if "${PGFCLI}" validate --file "${WORK}/bitrot.pgf" > /dev/null 2>&1; then
-    fail "bit-rotted grid file validated"
-fi
+"${PGFCLI}" validate --file "${WORK}/bitrot.pgf" > "${WORK}/bitrot.out" 2>&1
+[ $? -eq 1 ] || fail "bit-rotted grid file did not exit 1"
+grep -q 'paged.page.checksum' "${WORK}/bitrot.out" \
+    || fail "the flipped byte was not reported as a checksum finding"
 
 # 8. Crash-injected durable build, then recovery. The injected crash
 #    (exit 9) leaves a torn data file + WAL; recover must replay the
@@ -163,5 +167,21 @@ for cmd in gen build buildx recover info query decluster partition \
     grep -q -- '--no-such-flag' "${WORK}/flag.out" \
         || fail "${cmd} did not name the unknown flag"
 done
+
+# 12. A malformed value is a usage error too, naming its flag.
+bad_value() {  # <flag> <pgfcli arguments...>
+    local flag="$1"
+    shift
+    "${PGFCLI}" "$@" > "${WORK}/value.out" 2>&1
+    [ $? -eq 2 ] || fail "'$*' did not exit 2"
+    grep -q -- "--${flag}: " "${WORK}/value.out" \
+        || fail "'$*' did not name --${flag}"
+}
+for points in abc 12x -5; do
+    bad_value points gen --dataset uniform2d --points "${points}" \
+        --out "${WORK}/bad.csv"
+done
+bad_value print query --file "${WORK}/data.pgf" --lo "0,0" --hi "1,1" \
+    --print maybe
 
 echo "validate_smoke: OK"

@@ -16,12 +16,14 @@
 // The audit is generic over the BucketStore backend: it reads records
 // through GridFileCore's bucket_records()/bucket_cells() accessors, so the
 // same checks run against an in-memory GridFile or a disk-backed
-// PagedGridFile (whose record reads go through the buffer pool — the deep
-// level therefore also exercises every page decode). Paged-only page-level
-// checks live in paged_audit.hpp.
+// PagedGridFile. The paged audit (paged_audit.hpp) runs the structural
+// part here and feeds the per-record check the records it decoded from
+// its own single read of each page, so a corrupt page is reported there
+// instead of thrown from a pool read here.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -30,13 +32,12 @@
 
 namespace pgf::analysis {
 
+/// Every check of audit_grid_file but the deep per-record walk, into `r`.
+/// Returns whether that walk may run: the level is deep and every bucket
+/// cell box is well formed.
 template <std::size_t D, typename Store>
-ValidationReport audit_grid_file(const GridFileCore<D, Store>& gf,
-                                 ValidationLevel level) {
-    ValidationReport r("gridfile", level);
-    detail::CheckReportScope scope(
-        [&r] { return "audit context:\n" + r.summary(); });
-
+bool audit_grid_structure(const GridFileCore<D, Store>& gf,
+                          ValidationLevel level, ValidationReport& r) {
     // -- scales ------------------------------------------------------------
     for (std::size_t i = 0; i < D; ++i) {
         const LinearScale& scale = gf.scale(i);
@@ -109,7 +110,7 @@ ValidationReport audit_grid_file(const GridFileCore<D, Store>& gf,
                               std::to_string(gf.record_count());
                    });
 
-    if (level < ValidationLevel::kStandard || !boxes_ok) return r;
+    if (level < ValidationLevel::kStandard || !boxes_ok) return false;
 
     // -- directory <-> bucket agreement (O(cells)) -------------------------
     CellBox<D> all;
@@ -153,25 +154,38 @@ ValidationReport audit_grid_file(const GridFileCore<D, Store>& gf,
                       });
     }
 
-    if (level < ValidationLevel::kDeep) return r;
+    return level >= ValidationLevel::kDeep;
+}
 
-    // -- per-record placement (O(records · D)) -----------------------------
+/// The deep check of bucket `b` (O(records · D)): each of its `records`
+/// lies in the region the directory assigns to `b`.
+template <std::size_t D, typename Store>
+void audit_record_placement(const GridFileCore<D, Store>& gf,
+                            std::uint32_t b,
+                            std::span<const GridRecord<D>> records,
+                            ValidationReport& r) {
+    const CellBox<D>& cells = gf.bucket_cells(b);
+    for (std::size_t k = 0; k < records.size(); ++k) {
+        const auto cell = gf.locate_cell(records[k].point);
+        r.require_lazy(cells.contains(cell), "gridfile.record.misplaced", [&] {
+            std::ostringstream os;
+            os << "bucket " << b << " record " << k << " (id "
+               << records[k].id << ") at " << records[k].point
+               << " belongs to a different bucket's region";
+            return os.str();
+        });
+    }
+}
+
+template <std::size_t D, typename Store>
+ValidationReport audit_grid_file(const GridFileCore<D, Store>& gf,
+                                 ValidationLevel level) {
+    ValidationReport r("gridfile", level);
+    detail::CheckReportScope scope(
+        [&r] { return "audit context:\n" + r.summary(); });
+    if (!audit_grid_structure(gf, level, r)) return r;
     for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-        const CellBox<D>& cells = gf.bucket_cells(b);
-        const auto& records = gf.bucket_records(b);
-        for (std::size_t k = 0; k < records.size(); ++k) {
-            const auto cell = gf.locate_cell(records[k].point);
-            r.require_lazy(cells.contains(cell),
-                           "gridfile.record.misplaced", [&] {
-                               std::ostringstream os;
-                               os << "bucket " << b << " record " << k
-                                  << " (id " << records[k].id
-                                  << ") at " << records[k].point
-                                  << " belongs to a different bucket's "
-                                  << "region";
-                               return os.str();
-                           });
-        }
+        audit_record_placement(gf, b, std::span(gf.bucket_records(b)), r);
     }
     return r;
 }

@@ -1,6 +1,6 @@
 // Page-level invariant checks for the disk-backed grid file.
 //
-// audit_paged_grid_file runs the full backend-generic structural audit
+// audit_paged_grid_file runs the backend-generic structural audit
 // (grid_file_audit.hpp) and layers on the checks only a paged backend can
 // violate:
 //   - every bucket owns a distinct page (no aliased storage);
@@ -10,17 +10,27 @@
 //     tiling (the split dynamics guarantee this: a refinement immediately
 //     splits the refined bucket along the new line, and later splits only
 //     add boundaries);
-//   - (standard) each page header's record count agrees with the in-memory
-//     metadata and fits the page capacity;
+//   - (standard) each page verifies its checksum on disk, and its header's
+//     record count agrees with the in-memory metadata and fits the page
+//     capacity;
 //   - (deep) page-record roundtrip: decoding a page and re-encoding the
 //     records reproduces the page's meaningful bytes exactly, so the codec
-//     loses nothing on any stored record.
+//     loses nothing on any stored record; and the generic per-record
+//     placement check, on the same decoded records.
+//
+// Page reads: every page is first probed straight from disk. A page that
+// fails its checksum becomes a `paged.page.checksum` finding and no pool
+// read touches it (the pool would throw). Every other page is fetched
+// through the pool once, and that one copy serves the header, roundtrip
+// and placement checks.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pgf/analysis/grid_file_audit.hpp"
@@ -34,7 +44,9 @@ ValidationReport audit_paged_grid_file(const PagedGridFile<D>& gf,
                                        ValidationLevel level) {
     using Store = PagedBucketStore<D>;
     ValidationReport r("paged-gridfile", level);
-    r.merge(audit_grid_file(gf, level));
+    detail::CheckReportScope scope(
+        [&r] { return "audit context:\n" + r.summary(); });
+    const bool walk_records = audit_grid_structure(gf, level, r);
 
     // -- page ownership (O(buckets)) ---------------------------------------
     std::vector<std::uint64_t> pages;
@@ -84,48 +96,42 @@ ValidationReport audit_paged_grid_file(const PagedGridFile<D>& gf,
 
     if (level < ValidationLevel::kStandard) return r;
 
-    // -- durability headers straight from disk (O(buckets) raw reads) ------
+    // -- per page: the disk probe, then one pool read (O(buckets) reads) ---
     // Checksums must verify even while the pool holds newer dirty copies
     // (the on-disk image is then simply the previous version, which was
     // stamped on its way out too). The LSN obeys WAL-before-data: no data
     // page may ever be ahead of the durable log (and without a log, no
     // page is ever stamped at all). A journaled file opened without its
     // log has no log to compare with, so its LSNs go unchecked.
-    {
-        const bool check_lsn = gf.wal() != nullptr || !gf.journaled();
-        const std::uint64_t durable =
-            gf.wal() != nullptr ? gf.wal()->durable_lsn() : 0;
-        for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
-            const auto probe = gf.probe_bucket_page(b);
-            r.require_lazy(probe.checksum_ok, "paged.page.checksum", [&] {
-                return "bucket " + std::to_string(b) +
-                       " page fails its checksum on disk (torn or corrupt "
-                       "page)";
-            });
-            if (!probe.checksum_ok) continue;
-            r.require_lazy(probe.version == kPageFormatVersion,
-                           "paged.page.version", [&] {
-                               return "bucket " + std::to_string(b) +
-                                      " page carries format version " +
-                                      std::to_string(probe.version);
-                           });
-            if (!check_lsn) continue;
-            r.require_lazy(probe.lsn <= durable, "paged.page.lsn", [&] {
-                return "bucket " + std::to_string(b) + " page LSN " +
-                       std::to_string(probe.lsn) +
-                       " is ahead of the durable log LSN " +
-                       std::to_string(durable) +
-                       " — WAL-before-data ordering was violated";
-            });
-        }
-    }
-
-    // -- page headers vs metadata (O(buckets) page reads) ------------------
+    const bool check_lsn = gf.wal() != nullptr || !gf.journaled();
+    const std::uint64_t durable =
+        gf.wal() != nullptr ? gf.wal()->durable_lsn() : 0;
     std::vector<std::byte> raw;
     std::vector<GridRecord<D>> decoded;
     std::vector<std::byte> reencoded;
     for (std::uint32_t b = 0; b < gf.bucket_count(); ++b) {
         const std::string which = "bucket " + std::to_string(b);
+        const auto probe = gf.probe_bucket_page(b);
+        r.require_lazy(probe.checksum_ok, "paged.page.checksum", [&] {
+            return which +
+                   " page fails its checksum on disk (torn or corrupt page)";
+        });
+        if (!probe.checksum_ok) continue;
+        r.require_lazy(probe.version == kPageFormatVersion,
+                       "paged.page.version", [&] {
+                           return which + " page carries format version " +
+                                  std::to_string(probe.version);
+                       });
+        if (check_lsn) {
+            r.require_lazy(probe.lsn <= durable, "paged.page.lsn", [&] {
+                return which + " page LSN " + std::to_string(probe.lsn) +
+                       " is ahead of the durable log LSN " +
+                       std::to_string(durable) +
+                       " — WAL-before-data ordering was violated";
+            });
+        }
+
+        // -- page header vs metadata --------------------------------------
         gf.read_bucket_page(b, raw);
         const std::uint64_t header = Store::page_record_count(raw);
         const bool header_ok = header == gf.bucket_record_count(b);
@@ -158,6 +164,10 @@ ValidationReport audit_paged_grid_file(const PagedGridFile<D>& gf,
                            return which + " page bytes do not survive a "
                                           "decode/encode roundtrip";
                        });
+        if (walk_records) {
+            audit_record_placement(gf, b, std::span(std::as_const(decoded)),
+                                   r);
+        }
     }
     return r;
 }

@@ -33,7 +33,7 @@
 //   - A PageRef captures its frame's payload span at pin time; readers of
 //     a pinned page touch no shared pool state at all. A frame's bytes are
 //     stable while pinned because eviction skips pin > 0 frames and the
-//     backing vector is only reallocated when a frame is re-grabbed.
+//     backing vector is sized once, on the frame's first use.
 //   - Concurrent access to one page's *bytes* is the caller's problem
 //     (page-level latching lives above this layer); concurrent fetch /
 //     mark_dirty / unpin / allocate on the pool itself are safe.

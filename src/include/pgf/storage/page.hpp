@@ -15,6 +15,16 @@
 // the filesystem extended with zeros (e.g. after a crash between file
 // growth and the first write) reads back as a *valid empty page* rather
 // than a checksum error, and recovery simply overwrites it from the log.
+//
+// Every checksum in pgf — page verify and stamp, WAL records, the catalog
+// — goes through crc32c(). On x86-64 CPUs with SSE4.2 it runs the CRC32
+// instruction over 8-byte words (unaligned loads) and a byte tail; the
+// kernel is compiled with a target attribute, so no build needs
+// -msse4.2. The choice is made once, on the first call, from the CPU's
+// feature bits (a function-local static: safe from any thread and from
+// static initializers). Other CPUs run the portable byte-at-a-time loop
+// over one 256-entry table, which is also the tests' reference. Both
+// give the same value, so no stored byte depends on the kernel.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +43,23 @@ inline constexpr std::uint16_t kPageFormatVersion = 2;
 /// `seed` chains incremental computations: crc32c(b, crc32c(a)) ==
 /// crc32c(a+b).
 std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed = 0);
+
+namespace detail {
+
+/// The portable kernel: one table lookup per byte.
+std::uint32_t crc32c_table(std::span<const std::byte> data,
+                           std::uint32_t seed);
+
+#if defined(__x86_64__)
+/// Whether this CPU has the SSE4.2 CRC32 instruction.
+bool cpu_has_sse42();
+
+/// The SSE4.2 kernel; call it only when cpu_has_sse42().
+std::uint32_t crc32c_sse42(std::span<const std::byte> data,
+                           std::uint32_t seed);
+#endif
+
+}  // namespace detail
 
 /// The stored checksum of a full page image.
 std::uint32_t page_stored_crc(std::span<const std::byte> page);

@@ -115,6 +115,9 @@ private:
 
     void write_superblock();
     std::uint64_t page_offset(std::uint64_t id) const;
+    /// Stamps the version and checksum into scratch_ (a full page image)
+    /// and writes it to page `id`.
+    void write_scratch(std::uint64_t id);
 
     File file_;
     std::size_t page_size_ = 0;

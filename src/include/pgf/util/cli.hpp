@@ -5,17 +5,62 @@
 // Unknown positional arguments are collected in order. Each command names
 // the flags it reads through check_flags(), so a mistyped or retired flag
 // is a usage error instead of being silently ignored.
+//
+// Values are strict: a number must be the whole token and fit the type it
+// is read as (a count read as an unsigned type rejects "-5"), and a bool
+// must be a word get_bool knows. Anything else throws UsageError naming
+// the flag; every binary exits 2 (usage) on it. The PGF_* environment
+// overrides go through the same parse (env_int).
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace pgf {
+
+/// A malformed flag or environment value; what() names it.
+class UsageError : public std::runtime_error {
+public:
+    using std::runtime_error::runtime_error;
+};
+
+/// Parses `token` as a base-10 integer of type T: the whole token, within
+/// T's range. Otherwise throws UsageError naming `what` (a flag or an
+/// environment variable).
+template <std::integral T>
+T parse_int(std::string_view what, std::string_view token) {
+    T value{};
+    const char* end = token.data() + token.size();
+    const auto [stop, error] = std::from_chars(token.data(), end, value);
+    if (error != std::errc{} || stop != end) {
+        throw UsageError(std::string(what) + ": expected an integer in [" +
+                         std::to_string(std::numeric_limits<T>::min()) +
+                         ", " +
+                         std::to_string(std::numeric_limits<T>::max()) +
+                         "], got '" + std::string(token) + "'");
+    }
+    return value;
+}
+
+/// The value of environment variable `var` parsed as parse_int<T> does,
+/// or nullopt when it is unset or empty.
+template <std::integral T>
+std::optional<T> env_int(const char* var) {
+    const char* value = std::getenv(var);
+    if (value == nullptr || *value == '\0') return std::nullopt;
+    return parse_int<T>(var, value);
+}
 
 class Cli {
 public:
@@ -26,9 +71,21 @@ public:
 
     std::string get_string(const std::string& name,
                            const std::string& fallback) const;
-    std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+
+    /// The flag's value as parse_int<T> reads it; `fallback` when the flag
+    /// is absent or has no value.
+    template <std::integral T = std::int64_t>
+    T get_int(const std::string& name, std::type_identity_t<T> fallback) const {
+        const auto v = raw(name);
+        if (!v || v->empty()) return fallback;
+        return parse_int<T>("--" + name, *v);
+    }
+
+    /// The whole token as a finite double; anything else throws UsageError.
     double get_double(const std::string& name, double fallback) const;
-    /// `--name`, `--name=true/1/yes/on` → true; `--name=false/0/no/off` → false.
+
+    /// `--name`, `--name=true/1/yes/on` → true; `--name=false/0/no/off` →
+    /// false; any other word throws UsageError.
     bool get_bool(const std::string& name, bool fallback) const;
 
     /// True when every flag given is one of `known` — the flags the

@@ -59,7 +59,9 @@ BufferPool::PageRef BufferPool::fetch(std::uint64_t id) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t frame = grab_frame();
     Frame& f = frames_[frame];
-    f.data.assign(file_.page_size(), std::byte{0});
+    // Sized on the frame's first use and never again: the read below
+    // overwrites every byte or throws.
+    f.data.resize(file_.page_size());
     try {
         file_.read(id, f.data);
     } catch (...) {

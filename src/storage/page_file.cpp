@@ -81,9 +81,9 @@ void PageFile::write_superblock() {
 }
 
 std::uint64_t PageFile::allocate() {
-    std::uint64_t id = page_count_++;
-    std::vector<std::byte> zero(page_size_, std::byte{0});
-    write(id, zero);
+    const std::uint64_t id = page_count_++;
+    scratch_.assign(page_size_, std::byte{0});
+    write_scratch(id);
     return id;
 }
 
@@ -112,12 +112,16 @@ void PageFile::write(std::uint64_t id, std::span<const std::byte> data) {
     PGF_CHECK(id < page_count_, "PageFile: write past end");
     PGF_CHECK(data.size() == page_size_,
               "PageFile: write buffer size mismatch");
+    scratch_.assign(data.begin(), data.end());
+    write_scratch(id);
+}
+
+void PageFile::write_scratch(std::uint64_t id) {
     if (catalog_offset_ != 0) {
         // The catalog no longer describes the pages: drop it.
         file_.truncate(catalog_offset_);
         catalog_offset_ = 0;
     }
-    scratch_.assign(data.begin(), data.end());
     scratch_[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
     scratch_[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
     scratch_[6] = std::byte{0};  // flags (reserved)
@@ -131,11 +135,12 @@ void PageFile::write_payload(std::uint64_t id,
                              std::uint64_t lsn) {
     PGF_CHECK(payload.size() == payload_size(),
               "PageFile: payload size mismatch");
-    std::vector<std::byte> page(page_size_, std::byte{0});
-    set_page_lsn(page, lsn);
-    std::memcpy(page.data() + kPageHeaderBytes, payload.data(),
+    PGF_CHECK(id < page_count_, "PageFile: write past end");
+    scratch_.assign(page_size_, std::byte{0});
+    set_page_lsn(scratch_, lsn);
+    std::memcpy(scratch_.data() + kPageHeaderBytes, payload.data(),
                 payload.size());
-    write(id, page);
+    write_scratch(id);
 }
 
 void PageFile::ensure_page_count(std::uint64_t n) {

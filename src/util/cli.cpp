@@ -1,7 +1,8 @@
 #include "pgf/util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <iostream>
 
 #include "pgf/util/check.hpp"
@@ -53,16 +54,17 @@ std::string Cli::get_string(const std::string& name,
     return v && !v->empty() ? *v : fallback;
 }
 
-std::int64_t Cli::get_int(const std::string& name, std::int64_t fallback) const {
-    auto v = raw(name);
-    if (!v || v->empty()) return fallback;
-    return std::strtoll(v->c_str(), nullptr, 10);
-}
-
 double Cli::get_double(const std::string& name, double fallback) const {
     auto v = raw(name);
     if (!v || v->empty()) return fallback;
-    return std::strtod(v->c_str(), nullptr);
+    double value = 0.0;
+    const char* end = v->data() + v->size();
+    const auto [stop, error] = std::from_chars(v->data(), end, value);
+    if (error != std::errc{} || stop != end || !std::isfinite(value)) {
+        throw UsageError("--" + name + ": expected a finite number, got '" +
+                         *v + "'");
+    }
+    return value;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
@@ -74,7 +76,9 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
     if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-    return fallback;
+    throw UsageError("--" + name +
+                     ": expected true/false, 1/0, yes/no or on/off, got '" +
+                     *v + "'");
 }
 
 }  // namespace pgf

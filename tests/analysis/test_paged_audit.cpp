@@ -1,13 +1,14 @@
 // Tests for the page-level audit of the disk-backed grid file. The clean
 // cases double as an end-to-end check of the paged backend's bookkeeping;
-// the corruption case stomps a page header through the file's own buffer
-// pool and expects the standard-level checks to flag it.
+// the corruption cases stomp a page header through the file's own buffer
+// pool, or a byte of a page on disk, and expect a finding, not a throw.
 #include "pgf/analysis/paged_audit.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 #include "pgf/util/rng.hpp"
@@ -110,6 +111,51 @@ TEST_F(PagedAuditTest, StandardFlagsCorruptPageHeader) {
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(has_finding(r, "paged.page.header")) << r.summary();
     EXPECT_TRUE(has_finding(r, "paged.page.capacity")) << r.summary();
+}
+
+TEST_F(PagedAuditTest, DeepReportsAPageCorruptOnDiskAsAFinding) {
+    std::uint32_t victim = 0;
+    {
+        auto pf = make();
+        grow(pf, 800, 37);
+        pf.flush();
+        victim = static_cast<std::uint32_t>(pf.bucket_count() / 2);
+        ASSERT_EQ(pf.bucket_page(victim), victim);
+    }
+    {
+        // Flip one byte in the middle of the victim's page: superblock
+        // (24 bytes) + victim pages of 256 bytes + 100.
+        const auto at = 24 + static_cast<std::streamoff>(victim) * 256 + 100;
+        std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+        f.seekg(at);
+        const int byte = f.get();
+        f.seekp(at);
+        f.put(static_cast<char>(byte ^ 0xff));
+    }
+    PagedGridFile<2> pf(PagedGridFile<2>::OpenTag{}, path_.string(), 4);
+    ValidationReport r;
+    ASSERT_NO_THROW(r = audit_paged_grid_file(pf, ValidationLevel::kDeep));
+    ASSERT_EQ(r.findings.size(), 1u) << r.summary();
+    EXPECT_EQ(r.findings[0].invariant, "paged.page.checksum");
+    EXPECT_EQ(r.findings[0].detail.rfind(
+                  "bucket " + std::to_string(victim) + " page", 0),
+              0u)
+        << r.findings[0].detail;
+}
+
+TEST_F(PagedAuditTest, DeepAuditFetchesEachPageOnce) {
+    {
+        auto pf = make();
+        grow(pf, 1500, 41);
+        pf.flush();
+    }
+    // A cold pool far smaller than the file: every page misses, once.
+    PagedGridFile<2> pf(PagedGridFile<2>::OpenTag{}, path_.string(), 4);
+    ASSERT_GT(pf.bucket_count(), 4u);
+    ValidationReport r = audit_paged_grid_file(pf, ValidationLevel::kDeep);
+    EXPECT_TRUE(r.ok()) << r.summary();
+    EXPECT_EQ(pf.pool().stats().misses, pf.bucket_count());
+    EXPECT_EQ(pf.pool().stats().hits, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
-// Page-format primitives: CRC32C vectors, header field round trips, and
-// the zero-page property the recovery design leans on (a page region the
-// filesystem extended with zeros must verify as a valid empty page).
+// Page-format primitives: CRC32C vectors, the hardware kernel against
+// the table loop, header field round trips, and the zero-page property
+// the recovery design leans on (a page region the filesystem extended
+// with zeros must verify as a valid empty page).
 #include "pgf/storage/page.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
+
+#include "pgf/util/rng.hpp"
 
 namespace pgf {
 namespace {
@@ -51,6 +54,48 @@ TEST(Crc32c, SeedChainsIncrementalComputation) {
                                            whole.size() - cut);
         EXPECT_EQ(crc32c(b, crc32c(a)), crc32c(whole)) << "cut " << cut;
     }
+}
+
+/// Checks `kernel` against the table loop on 10^4 random cases: lengths
+/// 0-9000, start offsets 0-15 (so every word alignment is covered), and a
+/// random seed.
+template <typename Kernel>
+void expect_matches_table_loop(Kernel kernel) {
+    Rng rng(20260);
+    std::vector<std::byte> buffer(9000 + 16);
+    for (auto& b : buffer) b = static_cast<std::byte>(rng.next_u32());
+    for (int i = 0; i < 10000; ++i) {
+        const std::size_t offset = rng.below(16);
+        const std::size_t length = rng.below(9001);
+        const std::uint32_t seed = rng.next_u32();
+        const std::span<const std::byte> data(buffer.data() + offset, length);
+        ASSERT_EQ(kernel(data, seed), detail::crc32c_table(data, seed))
+            << "case " << i << ": offset " << offset << ", length "
+            << length << ", seed " << seed;
+    }
+}
+
+TEST(Crc32c, DispatchedKernelMatchesTableLoop) {
+    expect_matches_table_loop(
+        [](std::span<const std::byte> data, std::uint32_t seed) {
+            return crc32c(data, seed);
+        });
+}
+
+TEST(Crc32c, Sse42KernelMatchesTableLoop) {
+#if defined(__x86_64__)
+    if (!detail::cpu_has_sse42()) GTEST_SKIP() << "no SSE4.2 on this CPU";
+    expect_matches_table_loop(detail::crc32c_sse42);
+#else
+    GTEST_SKIP() << "the SSE4.2 kernel is x86-64 only";
+#endif
+}
+
+TEST(Crc32c, TableLoopMatchesPublishedVectors) {
+    // The reference the kernels are checked against is itself checked.
+    const auto digits = bytes_of("123456789");
+    EXPECT_EQ(detail::crc32c_table(digits, 0xFFFFFFFFu) ^ 0xFFFFFFFFu,
+              0xE3069283u);
 }
 
 TEST(PageHeader, FieldRoundTripsAndChecksumDetectsFlips) {

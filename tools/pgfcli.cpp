@@ -129,8 +129,8 @@ int cmd_gen(const Cli& cli) {
                   << "' (expected csv|bin)\n";
         return 2;
     }
-    Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
-    auto n = static_cast<std::size_t>(cli.get_int("points", 0));
+    Rng rng(cli.get_int<std::uint64_t>("seed", 1));
+    auto n = cli.get_int<std::size_t>("points", 0);
     std::vector<std::vector<double>> rows;
     auto emit2 = [&](const Dataset<2>& ds) {
         for (const auto& p : ds.points) rows.push_back({p[0], p[1]});
@@ -220,7 +220,7 @@ int cmd_build(const Cli& cli) {
     }
     auto rows = read_csv_points(input);
     PGF_CHECK(!rows.empty(), "no points in " + input);
-    auto capacity = static_cast<std::size_t>(cli.get_int("capacity", 56));
+    auto capacity = cli.get_int<std::size_t>("capacity", 56);
     switch (rows.front().size()) {
         case 1: return build_impl<1>(rows, out, capacity);
         case 2: return build_impl<2>(rows, out, capacity);
@@ -280,10 +280,8 @@ template <std::size_t D>
 int buildx_impl(const Cli& cli, PointSource<D>& source, const Rect<D>& domain,
                 std::size_t capacity, const std::string& out) {
     extsort::ExtSortConfig cfg;
-    cfg.chunk_records =
-        static_cast<std::size_t>(cli.get_int("chunk-records", 1 << 20));
-    const auto threads =
-        static_cast<unsigned>(cli.get_int("threads", 0));
+    cfg.chunk_records = cli.get_int<std::size_t>("chunk-records", 1 << 20);
+    const auto threads = cli.get_int<unsigned>("threads", 0);
     ThreadPool pool(threads);
     cfg.pool = &pool;
 
@@ -291,12 +289,11 @@ int buildx_impl(const Cli& cli, PointSource<D>& source, const Rect<D>& domain,
 
     typename PagedGridFile<D>::Config pcfg;
     pcfg.page_size = PagedBucketStore<D>::page_size_for(capacity);
-    pcfg.pool_pages =
-        static_cast<std::size_t>(cli.get_int("pool-pages", 1024));
+    pcfg.pool_pages = cli.get_int<std::size_t>("pool-pages", 1024);
     pcfg.wal_path = cli.get_string("wal", "");
     FaultInjector injector;
     const long long crash_after =
-        static_cast<long long>(cli.get_int("crash-after-writes", -1));
+        cli.get_int<long long>("crash-after-writes", -1);
     if (crash_after >= 0) {
         PGF_CHECK(!pcfg.wal_path.empty(),
                   "buildx: --crash-after-writes requires --wal");
@@ -345,7 +342,7 @@ int cmd_buildx(const Cli& cli) {
                   << "datasets: uniform2d hot2d dsmc3d\n";
         return 2;
     }
-    auto capacity = static_cast<std::size_t>(cli.get_int("capacity", 56));
+    auto capacity = cli.get_int<std::size_t>("capacity", 56);
     if (!input.empty()) {
         switch (binary_points_dims(input)) {
             case 2: {
@@ -364,9 +361,8 @@ int cmd_buildx(const Cli& cli) {
                 return 2;
         }
     }
-    Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 1)));
-    const auto n =
-        static_cast<std::uint64_t>(cli.get_int("points", 1000000));
+    Rng rng(cli.get_int<std::uint64_t>("seed", 1));
+    const auto n = cli.get_int<std::uint64_t>("points", 1000000);
     if (dataset == "uniform2d") {
         StreamDataset<2> ds = make_uniform2d_stream(rng, n);
         return buildx_impl<2>(cli, *ds.source, ds.domain, capacity, out);
@@ -399,8 +395,7 @@ int recover_impl(const Cli& cli, const std::string& file,
     }
     typename PagedGridFile<D>::Config cfg;
     cfg.wal_path = wal;
-    cfg.pool_pages =
-        static_cast<std::size_t>(cli.get_int("pool-pages", 128));
+    cfg.pool_pages = cli.get_int<std::size_t>("pool-pages", 128);
     PagedGridFile<D> gf(typename PagedGridFile<D>::RecoverTag{}, file, cfg);
 
     const ReplayStats& st = gf.recovery_stats();
@@ -507,11 +502,11 @@ int decluster_impl(const Cli& cli, const std::string& file) {
                   << "minimax\n";
         return 2;
     }
-    auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 16));
+    auto disks = cli.get_int<std::uint32_t>("disks", 16);
     Declusterer dec(gf.structure());
     DeclusterReport report = dec.run(
         *method, disks,
-        {.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1))});
+        {.seed = cli.get_int<std::uint64_t>("seed", 1)});
     TextTable t({"metric", "value"});
     t.add("method", to_string(*method));
     t.add("disks", disks);
@@ -544,10 +539,10 @@ int partition_impl(const Cli& cli, const std::string& file) {
         std::cerr << "unknown method\n";
         return 2;
     }
-    auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 16));
+    auto disks = cli.get_int<std::uint32_t>("disks", 16);
     Assignment assignment = decluster(
         gf.structure(), *method, disks,
-        {.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1))});
+        {.seed = cli.get_int<std::uint64_t>("seed", 1)});
     PartitionResult result = partition_pages(gf, assignment, out);
 
     TextTable t({"disk", "file", "pages"});
@@ -602,7 +597,7 @@ int validate_impl(const Cli& cli, const std::string& file) {
 
     PagedGridFile<D> gf(
         typename PagedGridFile<D>::OpenTag{}, file,
-        static_cast<std::size_t>(cli.get_int("pool-pages", 128)));
+        cli.get_int<std::size_t>("pool-pages", 128));
     analysis::ValidationReport report =
         analysis::audit_paged_grid_file(gf, level);
     GridStructure gs = gf.structure();
@@ -615,7 +610,7 @@ int validate_impl(const Cli& cli, const std::string& file) {
 
     std::string assignment_csv = cli.get_string("assignment", "");
     if (!assignment_csv.empty()) {
-        auto disks = static_cast<std::uint32_t>(cli.get_int("disks", 0));
+        auto disks = cli.get_int<std::uint32_t>("disks", 0);
         if (disks == 0) {
             std::cerr << "validate --assignment requires --disks <M>\n";
             return 2;
@@ -729,6 +724,9 @@ int main(int argc, char** argv) {
         if (command == "decluster") return cmd_decluster(cli);
         if (command == "partition") return cmd_partition(cli);
         if (command == "validate") return cmd_validate(cli);
+    } catch (const UsageError& e) {
+        std::cerr << "pgfcli: " << e.what() << "\n";
+        return 2;
     } catch (const IoError& e) {
         std::cerr << "I/O error: " << e.what() << "\n";
         return 3;
