@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,11 +108,18 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
     out.stats.wal_records = scan.records;
     out.stats.last_commit_lsn = scan.last_commit_lsn;
 
-    // Logical pass over the committed prefix; page images are collected
-    // (final image per page wins) and applied afterwards.
+    // Logical pass over the committed prefix. Of each page it keeps where
+    // its final image sits in the log, not the image itself, so replay
+    // memory grows with the page count rather than the file size; the
+    // physical pass re-reads only the images the data file lacks.
+    struct LoggedImage {
+        std::uint64_t lsn = 0;
+        std::uint64_t offset = 0;  ///< of the record in the log
+        std::size_t size = 0;      ///< payload bytes
+        std::uint64_t count = 0;   ///< the payload's record count
+    };
     bool saw_genesis = false;
-    std::map<std::uint64_t, std::pair<std::uint64_t, std::vector<std::byte>>>
-        images;  // page -> (lsn, payload)
+    std::map<std::uint64_t, LoggedImage> images;  // page -> final image
     WalReader::Record rec;
     while (reader.next(rec)) {
         if (rec.lsn > scan.last_commit_lsn) {
@@ -198,9 +206,14 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                 PGF_CHECK(rec.body.size() >= 8,
                           "recover: page record has the wrong size");
                 const std::uint64_t page = wal_get_u64(rec.body, off);
-                auto& slot = images[page];
-                slot.first = rec.lsn;
-                slot.second.assign(rec.body.begin() + 8, rec.body.end());
+                const auto payload = std::span(rec.body).subspan(off);
+                LoggedImage& image = images[page];
+                image.lsn = rec.lsn;
+                image.offset = rec.offset;
+                image.size = payload.size();
+                image.count = payload.size() >= Store::kCountBytes
+                                  ? Store::page_record_count(payload)
+                                  : 0;
                 break;
             }
             case WalRecordKind::kCommit:
@@ -218,15 +231,26 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
     for (const auto& [page, image] : images) needed = std::max(needed, page + 1);
     out.file->ensure_page_count(needed);
     std::vector<std::byte> disk(out.page_size);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> stale;  // offset, page
     for (const auto& [page, image] : images) {
-        PGF_CHECK(image.second.size() == out.file->payload_size(),
+        PGF_CHECK(image.size == out.file->payload_size(),
                   "recover: page image has the wrong payload size");
         const bool intact = out.file->try_read(page, disk);
-        if (intact && page_lsn(disk) == image.first) {
+        if (intact && page_lsn(disk) == image.lsn) {
             ++out.stats.pages_skipped;  // already durable at this LSN
             continue;
         }
-        out.file->write_payload(page, image.second, image.first);
+        stale.emplace_back(image.offset, page);
+    }
+    // In log order, so the re-reads move forward through one buffer.
+    std::sort(stale.begin(), stale.end());
+    for (const auto& [offset, page] : stale) {
+        const std::uint64_t lsn = images.at(page).lsn;
+        PGF_CHECK(reader.reread(offset, lsn, rec) &&
+                      rec.kind == WalRecordKind::kPage,
+                  "recover: page image at LSN " + std::to_string(lsn) +
+                      " no longer reads back from " + wal_path);
+        out.file->write_payload(page, std::span(rec.body).subspan(8), lsn);
         ++out.stats.pages_replayed;
     }
     out.file->sync();
@@ -237,7 +261,7 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
         auto it = images.find(meta.page);
         PGF_CHECK(it != images.end(),
                   "recover: committed bucket has no page image");
-        meta.count = Store::page_record_count(it->second.second);
+        meta.count = it->second.count;
         PGF_CHECK(meta.count <= out.bucket_capacity,
                   "recover: page image overflows its bucket");
     }

@@ -139,6 +139,7 @@ public:
         std::uint64_t lsn = 0;
         WalRecordKind kind = WalRecordKind::kCommit;
         std::vector<std::byte> body;
+        std::uint64_t offset = 0;  ///< file offset of the record
     };
 
     struct ScanResult {
@@ -168,6 +169,12 @@ public:
 
     /// Restarts iteration at the first record.
     void rewind();
+
+    /// Reads the record that next() returned at `offset` with LSN `lsn`
+    /// again, checksum included; false when it no longer reads back
+    /// intact. Re-reads in ascending offset order share the reader's
+    /// buffer. Iteration with next() must rewind() afterwards.
+    bool reread(std::uint64_t offset, std::uint64_t lsn, Record& out);
 
 private:
     /// Checks the file header and positions the reader at the first record.

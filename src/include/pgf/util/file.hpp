@@ -186,7 +186,8 @@ public:
     /// File offset of the next byte next() returns.
     std::uint64_t position() const { return file_pos_ - (end_ - begin_); }
 
-    /// Continues reading at `offset`.
+    /// Continues reading at `offset`. A forward seek that stays inside the
+    /// buffered bytes reads nothing from the file.
     void seek(std::uint64_t offset);
 
 private:

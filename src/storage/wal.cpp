@@ -173,7 +173,17 @@ bool WalReader::next(Record& out) {
     return true;
 }
 
+bool WalReader::reread(std::uint64_t offset, std::uint64_t lsn,
+                       Record& out) {
+    PGF_CHECK(lsn > 0 && offset + kEnvelopeBytes <= valid_bytes_,
+              "WAL: reread outside the valid prefix");
+    in_.seek(offset);
+    prev_lsn_ = lsn - 1;
+    return read_record(out);
+}
+
 bool WalReader::read_record(Record& out) {
+    const std::uint64_t offset = in_.position();
     const auto env = in_.next(kEnvelopeBytes);
     if (env.size() != kEnvelopeBytes) return false;
 
@@ -198,6 +208,7 @@ bool WalReader::read_record(Record& out) {
     out.lsn = lsn;
     out.kind = static_cast<WalRecordKind>(kind);
     out.body.assign(body.begin(), body.end());
+    out.offset = offset;
     return true;
 }
 

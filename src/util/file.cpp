@@ -125,6 +125,10 @@ FileReader::FileReader(const std::string& path, std::size_t buffer_bytes)
       buf_(std::max<std::size_t>(buffer_bytes, 1)) {}
 
 void FileReader::seek(std::uint64_t offset) {
+    if (offset >= position() && offset <= file_pos_) {
+        begin_ = end_ - static_cast<std::size_t>(file_pos_ - offset);
+        return;
+    }
     begin_ = 0;
     end_ = 0;
     file_pos_ = offset;

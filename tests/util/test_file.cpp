@@ -190,6 +190,18 @@ TEST_F(FileTest, ReaderStreamsAcrossBufferRefills) {
     const auto tail = in.next(100);
     ASSERT_EQ(tail.size(), 10u);
     EXPECT_EQ(tail[0], bytes[990]);
+
+    // Forward seeks inside the buffered window land on the right bytes.
+    in.seek(100);
+    ASSERT_EQ(in.next(8).size(), 8u);  // buffers [100, 164)
+    for (const std::uint64_t at : {108u, 130u, 160u, 200u}) {
+        in.seek(at);
+        EXPECT_EQ(in.position(), at);
+        const auto part = in.next(4);
+        ASSERT_EQ(part.size(), 4u);
+        EXPECT_EQ(part[0], bytes[at]) << "seek to " << at;
+        EXPECT_EQ(part[3], bytes[at + 3]) << "seek to " << at;
+    }
 }
 
 }  // namespace
