@@ -1,8 +1,8 @@
 // Micro benchmarks (google-benchmark): throughput of the primitives the
-// experiment pipeline leans on — Hilbert mapping, proximity evaluation,
-// grid-file insertion and range queries (allocating and scratch-reusing
-// paths), the page checksum, workload evaluation, and each declustering
-// algorithm.
+// experiment pipeline leans on — Hilbert mapping and the external sort's
+// key and run formation, proximity evaluation, grid-file insertion and
+// range queries (allocating and scratch-reusing paths), the page checksum,
+// workload evaluation, and each declustering algorithm.
 //
 // `--csv-dir <dir>` additionally writes <dir>/BENCH_micro.json
 // (google-benchmark's JSON format; compare runs with tools/bench_diff).
@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "pgf/core/extsort.hpp"
+#include "pgf/core/point_source.hpp"
 #include "pgf/decluster/registry.hpp"
 #include "pgf/decluster/similarity.hpp"
 #include "pgf/decluster/weights.hpp"
@@ -60,6 +62,67 @@ void BM_HilbertIndex4d(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HilbertIndex4d);
+
+/// Uniform points over the unit cube.
+template <std::size_t D>
+std::vector<Point<D>> unit_points(std::size_t n, std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<Point<D>> pts(n);
+    for (Point<D>& p : pts) {
+        for (std::size_t i = 0; i < D; ++i) p[i] = rng.uniform();
+    }
+    return pts;
+}
+
+template <std::size_t D>
+Rect<D> unit_cube() {
+    Rect<D> r;
+    for (std::size_t i = 0; i < D; ++i) r.hi[i] = 1.0;
+    return r;
+}
+
+// The external sort's key: quantize a point to 16 bits per axis, then the
+// compile-time-D Hilbert kernel.
+template <std::size_t D>
+void BM_HilbertKey(benchmark::State& state) {
+    const auto pts = unit_points<D>(1 << 16, 11);
+    const Rect<D> domain = unit_cube<D>();
+    std::size_t k = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            extsort::ExtSorter<D>::hilbert_key(pts[k], domain, 16));
+        k = (k + 1) & (pts.size() - 1);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK_TEMPLATE(BM_HilbertKey, 2);
+BENCHMARK_TEMPLATE(BM_HilbertKey, 3);
+BENCHMARK_TEMPLATE(BM_HilbertKey, 4);
+
+// Run formation of one 2^20-record chunk of 2-d points: key, sort and
+// spill it as one run (the sorter's construction), on Arg lanes.
+void BM_ExtSortRunFormation(benchmark::State& state) {
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    const auto pts = unit_points<2>(1 << 20, 12);
+    // ThreadPool(0) would size itself to the host, so one lane is no pool.
+    const auto pool =
+        lanes > 1 ? std::make_unique<ThreadPool>(lanes - 1) : nullptr;
+    extsort::ExtSortConfig cfg;
+    cfg.chunk_records = pts.size();
+    cfg.pool = pool.get();
+    for (auto _ : state) {
+        VectorPointSource<2> source(pts);
+        extsort::ExtSorter<2> sorter(source, unit_cube<2>(), cfg);
+        benchmark::DoNotOptimize(sorter.stats().spill_bytes);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(pts.size()));
+}
+BENCHMARK(BM_ExtSortRunFormation)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_ProximityIndex(benchmark::State& state) {
     Rng rng(2);

@@ -25,8 +25,9 @@
 #  10. `info` and `query` on a journaled buildx --wal output leave the
 #      file's bytes unchanged,
 #  11. every subcommand rejects an unknown flag with exit 2, naming it,
-#  12. a malformed flag value (not a whole, in-range number, or an unknown
-#      bool word) exits 2 naming the flag.
+#  12. a malformed flag value (not a whole, in-range number, an unknown
+#      bool word, or no value at all) and a repeated flag exit 2 naming
+#      the flag.
 set -u
 
 PGFCLI="${1:?usage: validate_smoke.sh <path-to-pgfcli>}"
@@ -183,5 +184,12 @@ for points in abc 12x -5; do
 done
 bad_value print query --file "${WORK}/data.pgf" --lo "0,0" --hi "1,1" \
     --print maybe
+bad_value points gen --dataset uniform2d --points --out "${WORK}/bad.csv"
+"${PGFCLI}" gen --dataset uniform2d --points 5 --points 7 \
+    --out "${WORK}/bad.csv" > "${WORK}/value.out" 2>&1
+[ $? -eq 2 ] || fail "a repeated --points did not exit 2"
+grep -q -- "flag --points given twice" "${WORK}/value.out" \
+    || fail "a repeated --points was not named"
+[ ! -e "${WORK}/bad.csv" ] || fail "a rejected gen wrote its output"
 
 echo "validate_smoke: OK"

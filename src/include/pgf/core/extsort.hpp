@@ -12,12 +12,13 @@
 //
 // Classic three-phase pipeline, streamed end to end:
 //
-//   1. Run formation — read fixed-size chunks of `chunk_records` points,
-//      tag each with its Hilbert key (pgf/sfc/hilbert.hpp over a
-//      2^bits-per-axis quantization of the domain), sort chunks in
-//      parallel on the ThreadPool, and spill each as one sorted run file.
-//      Chunk boundaries depend only on chunk_records — never on thread
-//      count or scheduling — so the run set is bit-deterministic.
+//   1. Run formation — one fixed-size chunk of `chunk_records` points at
+//      a time: tag each with its Hilbert key (pgf/sfc/hilbert.hpp over a
+//      2^bits-per-axis quantization of the domain) on every ThreadPool
+//      lane, radix-sort the chunk by key (a stable LSD sort, one slice per
+//      lane), and spill it as one sorted run file. Chunk boundaries depend
+//      only on chunk_records, and a stable sort has one output, so the run
+//      set is bit-deterministic whatever the thread count or scheduling.
 //   2. Merge reduction — while more than max_fan_in runs exist, k-way
 //      merge batches of max_fan_in runs into longer runs (loser tree,
 //      bounded per-run read buffers), deleting inputs as they are
@@ -27,10 +28,12 @@
 //      consumes the sorted sequence without it ever being materialized.
 //
 // Duplicate keys stay in input order: every record carries its global
-// sequence number and the sort/merge order is (key, seq), a total order.
-// Peak memory = lanes * chunk_records records (run formation) or
-// fan_in * merge_buffer_records records (merge), whichever phase is
-// running — both independent of N.
+// sequence number and the sort/merge order is (key, seq), a total order
+// (a chunk is filled in seq order, so its stable sort by key is already
+// (key, seq) order). Peak memory = 2 * chunk_records records (the chunk
+// and the radix sort's ping-pong buffer, whatever the lane count) during
+// run formation, or fan_in * merge_buffer_records records during merges
+// — both independent of N.
 #pragma once
 
 #include <algorithm>
@@ -66,8 +69,9 @@ struct ExtSortConfig {
     std::size_t merge_buffer_records = 1 << 14;
     /// Maximum runs merged at once; more runs force reduction passes.
     std::size_t max_fan_in = 64;
-    /// Pool for parallel chunk sorting (null = serial). The sorter never
-    /// submits nested work, so a shared pool is fine.
+    /// Pool that keys and sorts each chunk on all its lanes (null =
+    /// serial). The sorter never submits nested work, so a shared pool is
+    /// fine.
     ThreadPool* pool = nullptr;
     /// Where run files spill; empty = a private RAII temp directory.
     std::filesystem::path temp_dir;
@@ -181,6 +185,8 @@ public:
             cfg_.hilbert_bits =
                 std::min<unsigned>(16, sfc::kMaxIndexBits / D);
         }
+        PGF_CHECK(cfg_.hilbert_bits <= 32,
+                  "extsort: hilbert_bits must be in [1, 32]");
         PGF_CHECK(D * cfg_.hilbert_bits <= sfc::kMaxIndexBits,
                   "extsort: D * hilbert_bits must fit in a 64-bit key");
         if (cfg_.temp_dir.empty()) {
@@ -231,23 +237,23 @@ public:
 
     /// Quantizes `p` onto the 2^bits-per-axis grid over `domain` (clamping
     /// out-of-domain coordinates, mirroring the scales' locate semantics)
-    /// and returns its Hilbert index.
+    /// and returns its Hilbert index. `bits` must satisfy what the
+    /// constructor checks: 1 <= bits <= 32 and D * bits <= 64.
     static std::uint64_t hilbert_key(const Point<D>& p, const Rect<D>& domain,
                                      unsigned bits) {
-        std::array<std::uint32_t, D> coords;
+        std::array<std::uint32_t, D> cell;
         const double cells = static_cast<double>(std::uint64_t{1} << bits);
+        const auto last =
+            static_cast<std::int64_t>((std::uint64_t{1} << bits) - 1);
         for (std::size_t i = 0; i < D; ++i) {
             const double extent = domain.hi[i] - domain.lo[i];
             double t = extent > 0.0 ? (p[i] - domain.lo[i]) / extent : 0.0;
             if (t < 0.0) t = 0.0;
             auto c = static_cast<std::int64_t>(t * cells);
-            const auto last = static_cast<std::int64_t>(
-                (std::uint64_t{1} << bits) - 1);
             if (c > last) c = last;
-            coords[i] = static_cast<std::uint32_t>(c);
+            cell[i] = static_cast<std::uint32_t>(c);
         }
-        return sfc::hilbert_index_destructive(
-            std::span<std::uint32_t>(coords.data(), D), bits);
+        return sfc::hilbert_index_unchecked<D>(cell, bits);
     }
 
 private:
@@ -257,55 +263,104 @@ private:
         Point<D> point;
     };
 
-    /// Phase 1: fixed-boundary chunks, parallel key+sort, sequential run
-    /// spill. `lanes` chunks are in memory at once.
+    /// Records per block when a run is encoded for its file.
+    static constexpr std::size_t kSpillBlock = 4096;
+    /// Widest radix digit; a key of D * hilbert_bits bits is split into
+    /// the fewest digits of at most this width, all of one width.
+    static constexpr unsigned kMaxDigitBits = 11;
+
+    /// Phase 1: one fixed-boundary chunk at a time is filled in seq order,
+    /// keyed and sorted on every lane, and spilled as a run. The chunk and
+    /// the radix sort's ping-pong buffer are the only record buffers.
     void form_runs(PointSource<D>& input, const Rect<D>& domain) {
-        const std::size_t lanes = cfg_.pool ? cfg_.pool->parallelism() : 1;
-        std::vector<std::vector<Keyed>> chunks(lanes);
-        std::vector<std::byte> encode_buf;
+        std::vector<Keyed> chunk;
+        std::vector<Keyed> scratch;
+        chunk.reserve(cfg_.chunk_records);
         std::uint64_t seq = 0;
-        bool exhausted = false;
-        while (!exhausted) {
-            // Fill up to `lanes` chunks sequentially from the source; the
-            // chunk a record lands in depends only on its position.
-            std::size_t used = 0;
-            for (; used < lanes && !exhausted; ++used) {
-                std::vector<Keyed>& chunk = chunks[used];
-                chunk.clear();
-                chunk.reserve(cfg_.chunk_records);
-                if (!fill_chunk(input, chunk, seq)) exhausted = true;
-                if (chunk.empty()) break;
-                seq += chunk.size();
-            }
-            const std::size_t ready =
-                used > 0 && chunks[used - 1].empty() ? used - 1 : used;
-            if (ready == 0) break;
-            // Key + sort each chunk independently; the writes below are
-            // sequential in chunk order, so scheduling never shows.
-            auto sort_one = [&](std::size_t c) {
-                for (Keyed& r : chunks[c]) {
-                    r.key = hilbert_key(r.point, domain, cfg_.hilbert_bits);
-                }
-                std::sort(chunks[c].begin(), chunks[c].end(),
-                          [](const Keyed& a, const Keyed& b) {
-                              return a.key != b.key ? a.key < b.key
-                                                    : a.seq < b.seq;
-                          });
-            };
-            if (cfg_.pool != nullptr && ready > 1) {
-                cfg_.pool->parallel_for_chunk(
-                    ready, 1,
-                    [&](std::size_t begin, std::size_t end) {
-                        for (std::size_t c = begin; c < end; ++c) sort_one(c);
-                    });
-            } else {
-                for (std::size_t c = 0; c < ready; ++c) sort_one(c);
-            }
-            for (std::size_t c = 0; c < ready; ++c) {
-                spill_run(chunks[c], encode_buf);
-            }
+        bool more = true;
+        while (more) {
+            chunk.clear();
+            more = fill_chunk(input, chunk, seq);
+            if (chunk.empty()) break;
+            seq += chunk.size();
+            key_and_sort(chunk, scratch, domain);
+            spill_run(chunk);
         }
         stats_.records = seq;
+    }
+
+    /// Keys every record of `chunk`, then sorts it stably by key with an
+    /// LSD radix sort through `scratch`. Each lane owns one contiguous
+    /// slice of the chunk; every pass counts digits per slice and places
+    /// records at offsets taken in (digit, slice) order, so the result is
+    /// the one stable order whatever the lane count.
+    void key_and_sort(std::vector<Keyed>& chunk, std::vector<Keyed>& scratch,
+                      const Rect<D>& domain) {
+        const std::size_t n = chunk.size();
+        const std::size_t lanes =
+            cfg_.pool != nullptr ? cfg_.pool->parallelism() : 1;
+        // Runs body(lane, begin, end) over each lane's slice.
+        const auto on_lanes = [&](const auto& body) {
+            if (lanes == 1) {
+                body(0, 0, n);
+                return;
+            }
+            cfg_.pool->parallel_for_chunk(
+                lanes, 1, [&](std::size_t first, std::size_t last) {
+                    for (std::size_t lane = first; lane < last; ++lane) {
+                        body(lane, n * lane / lanes, n * (lane + 1) / lanes);
+                    }
+                });
+        };
+        on_lanes([&](std::size_t, std::size_t begin, std::size_t end) {
+            for (std::size_t k = begin; k < end; ++k) {
+                chunk[k].key =
+                    hilbert_key(chunk[k].point, domain, cfg_.hilbert_bits);
+            }
+        });
+
+        const unsigned key_bits =
+            static_cast<unsigned>(D) * cfg_.hilbert_bits;
+        const unsigned passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+        const unsigned digit_bits = (key_bits + passes - 1) / passes;
+        const std::size_t radix = std::size_t{1} << digit_bits;
+        // offsets[lane * radix + d]: the slice's count of digit d, then
+        // (after the prefix sum) where its next record of digit d goes.
+        std::vector<std::size_t> offsets(lanes * radix);
+        scratch.resize(n);
+        Keyed* src = chunk.data();
+        Keyed* dst = scratch.data();
+        for (unsigned shift = 0; shift < key_bits; shift += digit_bits) {
+            const auto digit = [&](const Keyed& r) {
+                return static_cast<std::size_t>(r.key >> shift) & (radix - 1);
+            };
+            on_lanes([&](std::size_t lane, std::size_t begin,
+                         std::size_t end) {
+                std::size_t* count = offsets.data() + lane * radix;
+                std::fill_n(count, radix, std::size_t{0});
+                for (std::size_t k = begin; k < end; ++k) {
+                    ++count[digit(src[k])];
+                }
+            });
+            std::size_t next = 0;
+            for (std::size_t d = 0; d < radix; ++d) {
+                for (std::size_t lane = 0; lane < lanes; ++lane) {
+                    std::size_t& slot = offsets[lane * radix + d];
+                    const std::size_t count = slot;
+                    slot = next;
+                    next += count;
+                }
+            }
+            on_lanes([&](std::size_t lane, std::size_t begin,
+                         std::size_t end) {
+                std::size_t* offset = offsets.data() + lane * radix;
+                for (std::size_t k = begin; k < end; ++k) {
+                    dst[offset[digit(src[k])]++] = src[k];
+                }
+            });
+            std::swap(src, dst);
+        }
+        if (src != chunk.data()) chunk.swap(scratch);
     }
 
     /// Reads up to chunk_records points into `chunk` (tagging sequence
@@ -327,22 +382,30 @@ private:
         return true;
     }
 
-    void spill_run(const std::vector<Keyed>& chunk,
-                   std::vector<std::byte>& encode_buf) {
+    /// Writes `chunk` as the next run file, encoded kSpillBlock records at
+    /// a time.
+    void spill_run(const std::vector<Keyed>& chunk) {
         const auto name = "run-" + std::to_string(runs_.size()) + ".bin";
         const std::filesystem::path path = dir_ / name;
         detail::RunWriter writer(path, kRecordBytes,
                                  cfg_.merge_buffer_records);
-        encode_buf.resize(kRecordBytes);
-        for (const Keyed& r : chunk) {
-            std::byte* p = encode_buf.data();
-            store_le<std::uint64_t>(p, r.key);
-            store_le<std::uint64_t>(p + 8, r.seq);
-            for (std::size_t i = 0; i < D; ++i) {
-                store_le<std::uint64_t>(p + (2 + i) * 8,
-                                    std::bit_cast<std::uint64_t>(r.point[i]));
+        std::vector<std::byte> block(kSpillBlock * kRecordBytes);
+        for (std::size_t begin = 0; begin < chunk.size();
+             begin += kSpillBlock) {
+            const std::size_t count =
+                std::min(kSpillBlock, chunk.size() - begin);
+            for (std::size_t k = 0; k < count; ++k) {
+                const Keyed& r = chunk[begin + k];
+                std::byte* p = block.data() + k * kRecordBytes;
+                store_le<std::uint64_t>(p, r.key);
+                store_le<std::uint64_t>(p + 8, r.seq);
+                for (std::size_t i = 0; i < D; ++i) {
+                    store_le<std::uint64_t>(
+                        p + (2 + i) * 8,
+                        std::bit_cast<std::uint64_t>(r.point[i]));
+                }
             }
-            writer.append(encode_buf.data(), 1);
+            writer.append(block.data(), count);
         }
         stats_.spill_bytes += writer.finish();
         runs_.push_back(path);

@@ -13,32 +13,6 @@ void validate(unsigned dims, unsigned bits) {
               "hilbert: dims*bits must fit in a 64-bit index");
 }
 
-// Skilling: coordinates -> transpose form of the Hilbert index (in place).
-void axes_to_transpose(std::span<std::uint32_t> x, unsigned bits) {
-    const auto n = x.size();
-    const std::uint32_t m = 1u << (bits - 1);
-    // Inverse undo of the excess rotations/reflections.
-    for (std::uint32_t q = m; q > 1; q >>= 1) {
-        const std::uint32_t p = q - 1;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (x[i] & q) {
-                x[0] ^= p;  // invert low bits of x[0]
-            } else {
-                const std::uint32_t t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;  // exchange low bits of x[0] and x[i]
-                x[i] ^= t;
-            }
-        }
-    }
-    // Gray encode.
-    for (std::size_t i = 1; i < n; ++i) x[i] ^= x[i - 1];
-    std::uint32_t t = 0;
-    for (std::uint32_t q = m; q > 1; q >>= 1) {
-        if (x[n - 1] & q) t ^= q - 1;
-    }
-    for (std::size_t i = 0; i < n; ++i) x[i] ^= t;
-}
-
 // Skilling: transpose form -> coordinates (in place).
 void transpose_to_axes(std::span<std::uint32_t> x, unsigned bits) {
     const auto n = x.size();
@@ -62,19 +36,8 @@ void transpose_to_axes(std::span<std::uint32_t> x, unsigned bits) {
     }
 }
 
-// Packs the transpose form into a single 64-bit index, most significant bit
-// plane first; within a plane, x[0] contributes the most significant bit.
-std::uint64_t pack_transpose(std::span<const std::uint32_t> x, unsigned bits) {
-    std::uint64_t index = 0;
-    for (unsigned q = bits; q-- > 0;) {
-        for (std::size_t i = 0; i < x.size(); ++i) {
-            index = (index << 1) | ((x[i] >> q) & 1u);
-        }
-    }
-    return index;
-}
-
-// Inverse of pack_transpose.
+// Splits a packed index into its transpose form (the inverse of
+// hilbert_transform's packing step).
 std::vector<std::uint32_t> unpack_transpose(std::uint64_t index, unsigned dims,
                                             unsigned bits) {
     std::vector<std::uint32_t> x(dims, 0);
@@ -94,25 +57,14 @@ std::uint64_t hilbert_index(std::span<const std::uint32_t> coords,
                             unsigned bits) {
     const auto dims = static_cast<unsigned>(coords.size());
     validate(dims, bits);
-    std::vector<std::uint32_t> x(coords.begin(), coords.end());
-    for (std::uint32_t c : x) {
-        PGF_CHECK(bits == 32 || c < (1u << bits),
+    std::array<std::uint32_t, kMaxIndexBits> x;
+    for (unsigned i = 0; i < dims; ++i) {
+        PGF_CHECK(bits == 32 || coords[i] < (1u << bits),
                   "hilbert: coordinate exceeds the 2^bits cube");
+        x[i] = coords[i];
     }
-    axes_to_transpose(x, bits);
-    return pack_transpose(x, bits);
-}
-
-std::uint64_t hilbert_index_destructive(std::span<std::uint32_t> coords,
-                                        unsigned bits) {
-    const auto dims = static_cast<unsigned>(coords.size());
-    validate(dims, bits);
-    for (std::uint32_t c : coords) {
-        PGF_CHECK(bits == 32 || c < (1u << bits),
-                  "hilbert: coordinate exceeds the 2^bits cube");
-    }
-    axes_to_transpose(coords, bits);
-    return pack_transpose(coords, bits);
+    return detail::hilbert_transform(std::span<std::uint32_t>(x.data(), dims),
+                                     bits);
 }
 
 std::vector<std::uint32_t> hilbert_coords(std::uint64_t index, unsigned dims,

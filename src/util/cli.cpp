@@ -20,12 +20,16 @@ Cli::Cli(int argc, const char* const* argv) {
         }
         std::string body = arg.substr(2);
         auto eq = body.find('=');
+        std::string name = body.substr(0, eq);
+        std::string value;
         if (eq != std::string::npos) {
-            flags_[body.substr(0, eq)] = body.substr(eq + 1);
+            value = body.substr(eq + 1);
         } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-            flags_[body] = argv[++i];
-        } else {
-            flags_[body] = "";
+            value = argv[++i];
+        }
+        if (!flags_.emplace(name, std::move(value)).second &&
+            repeated_.empty()) {
+            repeated_ = std::move(name);
         }
     }
 }
@@ -39,46 +43,53 @@ bool Cli::check_flags(std::initializer_list<std::string_view> known) const {
             return false;
         }
     }
+    if (!repeated_.empty()) {
+        std::cerr << program_ << ": flag --" << repeated_ << " given twice\n";
+        return false;
+    }
     return true;
 }
 
-std::optional<std::string> Cli::raw(const std::string& name) const {
+std::optional<std::string> Cli::value(const std::string& name) const {
     auto it = flags_.find(name);
     if (it == flags_.end()) return std::nullopt;
+    if (it->second.empty()) {
+        throw UsageError("--" + name + ": expected a value");
+    }
     return it->second;
 }
 
 std::string Cli::get_string(const std::string& name,
                             const std::string& fallback) const {
-    auto v = raw(name);
-    return v && !v->empty() ? *v : fallback;
+    return value(name).value_or(fallback);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
-    auto v = raw(name);
-    if (!v || v->empty()) return fallback;
-    double value = 0.0;
+    auto v = value(name);
+    if (!v) return fallback;
+    double parsed = 0.0;
     const char* end = v->data() + v->size();
-    const auto [stop, error] = std::from_chars(v->data(), end, value);
-    if (error != std::errc{} || stop != end || !std::isfinite(value)) {
+    const auto [stop, error] = std::from_chars(v->data(), end, parsed);
+    if (error != std::errc{} || stop != end || !std::isfinite(parsed)) {
         throw UsageError("--" + name + ": expected a finite number, got '" +
                          *v + "'");
     }
-    return value;
+    return parsed;
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {
-    auto v = raw(name);
-    if (!v) return fallback;
-    if (v->empty()) return true;  // bare --flag
-    std::string s = *v;
+    auto it = flags_.find(name);
+    if (it == flags_.end()) return fallback;
+    const std::string& v = it->second;
+    if (v.empty()) return true;  // bare --flag
+    std::string s = v;
     std::transform(s.begin(), s.end(), s.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
     if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
     if (s == "0" || s == "false" || s == "no" || s == "off") return false;
     throw UsageError("--" + name +
                      ": expected true/false, 1/0, yes/no or on/off, got '" +
-                     *v + "'");
+                     v + "'");
 }
 
 }  // namespace pgf

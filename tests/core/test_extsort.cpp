@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "pgf/core/point_source.hpp"
+#include "pgf/util/check.hpp"
 #include "pgf/util/rng.hpp"
 #include "pgf/util/temp_dir.hpp"
 #include "pgf/util/thread_pool.hpp"
@@ -58,8 +59,9 @@ std::vector<Point<D>> drain(PointSource<D>& source, std::size_t block = 173) {
 
 /// Reference: stable std::sort of (key, position) — what any correct
 /// external sort must produce.
-std::vector<Point<2>> reference_sorted(const std::vector<Point<2>>& pts,
-                                       unsigned bits) {
+template <std::size_t D>
+std::vector<Point<D>> reference_sorted(const std::vector<Point<D>>& pts,
+                                       const Rect<D>& domain, unsigned bits) {
     struct Keyed {
         std::uint64_t key;
         std::size_t pos;
@@ -67,16 +69,20 @@ std::vector<Point<2>> reference_sorted(const std::vector<Point<2>>& pts,
     std::vector<Keyed> keyed;
     keyed.reserve(pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
-        keyed.push_back(
-            {ExtSorter<2>::hilbert_key(pts[i], domain2(), bits), i});
+        keyed.push_back({ExtSorter<D>::hilbert_key(pts[i], domain, bits), i});
     }
     std::sort(keyed.begin(), keyed.end(), [](const Keyed& a, const Keyed& b) {
         return a.key != b.key ? a.key < b.key : a.pos < b.pos;
     });
-    std::vector<Point<2>> out;
+    std::vector<Point<D>> out;
     out.reserve(pts.size());
     for (const Keyed& k : keyed) out.push_back(pts[k.pos]);
     return out;
+}
+
+std::vector<Point<2>> reference_sorted(const std::vector<Point<2>>& pts,
+                                       unsigned bits) {
+    return reference_sorted<2>(pts, domain2(), bits);
 }
 
 TEST(ExtSorter, MatchesStdSortReferenceSingleRun) {
@@ -202,6 +208,51 @@ TEST(ExtSorter, OutputIsSortedByHilbertKey3d) {
         EXPECT_GE(key, prev) << "output not in Hilbert order at " << i;
         prev = key;
     }
+}
+
+TEST(ExtSorter, SixtyFourBitKeysMatchReferenceOnEveryPoolSize) {
+    // D = 4 at the default 16 bits per axis keys on all 64 bits, so every
+    // radix digit matters. Runs of duplicates (each copy shares one key)
+    // are laid across the ragged chunk boundaries.
+    Rng rng(17);
+    const Rect<4> domain{{{0.0, 0.0, 0.0, 0.0}}, {{1.0, 1.0, 1.0, 1.0}}};
+    std::vector<Point<4>> pts;
+    for (std::size_t i = 0; i < 6000; ++i) {
+        const Point<4> p{{rng.uniform(), rng.uniform(), rng.uniform(),
+                          rng.uniform()}};
+        const std::size_t copies = i % 97 == 0 ? 40 : 1;
+        for (std::size_t c = 0; c < copies; ++c) pts.push_back(p);
+    }
+    pts.push_back(domain.lo);
+    pts.push_back(Point<4>{{1.0, 1.0, 1.0, 1.0}});  // clamps to the last cell
+    for (unsigned threads : {1u, 3u, 7u}) {
+        ThreadPool pool(threads);
+        for (std::size_t chunk : {std::size_t{1} << 20, std::size_t{1000}}) {
+            ExtSortConfig cfg;
+            cfg.chunk_records = chunk;
+            cfg.pool = &pool;
+            VectorPointSource<4> source(pts);
+            ExtSorter<4> sorter(source, domain, cfg);
+            ASSERT_EQ(sorter.config().hilbert_bits, 16u);
+            EXPECT_EQ(drain<4>(sorter),
+                      reference_sorted<4>(pts, domain, 16))
+                << "threads=" << threads << " chunk=" << chunk;
+        }
+    }
+}
+
+TEST(ExtSorter, RejectsKeyWidthAtConstruction) {
+    // 33 bits per axis fits a 64-bit key for D = 1 but not the kernel's
+    // 32-bit coordinates; the constructor says so before reading a point.
+    std::vector<Point<1>> none;
+    VectorPointSource<1> source(none);
+    ExtSortConfig cfg;
+    cfg.hilbert_bits = 33;
+    const Rect<1> domain{{{0.0}}, {{1.0}}};
+    EXPECT_THROW(ExtSorter<1>(source, domain, cfg), CheckError);
+    cfg.hilbert_bits = 32;
+    ExtSorter<1> widest(source, domain, cfg);
+    EXPECT_EQ(widest.stats().records, 0u);
 }
 
 TEST(ExtSorter, SpillsIntoCallerProvidedDirectory) {

@@ -2,14 +2,88 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "pgf/util/check.hpp"
+#include "pgf/util/rng.hpp"
 
 namespace pgf::sfc {
 namespace {
+
+/// Reference: Skilling's transform as a branchy loop over a runtime
+/// dimension count, packed one bit at a time — the mapping the kernel
+/// must reproduce bit for bit.
+std::uint64_t reference_index(std::vector<std::uint32_t> x, unsigned bits) {
+    const std::size_t n = x.size();
+    const std::uint32_t m = 1u << (bits - 1);
+    for (std::uint32_t q = m; q > 1; q >>= 1) {
+        const std::uint32_t p = q - 1;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (x[i] & q) {
+                x[0] ^= p;
+            } else {
+                const std::uint32_t t = (x[0] ^ x[i]) & p;
+                x[0] ^= t;
+                x[i] ^= t;
+            }
+        }
+    }
+    for (std::size_t i = 1; i < n; ++i) x[i] ^= x[i - 1];
+    std::uint32_t t = 0;
+    for (std::uint32_t q = m; q > 1; q >>= 1) {
+        if (x[n - 1] & q) t ^= q - 1;
+    }
+    for (std::size_t i = 0; i < n; ++i) x[i] ^= t;
+    std::uint64_t index = 0;
+    for (unsigned q = bits; q-- > 0;) {
+        for (std::size_t i = 0; i < n; ++i) {
+            index = (index << 1) | ((x[i] >> q) & 1u);
+        }
+    }
+    return index;
+}
+
+/// Every cell of every cube with D * bits <= 16: the compile-time kernel
+/// and the checked entry point both invert hilbert_coords.
+template <std::size_t D>
+void expect_kernel_round_trips() {
+    for (unsigned bits = 1; D * bits <= 16 && bits <= 32; ++bits) {
+        const std::uint64_t total = std::uint64_t{1} << (D * bits);
+        for (std::uint64_t h = 0; h < total; ++h) {
+            const std::vector<std::uint32_t> coords =
+                hilbert_coords(h, static_cast<unsigned>(D), bits);
+            std::array<std::uint32_t, D> cell;
+            std::copy(coords.begin(), coords.end(), cell.begin());
+            ASSERT_EQ(hilbert_index_unchecked<D>(cell, bits), h)
+                << "D=" << D << " bits=" << bits;
+            ASSERT_EQ(hilbert_index(coords, bits), h)
+                << "D=" << D << " bits=" << bits;
+        }
+    }
+}
+
+/// 10^5 random cells at `bits`: both entry points equal the reference.
+template <std::size_t D>
+void expect_kernel_matches_reference(unsigned bits, std::uint64_t seed) {
+    Rng rng(seed);
+    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+    for (int k = 0; k < 100000; ++k) {
+        std::array<std::uint32_t, D> cell;
+        for (std::uint32_t& c : cell) {
+            c = static_cast<std::uint32_t>(rng.next_u64() & mask);
+        }
+        const std::vector<std::uint32_t> coords(cell.begin(), cell.end());
+        const std::uint64_t want = reference_index(coords, bits);
+        ASSERT_EQ(hilbert_index_unchecked<D>(cell, bits), want)
+            << "D=" << D << " bits=" << bits << " sample " << k;
+        ASSERT_EQ(hilbert_index(coords, bits), want)
+            << "D=" << D << " bits=" << bits << " sample " << k;
+    }
+}
 
 std::uint64_t index_of(std::initializer_list<std::uint32_t> coords,
                        unsigned bits) {
@@ -101,6 +175,30 @@ INSTANTIATE_TEST_SUITE_P(
         return "d" + std::to_string(std::get<0>(param_info.param)) + "b" +
                std::to_string(std::get<1>(param_info.param));
     });
+
+TEST(HilbertKernel, RoundTripsEveryCellUpTo16IndexBits) {
+    expect_kernel_round_trips<1>();
+    expect_kernel_round_trips<2>();
+    expect_kernel_round_trips<3>();
+    expect_kernel_round_trips<4>();
+    expect_kernel_round_trips<5>();
+}
+
+TEST(HilbertKernel, MatchesReferenceOnRandomCells) {
+    // bits = min(16, 64 / D), the external sort's default quantization.
+    expect_kernel_matches_reference<1>(16, 1);
+    expect_kernel_matches_reference<2>(16, 2);
+    expect_kernel_matches_reference<3>(16, 3);
+    expect_kernel_matches_reference<4>(16, 4);
+    expect_kernel_matches_reference<5>(12, 5);
+}
+
+TEST(HilbertKernel, MatchesReferenceAtTheWidestKeys) {
+    expect_kernel_matches_reference<1>(32, 6);
+    expect_kernel_matches_reference<2>(32, 7);
+    expect_kernel_matches_reference<3>(21, 8);
+    expect_kernel_matches_reference<4>(16, 9);
+}
 
 TEST(Hilbert, RejectsOutOfRangeArguments) {
     std::vector<std::uint32_t> c{0, 0};

@@ -159,9 +159,36 @@ TEST(Cli, CheckFlagsNamesTheUnknownFlag) {
     EXPECT_TRUE(make({"pos"}).check_flags({}));
 }
 
-TEST(Cli, LastValueWinsOnRepeat) {
-    Cli cli = make({"--n=1", "--n=2"});
-    EXPECT_EQ(cli.get_int("n", 0), 2);
+TEST(Cli, RepeatedFlagIsAUsageError) {
+    for (const Cli& cli : {make({"--points", "5", "--points", "7"}),
+                           make({"--points=5", "--seed=1", "--points=5"}),
+                           make({"--print", "--print=false"})}) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(cli.check_flags({"points", "seed", "print"}));
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("prog: flag --"), std::string::npos) << err;
+        EXPECT_NE(err.find(" given twice"), std::string::npos) << err;
+    }
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(make({"--seed=1", "--seed=2"}).check_flags({"seed"}));
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "prog: flag --seed given twice\n");
+}
+
+TEST(Cli, BareValueFlagIsAUsageError) {
+    // `--points --out f`: --points has no value, so reading it as a number
+    // must fail rather than fall back to the default count.
+    const Cli cli = make({"--points", "--out", "f", "--ratio", "--name="});
+    EXPECT_TRUE(cli.check_flags({"points", "out", "ratio", "name"}));
+    EXPECT_EQ(cli.get_string("out", ""), "f");
+    const std::string err = usage_error_of(
+        [&] { return cli.get_int<std::size_t>("points", 10000); });
+    EXPECT_EQ(err, "--points: expected a value");
+    EXPECT_EQ(usage_error_of([&] { return cli.get_double("ratio", 0.1); }),
+              "--ratio: expected a value");
+    EXPECT_EQ(usage_error_of([&] { return cli.get_string("name", "x"); }),
+              "--name: expected a value");
+    EXPECT_TRUE(cli.get_bool("points", false));  // a bare bool stays true
 }
 
 }  // namespace
