@@ -2,12 +2,12 @@
 //
 // The streaming loader (ExtSorter -> bulk_load_stream, pgf/core/extsort.hpp)
 // claims grid files of 10^7-10^8 records build through the paged backend
-// with memory bounded by the buffer pool plus one sort chunk, instead of
-// materializing every point (and the whole file) in RAM. This bench
-// measures that claim end to end: points are *generated* as a stream
-// (never held as a vector), keyed and sorted externally along the Hilbert
-// curve, then bulk-loaded in Hilbert order through the batched paged
-// store, sweeping
+// with memory bounded by the buffer pool plus one sort chunk and its radix
+// buffer, instead of materializing every point (and the whole file) in
+// RAM. This bench measures that claim end to end: points are *generated*
+// as a stream (never held as a vector), keyed and sorted externally along
+// the Hilbert curve, then bulk-loaded in Hilbert order through the batched
+// paged store, sweeping
 //
 //   N            {10^6, 10^7}  (10^8 opt-in via PGF_EXTBUILD_HUGE=1;
 //                               PGF_EXTBUILD_N=<n> overrides the list —
