@@ -3,8 +3,8 @@
 // The streaming loader (ExtSorter -> bulk_load_stream, pgf/core/extsort.hpp)
 // claims grid files of 10^7-10^8 records build through the paged backend
 // with memory bounded by the buffer pool plus one sort chunk and its radix
-// buffer, instead of materializing every point (and the whole file) in
-// RAM. This bench measures that claim end to end: points are *generated*
+// buffer (three merge blocks once the load starts), instead of
+// materializing every point (and the whole file) in RAM. This bench measures that claim end to end: points are *generated*
 // as a stream (never held as a vector), keyed and sorted externally along
 // the Hilbert curve, then bulk-loaded in Hilbert order through the batched
 // paged store, sweeping
@@ -13,8 +13,11 @@
 //                               PGF_EXTBUILD_N=<n> overrides the list —
 //                               the CI smoke lane runs N=10^6 only)
 //   pool pages   {1024, 4096}  (the *entire* build-side page cache)
-//   sort threads {1, 4}        (run-formation parallelism; the output is
-//                               bit-identical across thread counts)
+//   sort threads {1, 4}        (the run-formation pool only; the output
+//                               is bit-identical across thread counts.
+//                               At every count the final merge runs on one
+//                               thread of its own beside the loader, so
+//                               "load ms" is merge and load overlapped)
 //
 // and reporting build rate (records/sec), spill volume, merge fan-in /
 // passes, process peak RSS, and post-build query latency against the
@@ -179,7 +182,8 @@ int run(int argc, char** argv) {
                 pcfg.pool_pages = pool_pages;
                 PagedGridFile<2> pf(unique_backing_path("extbuild." + cell),
                                     ds.domain, pcfg);
-                // Load: streamed merge + bulk_load_stream + flush.
+                // Load: the merge thread streaming into bulk_load_stream,
+                // then flush.
                 t0 = now_ms();
                 const std::uint64_t loaded = pf.bulk_load_stream(sorter);
                 pf.flush();

@@ -1,8 +1,9 @@
 // Micro benchmarks (google-benchmark): throughput of the primitives the
 // experiment pipeline leans on — Hilbert mapping and the external sort's
-// key and run formation, proximity evaluation, grid-file insertion and
-// range queries (allocating and scratch-reusing paths), the page checksum,
-// workload evaluation, and each declustering algorithm.
+// key and run formation, the streamed out-of-core build, proximity
+// evaluation, grid-file insertion and range queries (allocating and
+// scratch-reusing paths), the page checksum, workload evaluation, and
+// each declustering algorithm.
 //
 // `--csv-dir <dir>` additionally writes <dir>/BENCH_micro.json
 // (google-benchmark's JSON format; compare runs with tools/bench_diff).
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -370,6 +372,76 @@ void BM_PagedBuild(benchmark::State& state) {
 }
 BENCHMARK_TEMPLATE(BM_PagedBuild, 2)->Arg(10000)->Arg(100000);
 BENCHMARK_TEMPLATE(BM_PagedBuild, 3)->Arg(10000)->Arg(100000);
+
+/// The paged file the streamed-build benchmarks load: capacity 56 (the
+/// uniform.2d dataset's) behind a 1024-frame pool.
+PagedGridFile<2>::Config stream_build_config() {
+    PagedGridFile<2>::Config cfg;
+    cfg.page_size = PagedBucketStore<2>::page_size_for(56);
+    cfg.pool_pages = 1024;
+    return cfg;
+}
+
+// The load half of the out-of-core build: 2^20 Hilbert-sorted 2-d points
+// through bulk_load_stream into a paged file, then flush.
+void BM_StreamedLoad(benchmark::State& state) {
+    const auto pts = unit_points<2>(1 << 20, 13);
+    std::vector<Point<2>> sorted(pts.size());
+    {
+        VectorPointSource<2> source(pts);
+        extsort::ExtSorter<2> sorter(source, unit_cube<2>());
+        std::size_t got = 0;
+        while (got < sorted.size()) {
+            const std::size_t k = sorter.next(std::span<Point<2>>(
+                sorted.data() + got, sorted.size() - got));
+            if (k == 0) break;
+            got += k;
+        }
+    }
+    const std::string path = paged_backing_path("stream");
+    for (auto _ : state) {
+        PagedGridFile<2> pf(path, unit_cube<2>(), stream_build_config());
+        VectorPointSource<2> source(sorted);
+        pf.bulk_load_stream(source);
+        pf.flush();
+        benchmark::DoNotOptimize(pf.bucket_count());
+    }
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(pts.size()));
+}
+BENCHMARK(BM_StreamedLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// The whole out-of-core build of 2^20 2-d points on Arg sort lanes: run
+// formation (two runs), the final merge on its thread streaming into
+// bulk_load_stream, and flush — build_stream's pipeline at half its size.
+void BM_ExtSortBuild(benchmark::State& state) {
+    const auto lanes = static_cast<unsigned>(state.range(0));
+    const auto pts = unit_points<2>(1 << 20, 12);
+    // ThreadPool(0) would size itself to the host, so one lane is no pool.
+    const auto pool =
+        lanes > 1 ? std::make_unique<ThreadPool>(lanes - 1) : nullptr;
+    extsort::ExtSortConfig cfg;
+    cfg.chunk_records = pts.size() / 2;
+    cfg.pool = pool.get();
+    const std::string path = paged_backing_path("extbuild");
+    for (auto _ : state) {
+        VectorPointSource<2> source(pts);
+        extsort::ExtSorter<2> sorter(source, unit_cube<2>(), cfg);
+        PagedGridFile<2> pf(path, unit_cube<2>(), stream_build_config());
+        pf.bulk_load_stream(sorter);
+        pf.flush();
+        benchmark::DoNotOptimize(pf.bucket_count());
+    }
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(pts.size()));
+}
+BENCHMARK(BM_ExtSortBuild)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 // Directory growth in isolation: grow 1x1 to side x side by alternating
 // axis expansions (the run-copying rewrite's target operation).

@@ -1,10 +1,24 @@
 // Dimension-erased half of the external sort (pgf/core/extsort.hpp):
-// buffered run-file I/O, the loser-tree k-way merge, and the multi-pass
-// run reduction. Everything here works on raw `record_bytes`-stride
-// records whose first 16 bytes are the (key, seq) sort key.
+// buffered run-file I/O, the loser-tree k-way merge, the final merge's
+// thread, and the multi-pass run reduction. Everything here works on raw
+// `record_bytes`-stride records whose first 16 bytes are the (key, seq)
+// sort key.
 #include "pgf/core/extsort.hpp"
 
+#include <cstring>
+
 namespace pgf::extsort::detail {
+
+namespace {
+
+/// A u64 of a run-file record, read in place (host byte order).
+std::uint64_t load_word(const std::byte* p) {
+    std::uint64_t v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+}  // namespace
 
 // -- RunWriter ---------------------------------------------------------------
 
@@ -76,8 +90,8 @@ KWayMerge::KWayMerge(std::vector<std::filesystem::path> runs,
             paths_[i], record_bytes_, buffer_records));
         rec_[i] = readers_[i]->advance();
         if (rec_[i] != nullptr) {
-            key_[i] = load_le<std::uint64_t>(rec_[i]);
-            seq_[i] = load_le<std::uint64_t>(rec_[i] + 8);
+            key_[i] = load_word(rec_[i]);
+            seq_[i] = load_word(rec_[i] + 8);
             ++alive_;
         } else {
             retire(i);
@@ -133,17 +147,18 @@ void KWayMerge::replay(std::size_t source) {
     winner_ = cur;
 }
 
-std::size_t KWayMerge::next(std::byte* out, std::size_t max_records) {
+std::size_t KWayMerge::next(std::byte* out, std::size_t max_records,
+                            std::size_t from) {
+    const std::size_t width = record_bytes_ - from;
     std::size_t produced = 0;
     while (produced < max_records && alive_ > 0) {
         const std::size_t w = winner_;
-        std::copy_n(rec_[w], record_bytes_,
-                    out + produced * record_bytes_);
+        std::memcpy(out + produced * width, rec_[w] + from, width);
         ++produced;
         rec_[w] = readers_[w]->advance();
         if (rec_[w] != nullptr) {
-            key_[w] = load_le<std::uint64_t>(rec_[w]);
-            seq_[w] = load_le<std::uint64_t>(rec_[w] + 8);
+            key_[w] = load_word(rec_[w]);
+            seq_[w] = load_word(rec_[w] + 8);
         } else {
             retire(w);
             --alive_;
@@ -153,6 +168,74 @@ std::size_t KWayMerge::next(std::byte* out, std::size_t max_records) {
         }
     }
     return produced;
+}
+
+// -- MergeThread -------------------------------------------------------------
+//
+// Three blocks circulate: the thread takes a drained one, merges into it
+// and queues it (one slot); the caller takes it, hands its points out,
+// and returns it drained. Closing both queues stops the thread within
+// one block. The thread records what it threw in failure_ before it
+// closes merged_, and the caller reads failure_ only once pop() has
+// reported merged_ closed and drained, so the queue's mutex orders the
+// two.
+
+MergeThread::MergeThread(std::vector<std::filesystem::path> runs,
+                         std::size_t record_bytes, std::size_t block_records)
+    : merge_(std::move(runs), record_bytes, block_records),
+      payload_bytes_(record_bytes - kKeyBytes),
+      block_records_(block_records) {
+    for (std::size_t i = 0; i < kBlocks; ++i) drained_.push({});
+}
+
+MergeThread::~MergeThread() {
+    merged_.close();
+    drained_.close();
+    if (thread_.joinable()) thread_.join();
+}
+
+void MergeThread::run() {
+    try {
+        std::vector<std::byte> bytes;
+        while (drained_.pop(bytes)) {
+            bytes.resize(block_records_ * payload_bytes_);
+            const std::size_t n =
+                merge_.next(bytes.data(), block_records_, kKeyBytes);
+            if (n == 0 || !merged_.push(Block{std::move(bytes), n})) break;
+        }
+    } catch (...) {
+        failure_ = std::current_exception();
+    }
+    merged_.close();
+}
+
+bool MergeThread::take_block() {
+    if (!done_) {
+        if (!current_.bytes.empty()) {
+            drained_.push(std::move(current_.bytes));
+        }
+        current_ = {};  // an empty block once the merge has ended
+        pos_ = 0;
+        done_ = !merged_.pop(current_);
+    }
+    if (done_ && failure_ != nullptr) std::rethrow_exception(failure_);
+    return !done_;
+}
+
+std::size_t MergeThread::next(std::byte* out, std::size_t max_records) {
+    if (!thread_.joinable()) thread_ = std::thread([this] { run(); });
+    std::size_t n = 0;
+    while (n < max_records) {
+        if (pos_ == current_.records && !take_block()) break;
+        const std::size_t take =
+            std::min(max_records - n, current_.records - pos_);
+        std::memcpy(out + n * payload_bytes_,
+                    current_.bytes.data() + pos_ * payload_bytes_,
+                    take * payload_bytes_);
+        pos_ += take;
+        n += take;
+    }
+    return n;
 }
 
 // -- reduce_runs -------------------------------------------------------------

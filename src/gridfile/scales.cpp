@@ -10,31 +10,6 @@ LinearScale::LinearScale(double lo, double hi) : lo_(lo), hi_(hi) {
     PGF_CHECK(hi > lo, "LinearScale requires hi > lo");
 }
 
-std::uint32_t LinearScale::locate(double x) const {
-    // upper_bound: the first split strictly greater than x; the number of
-    // splits <= x is the interval index.
-    auto it = std::upper_bound(splits_.begin(), splits_.end(), x);
-    auto idx = static_cast<std::uint32_t>(it - splits_.begin());
-    // Clamp out-of-domain values into the boundary intervals.
-    if (x < lo_) return 0;
-    if (x >= hi_) return intervals() - 1;
-    return idx;
-}
-
-// The interval bounds checks run per axis on the query hot path
-// (query_cell_box) and per bucket in the structure export; callers only
-// pass locate()-derived or cell-box-derived indices, so they are
-// debug-only (PGF_DCHECK).
-double LinearScale::interval_lo(std::uint32_t i) const {
-    PGF_DCHECK(i < intervals(), "interval index out of range");
-    return i == 0 ? lo_ : splits_[i - 1];
-}
-
-double LinearScale::interval_hi(std::uint32_t i) const {
-    PGF_DCHECK(i < intervals(), "interval index out of range");
-    return i == splits_.size() ? hi_ : splits_[i];
-}
-
 bool LinearScale::insert_split(double x, std::uint32_t* split_interval) {
     PGF_CHECK(x > lo_ && x < hi_, "split must lie strictly inside the domain");
     auto it = std::lower_bound(splits_.begin(), splits_.end(), x);

@@ -16,16 +16,20 @@
 //      a time: tag each with its Hilbert key (pgf/sfc/hilbert.hpp over a
 //      2^bits-per-axis quantization of the domain) on every ThreadPool
 //      lane, radix-sort the chunk by key (a stable LSD sort, one slice per
-//      lane), and spill it as one sorted run file. Chunk boundaries depend
-//      only on chunk_records, and a stable sort has one output, so the run
-//      set is bit-deterministic whatever the thread count or scheduling.
+//      lane), and spill it as one sorted run file, written straight from
+//      memory. Chunk boundaries depend only on chunk_records, and a stable
+//      sort has one output, so the run set is bit-deterministic whatever
+//      the thread count or scheduling.
 //   2. Merge reduction — while more than max_fan_in runs exist, k-way
 //      merge batches of max_fan_in runs into longer runs (loser tree,
 //      bounded per-run read buffers), deleting inputs as they are
 //      consumed so disk stays ~2x the data size.
-//   3. Streamed final merge — ExtSorter is itself a PointSource: next()
-//      pulls from the final loser-tree merge, so the grid-file loader
-//      consumes the sorted sequence without it ever being materialized.
+//   3. Streamed final merge — ExtSorter is itself a PointSource. The first
+//      next() starts the final loser-tree merge on a thread of its own,
+//      which merges at most two merge_buffer_records blocks ahead of the
+//      caller; next() copies points out of the block at hand. The
+//      grid-file loader consumes the sorted sequence while it is being
+//      merged, without it ever being materialized.
 //
 // Duplicate keys stay in input order: every record carries its global
 // sequence number and the sort/merge order is (key, seq), a total order
@@ -33,24 +37,28 @@
 // (key, seq) order). Peak memory = 2 * chunk_records records (the chunk
 // and the radix sort's ping-pong buffer, whatever the lane count) during
 // run formation, or fan_in * merge_buffer_records records during merges
-// — both independent of N.
+// (plus three blocks of merge_buffer_records points in the final one) —
+// all independent of N.
 #pragma once
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "pgf/core/point_source.hpp"
 #include "pgf/geom/point.hpp"
 #include "pgf/sfc/hilbert.hpp"
+#include "pgf/util/bounded_queue.hpp"
 #include "pgf/util/check.hpp"
 #include "pgf/util/file.hpp"
 #include "pgf/util/temp_dir.hpp"
@@ -87,9 +95,14 @@ struct ExtSortStats {
 
 namespace detail {
 
-// Run-file records are raw little-endian bytes: u64 key, u64 seq, then
-// payload (the D point doubles). Key and seq sit at fixed offsets, so the
-// merge machinery below is dimension-erased — only `record_bytes` varies.
+// Run-file records are the sorter's records as they lie in memory: u64
+// key, u64 seq, then the payload (the D point doubles), in host byte
+// order. Run files are private scratch that one process writes and reads
+// back. Key and seq sit at fixed offsets, so the merge machinery below is
+// dimension-erased — only `record_bytes` varies.
+
+/// Bytes of a record's sort key (key and seq) before its payload.
+inline constexpr std::size_t kKeyBytes = 16;
 
 /// Buffered sequential writer for one run file.
 class RunWriter {
@@ -132,9 +145,11 @@ public:
               std::size_t record_bytes, std::size_t buffer_records);
     ~KWayMerge();
 
-    /// Copies up to `max_records` merged records into `out`; returns the
-    /// count (0 = merge complete).
-    std::size_t next(std::byte* out, std::size_t max_records);
+    /// Copies bytes [from, record_bytes) of each of up to `max_records`
+    /// merged records into `out`, back to back; returns the count (0 =
+    /// merge complete).
+    std::size_t next(std::byte* out, std::size_t max_records,
+                     std::size_t from = 0);
 
 private:
     void replay(std::size_t source);
@@ -153,6 +168,53 @@ private:
     std::size_t alive_ = 0;
 };
 
+/// The final merge on a thread of its own. The first next() starts it;
+/// it merges blocks of `block_records` payloads (each record's bytes
+/// after its key) and hands them over through a one-slot queue, recycling
+/// the blocks the caller has drained, so at most three blocks exist: the
+/// caller's, the queued one and the one being merged. next() rethrows on
+/// the caller what the merge threw. The destructor stops the thread and
+/// joins it before the merge (and with it the run files) goes.
+class MergeThread {
+public:
+    MergeThread(std::vector<std::filesystem::path> runs,
+                std::size_t record_bytes, std::size_t block_records);
+    ~MergeThread();
+    MergeThread(const MergeThread&) = delete;
+    MergeThread& operator=(const MergeThread&) = delete;
+
+    /// Copies the payloads of up to `max_records` next merged records
+    /// into `out`, back to back; returns the count (0 = merge complete).
+    std::size_t next(std::byte* out, std::size_t max_records);
+
+private:
+    static constexpr std::size_t kBlocks = 3;
+
+    struct Block {
+        std::vector<std::byte> bytes;
+        std::size_t records = 0;
+    };
+
+    /// The thread's body: merges blocks until the runs are drained, the
+    /// merge throws, or the destructor closes the queues.
+    void run();
+    /// Makes the next merged block the caller's; false at the end, and
+    /// rethrows there what the thread threw.
+    bool take_block();
+
+    KWayMerge merge_;
+    std::size_t payload_bytes_;
+    std::size_t block_records_;
+    BoundedMpmcQueue<Block> merged_{1};
+    BoundedMpmcQueue<std::vector<std::byte>> drained_{kBlocks};
+    std::exception_ptr failure_;  ///< what run() threw (see extsort.cpp)
+    // Caller-side state.
+    Block current_;
+    std::size_t pos_ = 0;  ///< next record of current_ to hand out
+    bool done_ = false;
+    std::thread thread_;
+};
+
 /// Merges batches of at most `fan_in` runs into single longer runs until
 /// no more than `fan_in` remain; reduction output lands in `dir`.
 /// Consumed inputs are deleted. Adds the bytes written to *spill_bytes
@@ -167,8 +229,8 @@ std::vector<std::filesystem::path> reduce_runs(
 
 /// Streams `input` through an external sort into Hilbert order.
 /// Construction performs run formation and any reduction passes; next()
-/// then streams the final merge. See the file comment for the memory
-/// bound.
+/// then streams the final merge from its thread. See the file comment for
+/// the memory bound.
 template <std::size_t D>
 class ExtSorter final : public PointSource<D> {
 public:
@@ -210,19 +272,14 @@ public:
         }
     }
 
-    /// Next block of the fully sorted sequence.
+    /// Next block of the fully sorted sequence. Rethrows what the merge
+    /// thread threw, on this and every later call.
     std::size_t next(std::span<Point<D>> out) override {
         if (!merge_.has_value() || out.empty()) return 0;
-        byte_buf_.resize(out.size() * kRecordBytes);
-        const std::size_t n = merge_->next(byte_buf_.data(), out.size());
-        for (std::size_t k = 0; k < n; ++k) {
-            const std::byte* rec = byte_buf_.data() + k * kRecordBytes;
-            for (std::size_t i = 0; i < D; ++i) {
-                out[k][i] = std::bit_cast<double>(
-                    load_le<std::uint64_t>(rec + (2 + i) * 8));
-            }
-        }
-        if (n == 0) merge_.reset();  // release readers promptly
+        // A payload is the point's bytes: copying it is decoding it.
+        const std::size_t n = merge_->next(
+            reinterpret_cast<std::byte*>(out.data()), out.size());
+        if (n == 0) merge_.reset();  // join the thread, release the readers
         return n;
     }
 
@@ -244,14 +301,18 @@ public:
         std::array<std::uint32_t, D> cell;
         const double cells = static_cast<double>(std::uint64_t{1} << bits);
         const auto last =
-            static_cast<std::int64_t>((std::uint64_t{1} << bits) - 1);
+            static_cast<std::uint32_t>((std::uint64_t{1} << bits) - 1);
         for (std::size_t i = 0; i < D; ++i) {
             const double extent = domain.hi[i] - domain.lo[i];
-            double t = extent > 0.0 ? (p[i] - domain.lo[i]) / extent : 0.0;
-            if (t < 0.0) t = 0.0;
-            auto c = static_cast<std::int64_t>(t * cells);
-            if (c > last) c = last;
-            cell[i] = static_cast<std::uint32_t>(c);
+            const double t =
+                extent > 0.0 ? (p[i] - domain.lo[i]) / extent : 0.0;
+            const double x = t * cells;
+            // Clamp before the cast, as LinearScale::locate does: at or
+            // above the domain (+inf, NaN) is the last cell, below it
+            // (-inf) cell 0; only x in (0, cells) is converted.
+            std::uint32_t c = last;
+            if (x < cells) c = x > 0.0 ? static_cast<std::uint32_t>(x) : 0u;
+            cell[i] = c;
         }
         return sfc::hilbert_index_unchecked<D>(cell, bits);
     }
@@ -262,9 +323,13 @@ private:
         std::uint64_t seq;
         Point<D> point;
     };
+    // A run file holds Keyed records byte for byte.
+    static_assert(std::is_trivially_copyable_v<Keyed> &&
+                  sizeof(Keyed) == kRecordBytes &&
+                  offsetof(Keyed, seq) == 8 &&
+                  offsetof(Keyed, point) == detail::kKeyBytes);
+    static_assert(sizeof(Point<D>) == kRecordBytes - detail::kKeyBytes);
 
-    /// Records per block when a run is encoded for its file.
-    static constexpr std::size_t kSpillBlock = 4096;
     /// Widest radix digit; a key of D * hilbert_bits bits is split into
     /// the fewest digits of at most this width, all of one width.
     static constexpr unsigned kMaxDigitBits = 11;
@@ -382,41 +447,23 @@ private:
         return true;
     }
 
-    /// Writes `chunk` as the next run file, encoded kSpillBlock records at
-    /// a time.
+    /// Writes `chunk` as the next run file, in one write from memory.
     void spill_run(const std::vector<Keyed>& chunk) {
         const auto name = "run-" + std::to_string(runs_.size()) + ".bin";
         const std::filesystem::path path = dir_ / name;
-        detail::RunWriter writer(path, kRecordBytes,
-                                 cfg_.merge_buffer_records);
-        std::vector<std::byte> block(kSpillBlock * kRecordBytes);
-        for (std::size_t begin = 0; begin < chunk.size();
-             begin += kSpillBlock) {
-            const std::size_t count =
-                std::min(kSpillBlock, chunk.size() - begin);
-            for (std::size_t k = 0; k < count; ++k) {
-                const Keyed& r = chunk[begin + k];
-                std::byte* p = block.data() + k * kRecordBytes;
-                store_le<std::uint64_t>(p, r.key);
-                store_le<std::uint64_t>(p + 8, r.seq);
-                for (std::size_t i = 0; i < D; ++i) {
-                    store_le<std::uint64_t>(
-                        p + (2 + i) * 8,
-                        std::bit_cast<std::uint64_t>(r.point[i]));
-                }
-            }
-            writer.append(block.data(), count);
-        }
-        stats_.spill_bytes += writer.finish();
+        const auto bytes = std::as_bytes(std::span(chunk));
+        File(path.string(), File::Mode::kCreate).write_at(0, bytes);
+        stats_.spill_bytes += bytes.size();
         runs_.push_back(path);
     }
 
     ExtSortConfig cfg_;
+    // Declared before merge_, so the directory outlives the merge thread
+    // and the run files it reads.
     std::optional<util::TempDir> owned_dir_;
     std::filesystem::path dir_;
     std::vector<std::filesystem::path> runs_;
-    std::optional<detail::KWayMerge> merge_;
-    std::vector<std::byte> byte_buf_;
+    std::optional<detail::MergeThread> merge_;
     ExtSortStats stats_;
 };
 

@@ -23,10 +23,12 @@
 // order, so every store that receives the same insertion sequence produces
 // byte-identical scales, directory, and bucket numbering.
 //
-// Every build (bulk_load, bulk_load_stream) drains through insert();
-// retile() alone rebuilds the directory from bucket boxes (catalog open,
-// crash recovery); range and partial-match queries share one cell walk and
-// one record filter.
+// Every build (bulk_load, bulk_load_stream) drains through insert(),
+// which remembers the last cell it located (bounds and bucket): sorted
+// input lands in one cell record after record, and such a record skips
+// the scale searches and the directory read. retile() alone rebuilds the
+// directory from bucket boxes (catalog open, crash recovery); range and
+// partial-match queries share one cell walk and one record filter.
 //
 // Supports insertion, deletion (without bucket re-merging: emptied buckets
 // simply stay under-full, which is the common simplification and does not
@@ -40,6 +42,7 @@
 #include <concepts>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -121,7 +124,7 @@ public:
     /// every record already accepted stays (the refinements and splits
     /// the attempt made stay too, as empty buckets).
     void insert(const Point<D>& p, std::uint64_t id) {
-        BucketId b = dir_.at(locate_cell(p));
+        BucketId b = locate_bucket(p);
         Records& records = store_.edit(b);
         records.push_back(GridRecord<D>{p, id});
         if (records.size() > bucket_capacity_) {
@@ -330,6 +333,18 @@ public:
         return cell;
     }
 
+    /// True when insert(p) skips the scale searches and the directory
+    /// read: `p` lies inside the last cell insert() located, lo <= p < hi
+    /// on every axis of that cell's half-open bounds. A cell's upper edge,
+    /// a coordinate the scales clamp (out of the domain, at its upper
+    /// bound) and NaN never do. Splits and refinements forget the cell.
+    bool memo_covers(const Point<D>& p) const {
+        for (std::size_t i = 0; i < D; ++i) {
+            if (!(memo_.lo[i] <= p[i] && p[i] < memo_.hi[i])) return false;
+        }
+        return true;
+    }
+
     /// Exports the dimension-erased structural snapshot consumed by the
     /// declustering layer.
     GridStructure structure() const {
@@ -404,6 +419,7 @@ protected:
     /// (checked: a damaged catalog or a failed replay cannot silently
     /// produce a half-mapped grid).
     void retile() {
+        memo_ = CellMemo{};
         std::array<std::uint32_t, D> shape;
         for (std::size_t i = 0; i < D; ++i) shape[i] = scales_[i].intervals();
         dir_ = GridDirectory<D>(shape, GridDirectory<D>::kNoBucket);
@@ -441,6 +457,37 @@ protected:
     std::uint64_t refinements_ = 0;
 
 private:
+    /// The last cell insert() located: its half-open bounds on every axis
+    /// and its bucket. The empty memo (lo = +inf, hi = -inf) covers no
+    /// point.
+    struct CellMemo {
+        static constexpr double kInf = std::numeric_limits<double>::infinity();
+        std::array<double, D> lo = filled(kInf);
+        std::array<double, D> hi = filled(-kInf);
+        BucketId bucket = 0;
+
+        static constexpr std::array<double, D> filled(double v) {
+            std::array<double, D> a{};
+            a.fill(v);
+            return a;
+        }
+    };
+    CellMemo memo_;
+
+    /// The bucket of `p`'s cell: the memo's when it covers `p`, otherwise
+    /// found through the scales and the directory and remembered.
+    BucketId locate_bucket(const Point<D>& p) {
+        if (memo_covers(p)) return memo_.bucket;
+        std::array<std::uint32_t, D> cell;
+        for (std::size_t i = 0; i < D; ++i) {
+            cell[i] = scales_[i].locate(p[i]);
+            memo_.lo[i] = scales_[i].interval_lo(cell[i]);
+            memo_.hi[i] = scales_[i].interval_hi(cell[i]);
+        }
+        memo_.bucket = dir_.at(cell);
+        return memo_.bucket;
+    }
+
     /// Checks the capacity and builds one unsplit scale per dimension
     /// over the domain (both constructors start here).
     void init_scales() {
@@ -512,6 +559,7 @@ private:
     /// Returns the bucket that owns the session's remaining records.
     BucketId resolve_overflow(BucketId overflowing,
                               const GridRecord<D>& added) {
+        memo_ = CellMemo{};  // the splits below redraw the directory
         BucketId b = overflowing;
         while (store_.active().size() > bucket_capacity_) {
             if (max_cell_extent(b) == 1 && !refine_grid(b)) {

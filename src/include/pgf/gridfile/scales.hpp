@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "pgf/util/check.hpp"
+
 namespace pgf {
 
 class LinearScale {
@@ -26,14 +28,41 @@ public:
     }
 
     /// Index of the interval containing x. Values below the domain map to
-    /// interval 0, values at/above hi map to the last interval (grid files
-    /// clamp out-of-domain coordinates to the boundary cells).
-    std::uint32_t locate(double x) const;
+    /// interval 0, values at/above hi (and NaN) map to the last interval
+    /// (grid files clamp out-of-domain coordinates to the boundary cells).
+    ///
+    /// A branch-free upper bound: the count of splits s with !(x < s).
+    /// Every split lies strictly inside (lo, hi), so the count alone
+    /// clamps — none below the domain, all at or above hi and for NaN,
+    /// which compares false.
+    std::uint32_t locate(double x) const {
+        const double* base = splits_.data();
+        std::size_t n = splits_.size();
+        if (n == 0) return 0;
+        while (n > 1) {
+            const std::size_t half = n / 2;
+            base = x < base[half] ? base : base + half;
+            n -= half;
+        }
+        return static_cast<std::uint32_t>(base - splits_.data()) +
+               (x < *base ? 0u : 1u);
+    }
 
     /// Lower/upper boundary of interval i. interval_lo(0) == lo(),
     /// interval_hi(intervals()-1) == hi().
-    double interval_lo(std::uint32_t i) const;
-    double interval_hi(std::uint32_t i) const;
+    ///
+    /// The bounds checks run per axis on the query and insert hot paths
+    /// and per bucket in the structure export; callers only pass
+    /// locate()-derived or cell-box-derived indices, so they are
+    /// debug-only (PGF_DCHECK).
+    double interval_lo(std::uint32_t i) const {
+        PGF_DCHECK(i < intervals(), "interval index out of range");
+        return i == 0 ? lo_ : splits_[i - 1];
+    }
+    double interval_hi(std::uint32_t i) const {
+        PGF_DCHECK(i < intervals(), "interval index out of range");
+        return i == splits_.size() ? hi_ : splits_[i];
+    }
 
     /// Inserts a split at x, which must lie strictly inside interval
     /// locate(x); returns the index of the interval that was split (the new

@@ -65,7 +65,7 @@ public:
     /// Payload bytes per page (page_size() minus the durability header).
     std::size_t payload_size() const;
 
-    /// Appends a zeroed page; returns its id.
+    /// Appends a zeroed page (the stamped zero-page image); returns its id.
     std::uint64_t allocate();
 
     /// Reads page `id` into `out` (out.size() must equal page_size()) and
@@ -115,9 +115,12 @@ private:
 
     void write_superblock();
     std::uint64_t page_offset(std::uint64_t id) const;
-    /// Stamps the version and checksum into scratch_ (a full page image)
-    /// and writes it to page `id`.
+    /// Stamps the version and checksum into `image` (a full page).
+    static void stamp(std::span<std::byte> image);
+    /// Stamps scratch_ (a full page image) and writes it to page `id`.
     void write_scratch(std::uint64_t id);
+    /// Writes a stamped page image to page `id`, dropping the catalog.
+    void write_image(std::uint64_t id, std::span<const std::byte> image);
 
     File file_;
     std::size_t page_size_ = 0;
@@ -125,6 +128,9 @@ private:
     std::uint64_t superblock_count_ = 0;  ///< page count on disk
     std::uint64_t catalog_offset_ = 0;    ///< 0 = no catalog on disk
     std::vector<std::byte> scratch_;      ///< stamped image of a write
+    /// The all-zero page, stamped by the first allocate(); every
+    /// allocate() writes this same image.
+    std::vector<std::byte> zero_page_;
 };
 
 }  // namespace pgf

@@ -81,9 +81,12 @@ void PageFile::write_superblock() {
 }
 
 std::uint64_t PageFile::allocate() {
+    if (zero_page_.empty()) {
+        zero_page_.assign(page_size_, std::byte{0});
+        stamp(zero_page_);
+    }
     const std::uint64_t id = page_count_++;
-    scratch_.assign(page_size_, std::byte{0});
-    write_scratch(id);
+    write_image(id, zero_page_);
     return id;
 }
 
@@ -116,18 +119,27 @@ void PageFile::write(std::uint64_t id, std::span<const std::byte> data) {
     write_scratch(id);
 }
 
+void PageFile::stamp(std::span<std::byte> image) {
+    image[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
+    image[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
+    image[6] = std::byte{0};  // flags (reserved)
+    image[7] = std::byte{0};
+    store_le<std::uint32_t>(image.data(), page_compute_crc(image));
+}
+
 void PageFile::write_scratch(std::uint64_t id) {
+    stamp(scratch_);
+    write_image(id, scratch_);
+}
+
+void PageFile::write_image(std::uint64_t id,
+                           std::span<const std::byte> image) {
     if (catalog_offset_ != 0) {
         // The catalog no longer describes the pages: drop it.
         file_.truncate(catalog_offset_);
         catalog_offset_ = 0;
     }
-    scratch_[4] = static_cast<std::byte>(kPageFormatVersion & 0xff);
-    scratch_[5] = static_cast<std::byte>(kPageFormatVersion >> 8);
-    scratch_[6] = std::byte{0};  // flags (reserved)
-    scratch_[7] = std::byte{0};
-    store_le<std::uint32_t>(scratch_.data(), page_compute_crc(scratch_));
-    file_.write_at(page_offset(id), scratch_);
+    file_.write_at(page_offset(id), image);
 }
 
 void PageFile::write_payload(std::uint64_t id,

@@ -7,7 +7,9 @@
 //     boundaries are positional, not scheduling-dependent),
 //   - duplicate keys keep input order (seq tie-break),
 //   - multi-pass reduction (max_fan_in smaller than the run count)
-//     changes the plumbing but not the output.
+//     changes the plumbing but not the output,
+//   - the final merge's thread hands a failure to the caller and stops
+//     when the sorter goes, drained or not.
 #include "pgf/core/extsort.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -272,6 +275,101 @@ TEST(ExtSorter, SpillsIntoCallerProvidedDirectory) {
     EXPECT_TRUE(any) << "no spill files in the provided temp dir";
     EXPECT_EQ(drain<2>(sorter),
               reference_sorted(pts, sorter.config().hilbert_bits));
+}
+
+TEST(ExtSorter, HilbertKeyClampsNonFiniteAndHugeCoordinates) {
+    // The key clamps before its float-to-integer cast, as the scales'
+    // locate does: +inf, NaN and values far above the domain key as the
+    // last cell, -inf and values far below it as cell 0.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    const Rect<2> domain = domain2();
+    const auto key = [&](double x, double y) {
+        return ExtSorter<2>::hilbert_key(Point<2>{{x, y}}, domain, 16);
+    };
+    for (double y : {0.0, 37.5, 99.9}) {
+        const std::uint64_t last = key(100.0, y);  // the upper bound clamps
+        const std::uint64_t first = key(0.0, y);
+        EXPECT_EQ(key(kInf, y), last) << y;
+        EXPECT_EQ(key(kNaN, y), last) << y;
+        EXPECT_EQ(key(1e300, y), last) << y;
+        EXPECT_EQ(key(1.5e16, y), last) << y;  // past int64 once scaled
+        EXPECT_EQ(key(-kInf, y), first) << y;
+        EXPECT_EQ(key(-1e300, y), first) << y;
+        EXPECT_EQ(key(y, kNaN), key(y, 100.0)) << y;
+        EXPECT_EQ(key(y, -kInf), key(y, 0.0)) << y;
+    }
+    EXPECT_EQ(key(kInf, kInf), sfc::hilbert_index_unchecked<2>(
+                                   {{0xffffu, 0xffffu}}, 16));
+    EXPECT_EQ(key(-kInf, kNaN),
+              sfc::hilbert_index_unchecked<2>({{0u, 0xffffu}}, 16));
+
+    // Such points sort like the boundary cells they clamp into.
+    std::vector<Point<2>> pts{{{kInf, 50.0}}, {{-kInf, 1.0}},
+                              {{1e300, -1e300}}, {{50.0, 50.0}},
+                              {{-5e18, 2e18}}, {{99.99, 0.01}}};
+    Rng rng(19);
+    for (const Point<2>& p : random_points(300, rng)) pts.push_back(p);
+    VectorPointSource<2> source(pts);
+    ExtSortConfig cfg;
+    cfg.chunk_records = 64;
+    ExtSorter<2> sorter(source, domain, cfg);
+    EXPECT_EQ(drain<2>(sorter), reference_sorted(pts, 16));
+}
+
+/// Cuts `run` to `records` whole records and the first bytes of one more.
+void tear_run(const std::filesystem::path& run, std::uint64_t records) {
+    ASSERT_TRUE(std::filesystem::exists(run)) << run;
+    std::filesystem::resize_file(
+        run, records * ExtSorter<2>::kRecordBytes + 5);
+}
+
+TEST(ExtSorter, TornRunFileThrowsOnTheCallingThread) {
+    // A run file cut mid-record behind the sorter's back: the merge
+    // thread reads the torn record, and draining throws its CheckError
+    // here — on every later call too.
+    Rng rng(23);
+    const auto pts = random_points(5000, rng);
+    util::TempDir dir("pgf-extsort-torn");
+    ExtSortConfig cfg;
+    cfg.chunk_records = 1000;
+    cfg.merge_buffer_records = 16;  // readers hold 16 records each
+    cfg.temp_dir = dir.path();
+    VectorPointSource<2> source(pts);
+    ExtSorter<2> sorter(source, domain2(), cfg);
+    ASSERT_EQ(sorter.stats().final_fan_in, 5u);
+    tear_run(dir.path() / "run-3.bin", 500);
+    EXPECT_THROW(drain<2>(sorter), CheckError);
+    std::vector<Point<2>> buf(8);
+    EXPECT_THROW(sorter.next(std::span<Point<2>>(buf.data(), buf.size())),
+                 CheckError);
+}
+
+TEST(ExtSorter, DestroyedMidStreamOrUndrainedReturns) {
+    // One sorter hands out one block and goes while its merge thread
+    // waits on the hand-off; another goes before anything is drained.
+    // Both return, and both delete their run files.
+    Rng rng(29);
+    const auto pts = random_points(20000, rng);
+    util::TempDir dir("pgf-extsort-early");
+    ExtSortConfig cfg;
+    cfg.chunk_records = 4096;
+    cfg.merge_buffer_records = 64;
+    cfg.temp_dir = dir.path();
+    {
+        VectorPointSource<2> source(pts);
+        ExtSorter<2> sorter(source, domain2(), cfg);
+        std::vector<Point<2>> block(64);
+        ASSERT_EQ(sorter.next(std::span<Point<2>>(block.data(), 64)), 64u);
+        const auto expect = reference_sorted(pts, sorter.config().hilbert_bits);
+        EXPECT_TRUE(std::equal(block.begin(), block.end(), expect.begin()));
+    }
+    {
+        VectorPointSource<2> source(pts);
+        ExtSorter<2> never(source, domain2(), cfg);
+        EXPECT_EQ(never.stats().initial_runs, 5u);
+    }
+    EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "pgf/analysis/paged_audit.hpp"
+#include "pgf/core/extsort.hpp"
 #include "pgf/core/point_source.hpp"
 #include "pgf/gridfile/grid_file.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
@@ -235,6 +237,40 @@ TEST(BulkLoadStream, PagedQueriesSeeAllRecordsAfterStreamBuild) {
     pf.bulk_load_stream(source);
     const Rect<2> everything = unit_domain<2>();
     EXPECT_EQ(pf.query_records(everything).size(), pts.size());
+}
+
+/// A run file torn behind an ExtSorter: the merge thread's CheckError
+/// reaches the caller of bulk_load_stream, which ends its batch first, so
+/// the records accepted before the failure stay and the file stays usable.
+TEST(BulkLoadStream, TornRunFileEndsTheBatchAndRethrows) {
+    util::TempDir dir("pgf-blstream-torn");
+    const auto pts = random_points<2>(40000, 59);
+    extsort::ExtSortConfig scfg;
+    scfg.chunk_records = 10000;
+    scfg.merge_buffer_records = 16;
+    scfg.temp_dir = dir.path() / "runs";
+    VectorPointSource<2> source(pts);
+    extsort::ExtSorter<2> sorter(source, unit_domain<2>(), scfg);
+    const auto run = scfg.temp_dir / "run-3.bin";
+    ASSERT_TRUE(std::filesystem::exists(run));
+    std::filesystem::resize_file(
+        run, 9000 * extsort::ExtSorter<2>::kRecordBytes + 5);
+
+    typename PagedGridFile<2>::Config pcfg;
+    pcfg.page_size = PagedBucketStore<2>::page_size_for(32);
+    pcfg.pool_pages = 8;
+    PagedGridFile<2> pf(dir.file("torn.db").string(), unit_domain<2>(),
+                        pcfg);
+    EXPECT_THROW(pf.bulk_load_stream(sorter), CheckError);
+    const std::size_t accepted = pf.record_count();
+    EXPECT_GT(accepted, 0u);
+    EXPECT_LT(accepted, pts.size());
+    pf.insert({{0.5, 0.5}}, pts.size());
+    EXPECT_EQ(pf.record_count(), accepted + 1);
+    EXPECT_EQ(pf.query_records(unit_domain<2>()).size(), accepted + 1);
+    const auto report =
+        analysis::audit_paged_grid_file(pf, analysis::ValidationLevel::kDeep);
+    EXPECT_TRUE(report.ok()) << report.summary();
 }
 
 }  // namespace

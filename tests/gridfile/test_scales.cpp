@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "pgf/util/check.hpp"
+#include "pgf/util/rng.hpp"
 
 namespace pgf {
 namespace {
@@ -116,6 +122,36 @@ TEST(LinearScale, LocateConsistentWithIntervalBounds) {
         EXPECT_EQ(s.locate(s.interval_lo(i)), i);
         double mid = 0.5 * (s.interval_lo(i) + s.interval_hi(i));
         EXPECT_EQ(s.locate(mid), i);
+    }
+}
+
+TEST(LinearScale, BranchFreeLocateMatchesUpperBound) {
+    // locate() is a branch-free search; it must return what clamping
+    // std::upper_bound did, for every split count, on the splits
+    // themselves, their neighbours, out-of-domain values, infinities and
+    // NaN (the last interval).
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    Rng rng(41);
+    LinearScale s(-1.0, 3.0);
+    for (int round = 0; round < 40; ++round) {
+        std::vector<double> probes = {-kInf, -5.0, -1.0, 3.0, 7.0, kInf,
+                                      std::numeric_limits<double>::quiet_NaN()};
+        for (double split : s.splits()) {
+            probes.push_back(split);
+            probes.push_back(std::nextafter(split, -kInf));
+            probes.push_back(std::nextafter(split, kInf));
+        }
+        for (int k = 0; k < 50; ++k) probes.push_back(rng.uniform(-2.0, 4.0));
+        for (double x : probes) {
+            const auto& sp = s.splits();
+            const auto bound = static_cast<std::uint32_t>(
+                std::upper_bound(sp.begin(), sp.end(), x) - sp.begin());
+            const std::uint32_t expect =
+                x < s.lo() ? 0 : (x >= s.hi() ? s.intervals() - 1 : bound);
+            EXPECT_EQ(s.locate(x), expect)
+                << "x=" << x << " splits=" << sp.size();
+        }
+        s.insert_split(rng.uniform(-1.0, 3.0), nullptr);
     }
 }
 
