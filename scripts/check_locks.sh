@@ -116,6 +116,9 @@ require "${qe}" 'PGF_GUARDED_BY\(stats_mutex_\)'       'QueryEngine batch state 
 require "${qe}" 'submitted_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::submitted_ guarded'
 require "${qe}" 'completed_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::completed_ guarded'
 require "${qe}" 'latencies_ms_ PGF_GUARDED_BY\(stats_mutex_\)' 'QueryEngine::latencies_ms_ guarded'
+# Concurrent submitters share one lookup scratch.
+require "${qe}" 'scratch_ PGF_GUARDED_BY\(dispatch_mutex_\)' 'QueryEngine::scratch_ guarded by dispatch_mutex_'
+require "${qe}" 'buckets_ PGF_GUARDED_BY\(dispatch_mutex_\)' 'QueryEngine::buckets_ guarded by dispatch_mutex_'
 
 if [ "${fail}" -ne 0 ]; then
     echo "check_locks.sh: FAILED — see findings above." >&2

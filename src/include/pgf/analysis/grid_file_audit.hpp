@@ -122,7 +122,8 @@ bool audit_grid_structure(const GridFileCore<D, Store>& gf,
                        [&] {
                            std::string name;
                            for (std::size_t i = 0; i < D; ++i) {
-                               name += (i ? "," : "(") + std::to_string(cell[i]);
+                               name += i ? "," : "(";
+                               name += std::to_string(cell[i]);
                            }
                            return "cell " + name + ") maps to bucket " +
                                   std::to_string(b) + " of " +

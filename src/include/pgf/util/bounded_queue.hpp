@@ -1,14 +1,16 @@
-// Bounded multi-producer / multi-consumer queue — the admission and
-// dispatch fabric of the concurrent serving path (pgf/parallel/
-// query_engine.hpp).
+// Bounded multi-producer / multi-consumer queue — the node task queues of
+// the concurrent serving path (pgf/parallel/query_engine.hpp) and the
+// block hand-off of the external sort's merge thread.
 //
 // Semantics:
-//   - push() blocks while the queue is full; the bound is what turns the
-//     serving front end into a closed loop (backpressure instead of an
-//     unbounded backlog).
+//   - push() blocks while the queue is full; the bound is what turns a
+//     producer into a closed loop (backpressure instead of an unbounded
+//     backlog).
 //   - pop() blocks while the queue is empty and returns false only when
 //     the queue has been close()d AND drained, so shutdown never drops
 //     in-flight items.
+//   - try_pop() never blocks; a consumer polls with it before it parks
+//     in pop().
 //   - close() wakes every waiter; pushes after close() are rejected
 //     (return false) rather than silently accepted.
 //
@@ -63,6 +65,19 @@ public:
                 lock.wait(not_empty_);
             }
             if (items_.empty()) return false;  // closed and drained
+            out = std::move(items_.front());
+            items_.pop_front();
+        }
+        not_full_.notify_one();
+        return true;
+    }
+
+    /// Never blocks: takes the front item if there is one. Returns false
+    /// on an empty queue, closed or not.
+    bool try_pop(T& out) PGF_EXCLUDES(mutex_) {
+        {
+            MutexLock lock(mutex_);
+            if (items_.empty()) return false;
             out = std::move(items_.front());
             items_.pop_front();
         }

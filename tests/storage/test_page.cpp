@@ -56,22 +56,39 @@ TEST(Crc32c, SeedChainsIncrementalComputation) {
     }
 }
 
-/// Checks `kernel` against the table loop on 10^4 random cases: lengths
-/// 0-9000, start offsets 0-15 (so every word alignment is covered), and a
-/// random seed.
+/// Checks `kernel` against the table loop on 10^4 random cases (lengths
+/// 0-9000, start offsets 0-15 so every word alignment is covered, and a
+/// random seed), then on every length of `kEdgeLengths` at all 16 offsets,
+/// each with a random seed.
+///
+/// The edge lengths sit at the block edges of the three-stream SSE4.2
+/// kernel (3 x 256 and 3 x 2048 bytes), plus 128 KiB: a catalog can reach
+/// 115 KB.
+constexpr std::size_t kEdgeLengths[] = {
+    3 * 256 - 1,        3 * 256,          3 * 256 + 1, 3 * 2048 - 1, 3 * 2048,
+    3 * 2048 + 3 * 256, 2 * 3 * 2048 + 7, 128 * 1024};
+
 template <typename Kernel>
 void expect_matches_table_loop(Kernel kernel) {
     Rng rng(20260);
-    std::vector<std::byte> buffer(9000 + 16);
+    std::vector<std::byte> buffer(128 * 1024 + 16);
     for (auto& b : buffer) b = static_cast<std::byte>(rng.next_u32());
-    for (int i = 0; i < 10000; ++i) {
-        const std::size_t offset = rng.below(16);
-        const std::size_t length = rng.below(9001);
+    const auto check = [&](std::size_t offset, std::size_t length) {
         const std::uint32_t seed = rng.next_u32();
         const std::span<const std::byte> data(buffer.data() + offset, length);
         ASSERT_EQ(kernel(data, seed), detail::crc32c_table(data, seed))
-            << "case " << i << ": offset " << offset << ", length "
-            << length << ", seed " << seed;
+            << "offset " << offset << ", length " << length << ", seed "
+            << seed;
+    };
+    for (int i = 0; i < 10000; ++i) {
+        const std::size_t offset = rng.below(16);
+        ASSERT_NO_FATAL_FAILURE(check(offset, rng.below(9001)))
+            << "random case " << i;
+    }
+    for (const std::size_t length : kEdgeLengths) {
+        for (std::size_t offset = 0; offset < 16; ++offset) {
+            ASSERT_NO_FATAL_FAILURE(check(offset, length));
+        }
     }
 }
 

@@ -81,6 +81,54 @@ TEST(BoundedQueue, CloseDrainsRemainingItemsFirst) {
     EXPECT_FALSE(q.pop(v));
 }
 
+TEST(BoundedQueue, TryPopOnEmptyQueueReturnsFalse) {
+    BoundedMpmcQueue<int> q(4);
+    int v = -1;
+    EXPECT_FALSE(q.try_pop(v));
+    EXPECT_EQ(v, -1);  // untouched
+}
+
+TEST(BoundedQueue, TryPopTakesItemsInFifoOrder) {
+    BoundedMpmcQueue<int> q(4);
+    for (int i = 0; i < 3; ++i) EXPECT_TRUE(q.push(i));
+    int v = -1;
+    for (int i = 0; i < 3; ++i) {
+        ASSERT_TRUE(q.try_pop(v));
+        EXPECT_EQ(v, i);
+    }
+    EXPECT_FALSE(q.try_pop(v));
+}
+
+TEST(BoundedQueue, TryPopOnClosedAndDrainedQueueReturnsFalse) {
+    BoundedMpmcQueue<int> q(4);
+    EXPECT_TRUE(q.push(7));
+    q.close();
+    int v = 0;
+    ASSERT_TRUE(q.try_pop(v));  // closed, not yet drained
+    EXPECT_EQ(v, 7);
+    EXPECT_FALSE(q.try_pop(v));
+}
+
+TEST(BoundedQueue, TryPopUnblocksProducerOnFullQueue) {
+    BoundedMpmcQueue<int> q(1);
+    EXPECT_TRUE(q.push(1));
+    // The second push blocks until try_pop frees the slot, so the flag
+    // cannot be set before it does.
+    std::atomic<bool> pushed{false};
+    std::thread producer([&] {
+        EXPECT_TRUE(q.push(2));
+        pushed.store(true);
+    });
+    EXPECT_FALSE(pushed.load());
+    int v = 0;
+    ASSERT_TRUE(q.try_pop(v));
+    EXPECT_EQ(v, 1);
+    producer.join();
+    EXPECT_TRUE(pushed.load());
+    ASSERT_TRUE(q.try_pop(v));
+    EXPECT_EQ(v, 2);
+}
+
 TEST(BoundedQueue, MpmcStressDeliversEveryItemExactlyOnce) {
     // Many producers and consumers over a queue much smaller than the item
     // count, so both the not_full and not_empty waits are exercised. Every
