@@ -1,8 +1,8 @@
 // Extension experiment — durability tax and recovery speed of the WAL.
 //
 // The durability layer (pgf/storage/wal.hpp + checksummed pages) claims
-// crash safety costs a bounded build-throughput tax: every mutated bucket
-// page is journaled as a physical image before the data file may write it
+// crash safety costs a bounded build-throughput tax: the bytes each page
+// encode changed are journaled before the data file may write the page
 // (WAL-before-data, enforced by the buffer pool), but appends are buffered
 // and group-flushed, so the tax is sequential-write bandwidth rather than
 // per-op fsyncs. This bench measures the claim directly: the same

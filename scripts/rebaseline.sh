@@ -25,7 +25,7 @@ run fig6_comparison --threads 1 --bench-json "$out/BENCH_sweep_fig6_t1.json"
 run fig6_comparison --threads 8 --bench-json "$out/BENCH_sweep_fig6_t8.json"
 run fig6_comparison --queries 120 --threads 1 --inner-threads 2 \
     --bench-json "$out/BENCH_sweep_fig6_inner2.json"
-run micro_benchmarks --csv-dir "$out" --benchmark_min_time=0.01
+run micro_benchmarks --csv-dir "$out" --benchmark_min_time=0.2
 run micro_benchmarks \
     --benchmark_filter='ProximityRow|ProximityTile|CenterRow|InnerThreads' \
     --benchmark_min_time=0.2 --benchmark_out="$out/BENCH_kernels.json" \

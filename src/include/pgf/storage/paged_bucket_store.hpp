@@ -13,9 +13,14 @@
 // Durability (optional): constructed with a WalSetup naming a log path,
 // the store journals physical redo into a WriteAheadLog — a genesis
 // record with the grid parameters (dims, page size, capacity, a u8 split
-// rule, 0 = midpoint, and the domain), a page image for every page
+// rule, 0 = midpoint, and the domain), a page record for every page
 // encode, a metadata record for every bucket create / split / refinement,
-// and a commit marker at each operation boundary. The BufferPool enforces
+// and a commit marker at each operation boundary. A page record carries
+// only the payload words the encode changed: the records are encoded
+// into scratch, compared with the page in 8-byte words over the encoded
+// prefix, and the differing runs are copied into the page and logged as
+// (offset, length, bytes) ranges, so a page is its zero allocation image
+// plus every range logged for it. The BufferPool enforces
 // WAL-before-data ordering on eviction (a dirty page's log records are
 // flushed before its image may overwrite the on-disk pre-image), so after
 // a crash anywhere, pgf/storage/recovery.hpp replays the committed log
@@ -34,6 +39,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -149,10 +155,11 @@ public:
                 wal_put_u32(body, cells.hi[i]);
             }
             wal_->append(WalRecordKind::kCreate, body);
-            // Also journal the page's empty image: every committed bucket
-            // then has a backing kPage record, so recovery can roll an
-            // uncommitted on-disk image back to the committed state even
-            // for buckets that never saw a record.
+            // Also journal the page's empty encode (no range: the zero
+            // page reads empty): every committed bucket then has a kPage
+            // record, so recovery can roll an uncommitted on-disk image
+            // back to the committed state even for buckets that never saw
+            // a record.
             store(id, nullptr, 0);
         }
         return id;
@@ -199,8 +206,9 @@ public:
     // behavior is unchanged: read()/size() serve the live buffer and
     // metadata, and every page is consistent again after end_batch().
     //
-    // With a WAL, each session sync also logs the page image and a commit
-    // marker — a crash mid-batch recovers to the last synced boundary.
+    // With a WAL, each session sync also logs the page's changed ranges and
+    // a commit marker — a crash mid-batch recovers to the last synced
+    // boundary.
 
     /// Enters batch mode. Only one batch may be open at a time.
     void begin_batch() {
@@ -408,13 +416,49 @@ private:
         wal_->append(WalRecordKind::kGenesis, body);
     }
 
-    /// Journals bucket `b`'s freshly encoded payload and returns the
-    /// record's LSN (0 without a WAL) for the page's header stamp.
-    std::uint64_t log_page(std::uint64_t page_id,
-                           std::span<const std::byte> payload) const {
+    /// Equal words that may separate two changed runs logged as one range
+    /// (a range header costs one word).
+    static constexpr std::size_t kMergeGapWords = 2;
+
+    /// Encodes `count` records over `frame` (page `page_id`'s payload),
+    /// copying in and journaling only the 8-byte words that changed (see
+    /// the file comment); returns the record's LSN for the page's header
+    /// stamp. encode_page writes nothing past the encoded prefix, so the
+    /// stale tail an erase leaves behind is equal on both sides. An encode
+    /// that changes nothing still logs its record: LSNs and page headers
+    /// do not depend on the diff.
+    std::uint64_t log_page(std::uint64_t page_id, std::span<std::byte> frame,
+                           const GridRecord<D>* records,
+                           std::size_t count) const {
+        encoded_.resize(kCountBytes + count * kRecordBytes);
+        encode_page(encoded_, records, count);
+        const std::byte* from = encoded_.data();
+        std::byte* to = frame.data();
+        const auto differs = [&](std::size_t w) {
+            return std::memcmp(from + 8 * w, to + 8 * w, 8) != 0;
+        };
         wal_body_.clear();
         wal_put_u64(wal_body_, page_id);
-        wal_body_.insert(wal_body_.end(), payload.begin(), payload.end());
+        const std::size_t words = encoded_.size() / 8;
+        std::size_t w = 0;
+        while (w < words) {
+            if (!differs(w)) {
+                ++w;
+                continue;
+            }
+            const std::size_t begin = w;
+            std::size_t end = ++w;  // one past the run's last changed word
+            for (; w < words && w - end <= kMergeGapWords; ++w) {
+                if (differs(w)) end = w + 1;
+            }
+            const std::size_t offset = 8 * begin;
+            const std::size_t length = 8 * (end - begin);
+            std::memcpy(to + offset, from + offset, length);
+            wal_put_u32(wal_body_, static_cast<std::uint32_t>(offset));
+            wal_put_u32(wal_body_, static_cast<std::uint32_t>(length));
+            wal_body_.insert(wal_body_.end(), from + offset,
+                             from + offset + length);
+        }
         return wal_->append(WalRecordKind::kPage, wal_body_);
     }
 
@@ -427,13 +471,18 @@ private:
         decode_page(page.data(), out);
     }
 
+    /// Encodes `count` records to bucket `b`'s page (journaled through
+    /// log_page with a WAL). const for sync_session's sake: the page cache
+    /// and the mirrored count are not observable state.
     void store(std::uint32_t b, const GridRecord<D>* records,
-               std::size_t count) {
+               std::size_t count) const {
         PGF_CHECK(count <= capacity_, "store: bucket exceeds its page");
         auto page = pool_.fetch(metas_[b].page);
-        encode_page(page.data(), records, count);
-        if (wal_ != nullptr) {
-            page.set_lsn(log_page(metas_[b].page, page.data()));
+        if (wal_ == nullptr) {
+            encode_page(page.data(), records, count);
+        } else {
+            page.set_lsn(
+                log_page(metas_[b].page, page.data(), records, count));
         }
         page.mark_dirty();
         metas_[b].count = count;
@@ -446,15 +495,7 @@ private:
     /// consistent boundary exactly when a session syncs.
     void sync_session() const {
         if (!session_open_ || !session_dirty_) return;
-        PGF_CHECK(edit_buf_.size() <= capacity_,
-                  "store: bucket exceeds its page");
-        auto page = pool_.fetch(metas_[active_].page);
-        encode_page(page.data(), edit_buf_.data(), edit_buf_.size());
-        if (wal_ != nullptr) {
-            page.set_lsn(log_page(metas_[active_].page, page.data()));
-        }
-        page.mark_dirty();
-        metas_[active_].count = edit_buf_.size();
+        store(active_, edit_buf_.data(), edit_buf_.size());
         session_dirty_ = false;
         if (wal_ != nullptr) wal_->append(WalRecordKind::kCommit, {});
     }
@@ -467,7 +508,8 @@ private:
     std::uint32_t active_ = 0;
     Records edit_buf_;
     mutable Records read_buf_;
-    mutable std::vector<std::byte> wal_body_;  ///< kPage encode scratch
+    mutable std::vector<std::byte> encoded_;   ///< log_page's encode
+    mutable std::vector<std::byte> wal_body_;  ///< kPage body scratch
     bool read_only_ = false;        ///< journaled, opened without its log
     bool batch_ = false;            ///< inside begin_batch()/end_batch()
     bool session_open_ = false;     ///< edit_buf_ holds active_'s records

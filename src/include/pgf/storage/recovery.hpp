@@ -1,25 +1,31 @@
 // Crash recovery for the paged grid file: replays a write-ahead log
 // (pgf/storage/wal.hpp) over the data PageFile left behind by a crash.
 //
-// Two passes, both bounded by the last commit marker in the log's valid
-// prefix (everything after it belongs to an interrupted operation and is
-// discarded — including a physical truncation of the log, so later
-// appends cannot resurrect half an operation):
+// After WalReader::scan has found the valid prefix, replay reads the log
+// forward once more, and a third time only when some page needs
+// rebuilding. Every pass stops at the last commit marker (everything after
+// it belongs to an interrupted operation and is discarded — including a
+// physical truncation of the log, so later appends cannot resurrect half
+// an operation):
 //
-//   physical  — the *final* journaled image of every page is applied,
-//               LSN-checked for idempotency: a page whose on-disk image
-//               already verifies at exactly the record's LSN is skipped,
-//               so replaying twice produces byte-identical files. An
-//               on-disk image with a *different* LSN — older (never
-//               flushed) or newer (flushed by the interrupted operation)
-//               — is overwritten with the committed image.
 //   logical   — bucket metadata is rebuilt from the metadata records:
 //               kCreate adds a bucket with its box, kSplit shrinks the
 //               split bucket, kRefine shifts every box exactly as
-//               GridFileCore::shift_cell_boxes did, and record counts
-//               come from the replayed page images. The refinement list
-//               is returned for GridFileCore's RestoreTag constructor to
-//               regrow the scales and retile() the directory.
+//               GridFileCore::shift_cell_boxes did. Of each page it keeps
+//               two things, in a vector indexed by page id: the LSN of its
+//               last committed kPage record and its count word (payload
+//               bytes 0-7 as the ranges wrote them), which becomes the
+//               bucket's record count. The refinement list is returned for
+//               GridFileCore's RestoreTag constructor to regrow the scales
+//               and retile() the directory.
+//   pages     — a page whose on-disk image verifies at exactly its last
+//               committed LSN is skipped, so replaying twice produces
+//               byte-identical files. Any other page — an image older
+//               (never flushed) or newer (flushed by the interrupted
+//               operation), or torn — is rebuilt from the zero page its
+//               allocation wrote plus its committed kPage ranges, applied
+//               in log order by one more forward pass that runs only when
+//               some page is stale; it holds one payload per stale page.
 //
 // Initialization is not crash-protected (like a real system's mkfs): the
 // data file's superblock and the log's genesis + first commit must be on
@@ -31,11 +37,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "pgf/geom/point.hpp"
@@ -89,6 +95,36 @@ inline std::uint32_t wal_probe_dims(const std::string& wal_path) {
     return wal_get_u32(rec.body, off);
 }
 
+/// Walks the byte ranges of a kPage body (see pgf/storage/wal.hpp) for a
+/// payload of `payload_size` bytes, calling fn(offset, bytes) for each in
+/// log order. Every range is checked before use: its header fits in the
+/// body, its length is positive and fits in the rest of the body, and it
+/// lies inside the payload. A range that fails is a CheckError naming the
+/// record's LSN; nothing is allocated from a length word.
+template <class Fn>
+void for_each_page_range(std::span<const std::byte> body,
+                         std::size_t payload_size, std::uint64_t lsn,
+                         Fn&& fn) {
+    const auto where = [lsn] {
+        return "recover: page record at LSN " + std::to_string(lsn);
+    };
+    PGF_CHECK(body.size() >= 8, where() + " has no page id");
+    std::size_t off = 8;
+    while (off < body.size()) {
+        PGF_CHECK(body.size() - off >= 8,
+                  where() + " ends inside a range header");
+        const std::uint32_t offset = wal_get_u32(body, off);
+        const std::uint32_t length = wal_get_u32(body, off);
+        PGF_CHECK(length > 0, where() + " has a zero-length range");
+        PGF_CHECK(length <= body.size() - off,
+                  where() + " has a range longer than the rest of its body");
+        PGF_CHECK(std::uint64_t{offset} + length <= payload_size,
+                  where() + " has a range past the page payload");
+        fn(offset, body.subspan(off, length));
+        off += length;
+    }
+}
+
 /// Replays the committed prefix of `wal_path` over the page file at
 /// `data_path` (see the file comment). Throws CheckError when the log has
 /// no genesis or no commit marker — nothing recoverable was ever durable.
@@ -107,19 +143,20 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                   " (nothing consistent was ever durable)");
     out.stats.wal_records = scan.records;
     out.stats.last_commit_lsn = scan.last_commit_lsn;
+    out.file = std::make_unique<PageFile>(PageFile::open(data_path));
+    // Pages are allocated densely, so a committed bucket's page lies below
+    // the data file's count plus one page per log record; the bound keeps
+    // a corrupt page id from sizing the per-page state.
+    const std::uint64_t page_bound = out.file->page_count() + scan.records;
 
-    // Logical pass over the committed prefix. Of each page it keeps where
-    // its final image sits in the log, not the image itself, so replay
-    // memory grows with the page count rather than the file size; the
-    // physical pass re-reads only the images the data file lacks.
-    struct LoggedImage {
-        std::uint64_t lsn = 0;
-        std::uint64_t offset = 0;  ///< of the record in the log
-        std::size_t size = 0;      ///< payload bytes
-        std::uint64_t count = 0;   ///< the payload's record count
+    // Logical pass over the committed prefix (see the file comment).
+    struct PageState {
+        std::uint64_t lsn = 0;  ///< last committed kPage record, 0 = none
+        std::byte count[Store::kCountBytes] = {};  ///< payload bytes 0-7
     };
+    std::vector<PageState> pages;  // by page id, grown by kCreate
+    std::size_t payload_size = 0;
     bool saw_genesis = false;
-    std::map<std::uint64_t, LoggedImage> images;  // page -> final image
     WalReader::Record rec;
     while (reader.next(rec)) {
         if (rec.lsn > scan.last_commit_lsn) {
@@ -145,10 +182,12 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                     out.domain.lo[i] = wal_get_f64(rec.body, off);
                     out.domain.hi[i] = wal_get_f64(rec.body, off);
                 }
-                PGF_CHECK(Store::capacity_for(out.page_size) ==
-                              out.bucket_capacity,
+                PGF_CHECK(out.bucket_capacity > 0 &&
+                              Store::capacity_for(out.page_size) ==
+                                  out.bucket_capacity,
                           "recover: genesis capacity does not match its "
                           "page size");
+                payload_size = out.page_size - kPageHeaderBytes;
                 saw_genesis = true;
                 break;
             }
@@ -160,11 +199,17 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                           "recover: bucket create out of sequence");
                 typename Store::Meta meta;
                 meta.page = wal_get_u64(rec.body, off);
+                PGF_CHECK(meta.page < page_bound,
+                          "recover: bucket create at LSN " +
+                              std::to_string(rec.lsn) + " names page " +
+                              std::to_string(meta.page) +
+                              ", past the data file and the log");
                 for (std::size_t i = 0; i < D; ++i) {
                     meta.cells.lo[i] = wal_get_u32(rec.body, off);
                     meta.cells.hi[i] = wal_get_u32(rec.body, off);
                 }
                 out.metas.push_back(meta);
+                if (meta.page >= pages.size()) pages.resize(meta.page + 1);
                 break;
             }
             case WalRecordKind::kSplit: {
@@ -203,17 +248,27 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
                 break;
             }
             case WalRecordKind::kPage: {
-                PGF_CHECK(rec.body.size() >= 8,
-                          "recover: page record has the wrong size");
+                PGF_CHECK(saw_genesis && rec.body.size() >= 8,
+                          "recover: page record at LSN " +
+                              std::to_string(rec.lsn) +
+                              " before the genesis or without a page id");
                 const std::uint64_t page = wal_get_u64(rec.body, off);
-                const auto payload = std::span(rec.body).subspan(off);
-                LoggedImage& image = images[page];
-                image.lsn = rec.lsn;
-                image.offset = rec.offset;
-                image.size = payload.size();
-                image.count = payload.size() >= Store::kCountBytes
-                                  ? Store::page_record_count(payload)
-                                  : 0;
+                PGF_CHECK(page < pages.size(),
+                          "recover: page record at LSN " +
+                              std::to_string(rec.lsn) +
+                              " names a page no bucket create allocated");
+                PageState& state = pages[page];
+                for_each_page_range(
+                    rec.body, payload_size, rec.lsn,
+                    [&](std::uint32_t offset,
+                        std::span<const std::byte> bytes) {
+                        if (offset >= Store::kCountBytes) return;
+                        std::memcpy(state.count + offset, bytes.data(),
+                                    std::min<std::size_t>(
+                                        bytes.size(),
+                                        Store::kCountBytes - offset));
+                    });
+                state.lsn = rec.lsn;
                 break;
             }
             case WalRecordKind::kCommit:
@@ -222,48 +277,60 @@ RecoveredGrid<D> replay_wal(const std::string& data_path,
     }
     PGF_CHECK(saw_genesis, "recover: genesis outside the committed prefix");
 
-    // Physical pass: apply the final committed image of every page.
-    out.file = std::make_unique<PageFile>(PageFile::open(data_path));
+    // Skip test: which pages already hold their last committed image.
     PGF_CHECK(out.file->page_size() == out.page_size,
               "recover: data file page size disagrees with the log");
-    std::uint64_t needed = 0;
-    for (const auto& meta : out.metas) needed = std::max(needed, meta.page + 1);
-    for (const auto& [page, image] : images) needed = std::max(needed, page + 1);
-    out.file->ensure_page_count(needed);
+    out.file->ensure_page_count(pages.size());
     std::vector<std::byte> disk(out.page_size);
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> stale;  // offset, page
-    for (const auto& [page, image] : images) {
-        PGF_CHECK(image.size == out.file->payload_size(),
-                  "recover: page image has the wrong payload size");
-        const bool intact = out.file->try_read(page, disk);
-        if (intact && page_lsn(disk) == image.lsn) {
+    std::vector<std::uint64_t> stale;  // page ids, ascending
+    for (std::uint64_t page = 0; page < pages.size(); ++page) {
+        if (pages[page].lsn == 0) continue;  // no committed record
+        if (out.file->try_read(page, disk) &&
+            page_lsn(disk) == pages[page].lsn) {
             ++out.stats.pages_skipped;  // already durable at this LSN
             continue;
         }
-        stale.emplace_back(image.offset, page);
+        stale.push_back(page);
     }
-    // In log order, so the re-reads move forward through one buffer.
-    std::sort(stale.begin(), stale.end());
-    for (const auto& [offset, page] : stale) {
-        const std::uint64_t lsn = images.at(page).lsn;
-        PGF_CHECK(reader.reread(offset, lsn, rec) &&
-                      rec.kind == WalRecordKind::kPage,
-                  "recover: page image at LSN " + std::to_string(lsn) +
-                      " no longer reads back from " + wal_path);
-        out.file->write_payload(page, std::span(rec.body).subspan(8), lsn);
-        ++out.stats.pages_replayed;
+
+    // Rebuild pass: zero pages plus the committed ranges, in log order.
+    if (!stale.empty()) {
+        constexpr auto kFresh = std::numeric_limits<std::size_t>::max();
+        std::vector<std::size_t> slot(pages.size(), kFresh);
+        for (std::size_t i = 0; i < stale.size(); ++i) slot[stale[i]] = i;
+        std::vector<std::byte> images(stale.size() * payload_size);
+        reader.rewind();
+        while (reader.next(rec) && rec.lsn <= scan.last_commit_lsn) {
+            if (rec.kind != WalRecordKind::kPage) continue;
+            std::size_t off = 0;
+            const std::uint64_t page = wal_get_u64(rec.body, off);
+            if (page >= slot.size() || slot[page] == kFresh) continue;
+            std::byte* image = images.data() + slot[page] * payload_size;
+            for_each_page_range(
+                rec.body, payload_size, rec.lsn,
+                [&](std::uint32_t offset, std::span<const std::byte> bytes) {
+                    std::memcpy(image + offset, bytes.data(), bytes.size());
+                });
+        }
+        for (std::size_t i = 0; i < stale.size(); ++i) {
+            out.file->write_payload(
+                stale[i],
+                std::span(images).subspan(i * payload_size, payload_size),
+                pages[stale[i]].lsn);
+            ++out.stats.pages_replayed;
+        }
     }
     out.file->sync();
 
-    // Record counts come from the committed images (every committed bucket
-    // has one: create_bucket journals its empty page).
+    // Record counts come from the committed count words (every committed
+    // bucket has a page record: create_bucket journals its empty page).
     for (auto& meta : out.metas) {
-        auto it = images.find(meta.page);
-        PGF_CHECK(it != images.end(),
-                  "recover: committed bucket has no page image");
-        meta.count = it->second.count;
+        const PageState& state = pages[meta.page];
+        PGF_CHECK(state.lsn != 0,
+                  "recover: committed bucket has no page record");
+        meta.count = load_le<std::uint64_t>(state.count);
         PGF_CHECK(meta.count <= out.bucket_capacity,
-                  "recover: page image overflows its bucket");
+                  "recover: page record overflows its bucket");
     }
 
     // Drop the uncommitted log suffix for good and reopen the log for

@@ -2,7 +2,7 @@
 //
 // An append-only file of physical redo records. File layout:
 //
-//   16-byte header: magic "PGFWAL1\0" + u64 reserved (0)
+//   16-byte header: magic "PGFWAL2\0" + u64 reserved (0)
 //   records: u32 crc32c | u32 body_len | u64 lsn | u8 kind | body
 //
 // The record checksum covers [body_len, lsn, kind, body]. LSNs are
@@ -11,7 +11,8 @@
 // prefix ends at the last record whose length fits, whose checksum
 // verifies, and whose LSN continues the sequence. open() truncates the
 // tail; recovery replays records up to the last commit marker and
-// resumes the log there.
+// resumes the log there. A format-1 log ("PGFWAL1\0", whose kPage bodies
+// were whole page images) is refused by name.
 //
 // Record kinds (bodies are little-endian; dimension-typed bodies are
 // encoded/decoded by the templated store/recovery layer on top):
@@ -19,7 +20,11 @@
 //   kGenesis  grid parameters: dims, page size, bucket capacity, split
 //             rule (0 = midpoint), domain — enough to re-open the file
 //             from the log alone.
-//   kPage     u64 page id + full page payload image (physical redo).
+//   kPage     u64 page id, then the payload byte ranges one page encode
+//             changed: (u32 offset, u32 length > 0, length bytes)
+//             each, ascending. A page's image is the zero page its
+//             allocation wrote plus every range journaled for it, in
+//             LSN order; an encode that changed nothing logs no range.
 //   kCreate   new bucket: u32 bucket, u64 page, box (u32 lo/hi per dim).
 //   kSplit    u32 from, u32 to, u32 axis — bucket `from` shrank along
 //             `axis` so that its upper half became bucket `to` (replay
@@ -128,9 +133,9 @@ private:
 };
 
 /// Streaming reader over a WAL file. scan() finds the valid prefix (pass
-/// one); rewind()/next() then iterate the records inside it (pass two) —
-/// recovery's two-pass replay. Both passes read front to back through one
-/// FileReader buffer.
+/// one); rewind()/next() then iterate the records inside it — recovery's
+/// logical pass, and its page pass when some page needs rebuilding. Every
+/// pass reads front to back through one FileReader buffer.
 class WalReader {
 public:
     explicit WalReader(const std::string& path);
@@ -139,7 +144,6 @@ public:
         std::uint64_t lsn = 0;
         WalRecordKind kind = WalRecordKind::kCommit;
         std::vector<std::byte> body;
-        std::uint64_t offset = 0;  ///< file offset of the record
     };
 
     struct ScanResult {
@@ -169,12 +173,6 @@ public:
 
     /// Restarts iteration at the first record.
     void rewind();
-
-    /// Reads the record that next() returned at `offset` with LSN `lsn`
-    /// again, checksum included; false when it no longer reads back
-    /// intact. Re-reads in ascending offset order share the reader's
-    /// buffer. Iteration with next() must rewind() afterwards.
-    bool reread(std::uint64_t offset, std::uint64_t lsn, Record& out);
 
 private:
     /// Checks the file header and positions the reader at the first record.

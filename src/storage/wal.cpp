@@ -9,12 +9,16 @@ namespace pgf {
 
 namespace {
 
-constexpr char kWalMagic[8] = {'P', 'G', 'F', 'W', 'A', 'L', '1', '\0'};
+constexpr char kWalMagic[8] = {'P', 'G', 'F', 'W', 'A', 'L', '2', '\0'};
+// Format 1 journaled whole page images in kPage; format 2 journals the
+// byte ranges an encode changed, so the two cannot read each other.
+constexpr char kWalMagicV1[8] = {'P', 'G', 'F', 'W', 'A', 'L', '1', '\0'};
 constexpr std::size_t kFileHeaderBytes = 16;  // magic + u64 reserved
 constexpr std::size_t kEnvelopeBytes = 17;    // crc + len + lsn + kind
 // Body-length sanity bound for the tail scan: far above any real record
-// (the largest is a page image), far below anything that could make the
-// scan read garbage as a length and allocate wild.
+// (the largest is a page record whose range spans a whole payload), far
+// below anything that could make the scan read garbage as a length and
+// allocate wild.
 constexpr std::uint32_t kMaxBodyBytes = 1u << 24;
 
 void encode_record(std::vector<std::byte>& out, std::uint64_t lsn,
@@ -123,9 +127,14 @@ WalReader::WalReader(const std::string& path) : in_(path) {}
 void WalReader::read_header() {
     in_.seek(0);
     const auto header = in_.next(kFileHeaderBytes);
-    PGF_CHECK(header.size() == kFileHeaderBytes &&
-                  std::memcmp(header.data(), kWalMagic, sizeof(kWalMagic)) ==
-                      0,
+    const bool whole = header.size() == kFileHeaderBytes;
+    PGF_CHECK(!whole || std::memcmp(header.data(), kWalMagicV1,
+                                    sizeof(kWalMagicV1)) != 0,
+              "WAL: " + in_.path() +
+                  " is log format 1; this build reads format 2 (replay it "
+                  "with the build that wrote it)");
+    PGF_CHECK(whole && std::memcmp(header.data(), kWalMagic,
+                                   sizeof(kWalMagic)) == 0,
               "WAL: bad magic in " + in_.path() + " (not a write-ahead log)");
     prev_lsn_ = 0;
 }
@@ -173,17 +182,7 @@ bool WalReader::next(Record& out) {
     return true;
 }
 
-bool WalReader::reread(std::uint64_t offset, std::uint64_t lsn,
-                       Record& out) {
-    PGF_CHECK(lsn > 0 && offset + kEnvelopeBytes <= valid_bytes_,
-              "WAL: reread outside the valid prefix");
-    in_.seek(offset);
-    prev_lsn_ = lsn - 1;
-    return read_record(out);
-}
-
 bool WalReader::read_record(Record& out) {
-    const std::uint64_t offset = in_.position();
     const auto env = in_.next(kEnvelopeBytes);
     if (env.size() != kEnvelopeBytes) return false;
 
@@ -208,7 +207,6 @@ bool WalReader::read_record(Record& out) {
     out.lsn = lsn;
     out.kind = static_cast<WalRecordKind>(kind);
     out.body.assign(body.begin(), body.end());
-    out.offset = offset;
     return true;
 }
 

@@ -22,11 +22,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "pgf/analysis/paged_audit.hpp"
+#include "pgf/core/point_source.hpp"
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/storage/recovery.hpp"
 #include "pgf/storage/wal.hpp"
@@ -395,10 +397,9 @@ TEST_F(CrashRecoveryTest, RecoveryRejectsAnOverlappingBucketBox) {
             wal_put_u32(create, taken.hi[i]);
         }
         wal->append(WalRecordKind::kCreate, create);
-        std::vector<std::byte> image;  // the new bucket's empty page
-        wal_put_u64(image, fresh_page);
-        image.resize(image.size() + cfg.page_size - kPageHeaderBytes);
-        wal->append(WalRecordKind::kPage, image);
+        std::vector<std::byte> empty;  // the new bucket's empty page:
+        wal_put_u64(empty, fresh_page);  // no range changes the zero page
+        wal->append(WalRecordKind::kPage, empty);
         wal->append(WalRecordKind::kCommit, {});
         wal->flush();
     }
@@ -429,6 +430,204 @@ TEST_F(CrashRecoveryTest, RejectedDuplicateInsertKeepsAcceptedRecords) {
     const auto report = analysis::audit_paged_grid_file(
         pf, analysis::ValidationLevel::kDeep);
     EXPECT_TRUE(report.ok()) << report.summary();
+}
+
+TEST_F(CrashRecoveryTest, ReplayFromTheLogAloneRebuildsEveryPage) {
+    // A durable insert/erase workload and a batched stream, flushed; then
+    // the data file is cut to its superblock, so no page survives. Replay
+    // must rebuild every page from the zero page plus its logged ranges,
+    // byte for byte, the stale tails that erases leave behind included.
+    constexpr std::size_t kSuperblock = 24;  // magic, page size, page count
+    const Workload w = make_workload(400, 41);
+    const auto cfg = durable_config(wal_.string(), nullptr);
+    std::uint64_t pages = 0;
+    {
+        PagedGridFile<2> pf(data_.string(), domain_, cfg);
+        apply_ops(pf, w.ops);
+        Rng rng(43);
+        std::vector<Point<2>> more(300);
+        for (auto& q : more) q = {{rng.uniform(), rng.uniform()}};
+        VectorPointSource<2> stream(more);
+        pf.bulk_load_stream(stream, 100'000);
+        pf.flush();
+        for (std::uint32_t b = 0; b < pf.bucket_count(); ++b) {
+            pages = std::max(pages, pf.bucket_page(b) + 1);
+        }
+    }
+    ASSERT_GT(pages, 20u) << "workload never split much";
+    const std::size_t prefix = kSuperblock + pages * cfg.page_size;
+    auto uncut = file_bytes(data_);
+    ASSERT_GT(uncut.size(), prefix);  // the pages, then the catalog
+    uncut.resize(prefix);
+    std::filesystem::resize_file(data_, kSuperblock);
+
+    {
+        const auto rec = replay_wal<2>(data_.string(), wal_.string());
+        EXPECT_EQ(rec.stats.pages_replayed, pages);
+        EXPECT_EQ(rec.stats.pages_skipped, 0u);
+    }
+    EXPECT_EQ(file_bytes(data_), uncut);
+}
+
+TEST_F(CrashRecoveryTest, MalformedPageRangesAreRejectedByLsn) {
+    // A committed page record whose ranges break a bound must fail replay
+    // with a CheckError naming its LSN, and must not size anything by the
+    // bad length word (ASan would flag a 4 GiB allocation).
+    const auto cfg = durable_config(wal_.string(), nullptr);
+    const auto payload =
+        static_cast<std::uint32_t>(cfg.page_size - kPageHeaderBytes);
+    const auto range = [](std::uint32_t offset, std::uint32_t length,
+                          std::size_t bytes) {
+        std::vector<std::byte> out;
+        wal_put_u32(out, offset);
+        wal_put_u32(out, length);
+        out.resize(out.size() + bytes, std::byte{0x5a});
+        return out;
+    };
+    struct Case {
+        const char* name;
+        std::vector<std::byte> ranges;  ///< the body after the page id
+    };
+    std::vector<Case> cases = {
+        {"range past the payload", range(payload - 8, 16, 16)},
+        {"zero-length range", range(0, 0, 0)},
+        {"length beyond the body", range(0, 64, 8)},
+        {"length word near 4 GiB", range(0, 0xffffffffu, 8)},
+        {"header cut mid-body", range(0, 8, 8)},
+    };
+    cases.back().ranges.resize(cases.back().ranges.size() + 4);
+
+    for (const Case& c : cases) {
+        fresh_files();
+        {
+            PagedGridFile<2> pf(data_.string(), domain_, cfg);
+            pf.insert({{0.5, 0.5}}, 1);
+            pf.flush();
+        }
+        std::uint64_t lsn = 0;
+        {
+            auto wal = WriteAheadLog::open(wal_.string());
+            std::vector<std::byte> body;
+            wal_put_u64(body, 0);  // the root bucket's page
+            body.insert(body.end(), c.ranges.begin(), c.ranges.end());
+            lsn = wal->append(WalRecordKind::kPage, body);
+            wal->append(WalRecordKind::kCommit, {});
+            wal->flush();
+        }
+        try {
+            replay_wal<2>(data_.string(), wal_.string());
+            ADD_FAILURE() << c.name << ": replay accepted the record";
+        } catch (const CheckError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("LSN " + std::to_string(lsn) + " "),
+                      std::string::npos)
+                << c.name << ": " << what;
+        }
+    }
+}
+
+TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
+    // Writer property: after every store, each page's zero image plus
+    // every range logged for it so far equals its frame in the pool. The
+    // store is driven directly, through inserts that split, erases from
+    // the middle of a page, and batch sessions.
+    using Store = PagedBucketStore<2>;
+    const std::size_t page_size = Store::page_size_for(8);
+    const std::size_t payload = page_size - kPageHeaderBytes;
+    WalSetup<2> setup;
+    setup.path = wal_.string();
+    setup.domain = domain_;
+    Store store(data_.string(), page_size, 64, setup);
+    const std::size_t capacity = Store::capacity_for(page_size);
+
+    std::size_t checks = 0;
+    const auto expect_log_rebuilds_frames = [&](const char* step) {
+        store.wal()->flush();
+        WalReader reader(wal_.string());
+        reader.scan();
+        std::map<std::uint64_t, std::vector<std::byte>> images;
+        WalReader::Record rec;
+        while (reader.next(rec)) {
+            if (rec.kind != WalRecordKind::kPage) continue;
+            std::size_t off = 0;
+            auto& image = images[wal_get_u64(rec.body, off)];
+            image.resize(payload);
+            for_each_page_range(
+                rec.body, payload, rec.lsn,
+                [&](std::uint32_t offset, std::span<const std::byte> bytes) {
+                    std::copy(bytes.begin(), bytes.end(),
+                              image.begin() + offset);
+                });
+        }
+        for (std::uint32_t b = 0; b < store.bucket_count(); ++b) {
+            const auto frame = store.pool().fetch(store.page(b));
+            const auto data = frame.data();
+            ASSERT_TRUE(images.count(store.page(b))) << step << " " << b;
+            ASSERT_TRUE(std::equal(data.begin(), data.end(),
+                                   images[store.page(b)].begin()))
+                << "after " << step << ": bucket " << b
+                << "'s frame is not its logged ranges";
+        }
+        ++checks;
+    };
+
+    Rng rng(57);
+    std::uint64_t next_id = 0;
+    const auto insert = [&](std::uint32_t b) {
+        Store::Records& records = store.edit(b);
+        records.push_back({{{rng.uniform(), rng.uniform()}}, next_id++});
+        if (records.size() > capacity) {
+            const std::uint32_t fresh = store.create_bucket({}, 0);
+            expect_log_rebuilds_frames("create");
+            const std::size_t pivot = 1 + rng.below(8);
+            const bool upper = rng.below(2) == 1;
+            store.split_active(b, fresh, pivot, upper);
+            expect_log_rebuilds_frames("split");
+            if (upper) b = fresh;
+        }
+        store.commit(b);
+        expect_log_rebuilds_frames("commit");
+    };
+    const auto erase = [&](std::uint32_t b) {
+        Store::Records& records = store.edit(b);
+        if (!records.empty()) {
+            records.erase(records.begin() + rng.below(
+                static_cast<std::uint32_t>(records.size())));
+        }
+        store.commit(b);
+        expect_log_rebuilds_frames("erase");
+    };
+    const auto pick = [&] {
+        return rng.below(static_cast<std::uint32_t>(store.bucket_count()));
+    };
+
+    store.create_bucket({}, 0);
+    expect_log_rebuilds_frames("root");
+    for (int round = 0; round < 6; ++round) {
+        for (int k = 0; k < 40; ++k) {
+            if (k % 4 == 3) {
+                erase(pick());
+            } else {
+                insert(pick());
+            }
+        }
+        // A batch session: runs of edits to one bucket, then a switch.
+        store.begin_batch();
+        for (int k = 0; k < 30; ++k) {
+            const std::uint32_t b = pick();
+            for (int run = 0; run < 3; ++run) {
+                if (run == 2) {
+                    erase(b);
+                } else {
+                    insert(b);
+                }
+            }
+        }
+        store.end_batch();
+        expect_log_rebuilds_frames("end_batch");
+    }
+    EXPECT_GT(store.bucket_count(), 10u);
+    EXPECT_GT(checks, 500u);
 }
 
 TEST_F(CrashRecoveryTest, WalOnAndOffBuildIdenticalGrids) {

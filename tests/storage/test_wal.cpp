@@ -1,14 +1,16 @@
 // Write-ahead log unit tests: append/flush/reopen round trips, LSN
-// discipline, torn-tail and corruption detection, and the commit-boundary
-// bookkeeping recovery truncates at.
+// discipline, torn-tail and corruption detection, the commit-boundary
+// bookkeeping recovery truncates at, and the refusal of a format-1 log.
 #include "pgf/storage/wal.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "pgf/storage/recovery.hpp"
 #include "pgf/util/check.hpp"
 #include "temp_path.hpp"
 
@@ -191,6 +193,38 @@ TEST_F(WalTest, BadMagicAndMissingFileAreTypedErrors) {
     EXPECT_THROW(WalReader(path_.string()).scan(), CheckError);
     EXPECT_THROW(WriteAheadLog::open(path_.string()), CheckError);
     EXPECT_THROW(WriteAheadLog::open("/nonexistent-dir/nope.wal"), IoError);
+}
+
+TEST_F(WalTest, FormatOneLogIsRefusedByName) {
+    // A format-1 log (whole page images in kPage) has the same envelope
+    // under the magic "PGFWAL1". Every reader must name its format rather
+    // than call it "not a write-ahead log", and none may parse it.
+    {
+        std::ofstream out(path_, std::ios::binary);
+        const char header[16] = {'P', 'G', 'F', 'W', 'A', 'L', '1', '\0'};
+        out.write(header, sizeof(header));
+    }
+    const auto expect_format_error = [](const char* who, auto&& call) {
+        try {
+            call();
+            ADD_FAILURE() << who << " accepted a format-1 log";
+        } catch (const CheckError& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("is log format 1"), std::string::npos)
+                << who << ": " << what;
+            EXPECT_NE(what.find("this build reads format 2"),
+                      std::string::npos)
+                << who << ": " << what;
+        }
+    };
+    const std::string log = path_.string();
+    expect_format_error("open", [&] { WriteAheadLog::open(log); });
+    expect_format_error("scan", [&] { WalReader(log).scan(); });
+    expect_format_error("probe", [&] { wal_probe_dims(log); });
+    expect_format_error("replay", [&] {
+        replay_wal<2>(test::unique_temp_path("pgf_wal_v1_data").string(),
+                      log);
+    });
 }
 
 TEST_F(WalTest, EmptyLogScansCleanly) {
