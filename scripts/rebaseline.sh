@@ -31,7 +31,7 @@ run micro_benchmarks \
     --benchmark_min_time=0.2 --benchmark_out="$out/BENCH_kernels.json" \
     --benchmark_out_format=json
 run micro_benchmarks \
-    --benchmark_filter='GridFileInsert|DirectoryExpand|ExtSortRunFormation|HilbertKey|StreamedLoad|ExtSortBuild' \
+    --benchmark_filter='GridFileInsert|PagedBuild|DirectoryExpand|ExtSortRunFormation|HilbertKey|StreamedLoad|ExtSortBuild' \
     --benchmark_min_time=0.2 --benchmark_out="$out/BENCH_build.json" \
     --benchmark_out_format=json
 run ext_serving --bench-json "$out/BENCH_serving.json"

@@ -13,11 +13,18 @@
 //   const CellBox<D>& cells(std::uint32_t b) const;   // + mutable overload
 //   std::size_t size(std::uint32_t b) const;  // records held by bucket b
 //   const Records& read(std::uint32_t b) const;       // query access
+//   void append(std::uint32_t b, const GridRecord<D>& record);
 //   Records& edit(std::uint32_t b);           // open an edit session on b
 //   Records& active();                        // the session's open buffer
 //   void split_active(std::uint32_t b, std::uint32_t new_id,
 //                     std::size_t pivot, bool continue_with_upper);
 //   void commit(std::uint32_t b);             // close the session
+//
+// append(b, record) adds one record to a bucket with room (size(b) below
+// the engine's capacity) without opening a session: it leaves the store
+// exactly as edit(b), a push_back and commit(b) would, so a store may
+// write just the record instead of the whole bucket. The engine calls it
+// for every insert that does not overflow.
 //
 // Edit protocol: the engine opens at most one session at a time with
 // edit(b), mutates the returned buffer, and finishes with commit() on the
@@ -87,6 +94,10 @@ public:
         return buckets_[b].records.size();
     }
     const Records& read(std::uint32_t b) const { return buckets_[b].records; }
+
+    void append(std::uint32_t b, const GridRecord<D>& record) {
+        buckets_[b].records.push_back(record);
+    }
 
     Records& edit(std::uint32_t b) {
         active_ = b;

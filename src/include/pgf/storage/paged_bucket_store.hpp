@@ -14,25 +14,31 @@
 // the store journals physical redo into a WriteAheadLog — a genesis
 // record with the grid parameters (dims, page size, capacity, a u8 split
 // rule, 0 = midpoint, and the domain), a page record for every page
-// encode, a metadata record for every bucket create / split / refinement,
+// write, a metadata record for every bucket create / split / refinement,
 // and a commit marker at each operation boundary. A page record carries
-// only the payload words the encode changed: the records are encoded
-// into scratch, compared with the page in 8-byte words over the encoded
-// prefix, and the differing runs are copied into the page and logged as
-// (offset, length, bytes) ranges, so a page is its zero allocation image
-// plus every range logged for it. The BufferPool enforces
-// WAL-before-data ordering on eviction (a dirty page's log records are
-// flushed before its image may overwrite the on-disk pre-image), so after
-// a crash anywhere, pgf/storage/recovery.hpp replays the committed log
-// prefix into a state that passes the deep audit. Without a WalSetup the
-// store behaves exactly as before — no log, no extra writes, and on-disk
-// bytes identical to the pre-durability format apart from the page header.
+// only the payload words the write changed: the new words are compared
+// with the page in 8-byte words, and the differing runs are copied into
+// the page and logged as (offset, length, bytes) ranges, so a page is its
+// zero allocation image plus every range logged for it. An encode
+// compares its whole encoded prefix; an append compares only the count
+// word and the new record's words, the only ones it can change. The
+// BufferPool enforces WAL-before-data ordering on eviction (a dirty
+// page's log records are flushed before its image may overwrite the
+// on-disk pre-image), so after a crash anywhere, pgf/storage/recovery.hpp
+// replays the committed log prefix into a state that passes the deep
+// audit. Without a WalSetup the store behaves exactly as before — no log,
+// no extra writes, and on-disk bytes identical to the pre-durability
+// format apart from the page header.
 //
-// Edit protocol (see bucket_store.hpp): edit(b) decodes b's page into one
-// in-memory buffer; the engine mutates it (an overflowing buffer may
-// transiently exceed the page capacity — it lives in memory until splits
-// produce page-sized halves); split_active encodes the non-continuing half
-// to its page; commit(b) encodes the buffer back to b's page. A strict-
+// Edit protocol (see bucket_store.hpp): append(b, record) writes the new
+// record at slot `count` and the count word in place — one pool fetch, no
+// decode, no encode — and is how an insert into a page with room lands.
+// edit(b) decodes b's page into one in-memory buffer; the engine mutates
+// it (an overflowing buffer may transiently exceed the page capacity — it
+// lives in memory until splits produce page-sized halves); split_active
+// encodes the non-continuing half to its page; commit(b) encodes the
+// buffer back to b's page. For the same insert, an append and an edit
+// session write the same page bytes and log the same ranges. A strict-
 // capacity store: a bucket can never stay oversized, so the engine rejects
 // inseparable duplicate overflows with CheckError.
 #pragma once
@@ -40,6 +46,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <string>
@@ -177,10 +184,38 @@ public:
         return read_buf_;
     }
 
+    /// Writes `record` at slot `count` of bucket `b`'s page and bumps the
+    /// page's count word, in place (see the file comment); the bucket must
+    /// have room. Inside a batch session the record joins the session like
+    /// any edit.
+    void append(std::uint32_t b, const GridRecord<D>& record) {
+        if (batch_) {
+            edit(b).push_back(record);
+            commit(b);
+            return;
+        }
+        check_writable();
+        Meta& meta = metas_[b];
+        PGF_CHECK(meta.count < capacity_, "store: bucket exceeds its page");
+        auto page = fetch_checked(b);
+        std::byte count_word[kCountBytes];
+        store_le<std::uint64_t>(count_word, meta.count + 1);
+        std::byte words[kRecordBytes];
+        encode_record(words, record);
+        const std::size_t slot = kCountBytes + meta.count * kRecordBytes;
+        if (wal_ == nullptr) {
+            std::memcpy(page.data().data(), count_word, kCountBytes);
+            std::memcpy(page.data().data() + slot, words, kRecordBytes);
+        } else {
+            page.set_lsn(journal_changed_words(
+                meta.page, page.data(), {{0, count_word}, {slot, words}}));
+        }
+        page.mark_dirty();
+        ++meta.count;
+    }
+
     Records& edit(std::uint32_t b) {
-        PGF_CHECK(!read_only_,
-                  "store: a journaled file opened without its log is "
-                  "read-only (recover it with its log to modify it)");
+        check_writable();
         if (batch_) {
             if (session_open_ && active_ == b) return edit_buf_;
             sync_session();  // persist the previous bucket before switching
@@ -392,17 +427,26 @@ public:
         std::byte* p = data.data();
         store_le<std::uint64_t>(p, count);
         for (std::size_t k = 0; k < count; ++k) {
-            std::byte* rec = p + kCountBytes + k * kRecordBytes;
-            for (std::size_t i = 0; i < D; ++i) {
-                store_le<std::uint64_t>(
-                    rec + i * 8,
-                    std::bit_cast<std::uint64_t>(records[k].point[i]));
-            }
-            store_le<std::uint64_t>(rec + D * 8, records[k].id);
+            encode_record(p + kCountBytes + k * kRecordBytes, records[k]);
         }
     }
 
 private:
+    /// One record's (D+1) words: the coordinates (bit-cast), then the id.
+    static void encode_record(std::byte* out, const GridRecord<D>& record) {
+        for (std::size_t i = 0; i < D; ++i) {
+            store_le<std::uint64_t>(
+                out + i * 8, std::bit_cast<std::uint64_t>(record.point[i]));
+        }
+        store_le<std::uint64_t>(out + D * 8, record.id);
+    }
+
+    void check_writable() const {
+        PGF_CHECK(!read_only_,
+                  "store: a journaled file opened without its log is "
+                  "read-only (recover it with its log to modify it)");
+    }
+
     void log_genesis(std::size_t page_size, const WalSetup<D>& setup) {
         std::vector<std::byte> body;
         wal_put_u32(body, static_cast<std::uint32_t>(D));
@@ -420,60 +464,71 @@ private:
     /// (a range header costs one word).
     static constexpr std::size_t kMergeGapWords = 2;
 
-    /// Encodes `count` records over `frame` (page `page_id`'s payload),
-    /// copying in and journaling only the 8-byte words that changed (see
-    /// the file comment); returns the record's LSN for the page's header
-    /// stamp. encode_page writes nothing past the encoded prefix, so the
-    /// stale tail an erase leaves behind is equal on both sides. An encode
-    /// that changes nothing still logs its record: LSNs and page headers
-    /// do not depend on the diff.
-    std::uint64_t log_page(std::uint64_t page_id, std::span<std::byte> frame,
-                           const GridRecord<D>* records,
-                           std::size_t count) const {
-        encoded_.resize(kCountBytes + count * kRecordBytes);
-        encode_page(encoded_, records, count);
-        const std::byte* from = encoded_.data();
+    /// New bytes for the payload words at byte `offset` (a multiple of 8).
+    struct NewWords {
+        std::size_t offset;
+        std::span<const std::byte> bytes;
+    };
+
+    /// Journals one page write as a kPage record and returns its LSN, for
+    /// the page's header stamp. Copies into `frame` (page `page_id`'s
+    /// payload) each 8-byte word of `writes` (ascending, disjoint) that
+    /// differs from it, and logs the changed runs as ranges: runs
+    /// separated by at most kMergeGapWords equal words merge into one
+    /// range. A word outside `writes` must already be equal on both sides,
+    /// and counts as an equal word. A write that changes nothing still
+    /// logs its record: LSNs and page headers do not depend on the diff.
+    std::uint64_t journal_changed_words(
+        std::uint64_t page_id, std::span<std::byte> frame,
+        std::initializer_list<NewWords> writes) const {
         std::byte* to = frame.data();
-        const auto differs = [&](std::size_t w) {
-            return std::memcmp(from + 8 * w, to + 8 * w, 8) != 0;
-        };
         wal_body_.clear();
         wal_put_u64(wal_body_, page_id);
-        const std::size_t words = encoded_.size() / 8;
-        std::size_t w = 0;
-        while (w < words) {
-            if (!differs(w)) {
-                ++w;
-                continue;
+        std::size_t begin = 0;
+        std::size_t end = 0;  // one past the open run's last word; 0 = none
+        const auto log_run = [&] {
+            wal_put_u32(wal_body_, static_cast<std::uint32_t>(8 * begin));
+            wal_put_u32(wal_body_,
+                        static_cast<std::uint32_t>(8 * (end - begin)));
+            wal_body_.insert(wal_body_.end(), to + 8 * begin, to + 8 * end);
+        };
+        for (const NewWords& write : writes) {
+            for (std::size_t k = 0; k < write.bytes.size(); k += 8) {
+                const std::size_t w = (write.offset + k) / 8;
+                if (std::memcmp(write.bytes.data() + k, to + 8 * w, 8) == 0) {
+                    continue;
+                }
+                std::memcpy(to + 8 * w, write.bytes.data() + k, 8);
+                if (end != 0 && w - end > kMergeGapWords) {
+                    log_run();
+                    end = 0;
+                }
+                if (end == 0) begin = w;
+                end = w + 1;
             }
-            const std::size_t begin = w;
-            std::size_t end = ++w;  // one past the run's last changed word
-            for (; w < words && w - end <= kMergeGapWords; ++w) {
-                if (differs(w)) end = w + 1;
-            }
-            const std::size_t offset = 8 * begin;
-            const std::size_t length = 8 * (end - begin);
-            std::memcpy(to + offset, from + offset, length);
-            wal_put_u32(wal_body_, static_cast<std::uint32_t>(offset));
-            wal_put_u32(wal_body_, static_cast<std::uint32_t>(length));
-            wal_body_.insert(wal_body_.end(), from + offset,
-                             from + offset + length);
         }
+        if (end != 0) log_run();
         return wal_->append(WalRecordKind::kPage, wal_body_);
     }
 
-    void load(std::uint32_t b, Records& out) const {
+    /// Fetches bucket `b`'s page and checks its count word against the
+    /// bucket's metadata.
+    BufferPool::PageRef fetch_checked(std::uint32_t b) const {
         auto page = pool_.fetch(metas_[b].page);
-        const std::byte* data = page.data().data();
-        const std::uint64_t count = load_le<std::uint64_t>(data);
-        PGF_CHECK(count == metas_[b].count,
+        PGF_CHECK(page_record_count(page.data()) == metas_[b].count,
                   "page header disagrees with bucket metadata");
-        decode_page(page.data(), out);
+        return page;
     }
 
-    /// Encodes `count` records to bucket `b`'s page (journaled through
-    /// log_page with a WAL). const for sync_session's sake: the page cache
-    /// and the mirrored count are not observable state.
+    void load(std::uint32_t b, Records& out) const {
+        decode_page(fetch_checked(b).data(), out);
+    }
+
+    /// Encodes `count` records to bucket `b`'s page; with a WAL, into
+    /// scratch first and through journal_changed_words. encode_page writes
+    /// nothing past the encoded prefix, so the stale tail an erase leaves
+    /// behind is equal on both sides. const for sync_session's sake: the
+    /// page cache and the mirrored count are not observable state.
     void store(std::uint32_t b, const GridRecord<D>* records,
                std::size_t count) const {
         PGF_CHECK(count <= capacity_, "store: bucket exceeds its page");
@@ -481,8 +536,10 @@ private:
         if (wal_ == nullptr) {
             encode_page(page.data(), records, count);
         } else {
-            page.set_lsn(
-                log_page(metas_[b].page, page.data(), records, count));
+            encoded_.resize(kCountBytes + count * kRecordBytes);
+            encode_page(encoded_, records, count);
+            page.set_lsn(journal_changed_words(metas_[b].page, page.data(),
+                                               {{0, encoded_}}));
         }
         page.mark_dirty();
         metas_[b].count = count;
@@ -508,7 +565,7 @@ private:
     std::uint32_t active_ = 0;
     Records edit_buf_;
     mutable Records read_buf_;
-    mutable std::vector<std::byte> encoded_;   ///< log_page's encode
+    mutable std::vector<std::byte> encoded_;   ///< store's journaled encode
     mutable std::vector<std::byte> wal_body_;  ///< kPage body scratch
     bool read_only_ = false;        ///< journaled, opened without its log
     bool batch_ = false;            ///< inside begin_batch()/end_batch()

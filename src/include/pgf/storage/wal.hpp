@@ -36,9 +36,12 @@
 //             grid file state.
 //
 // Appends buffer in memory under the log's latch and reach disk on
-// flush() — group commit. durable_lsn() is the last LSN actually on
-// disk; the BufferPool's write-back ordering invariant (WAL before data)
-// calls flush_up_to() before letting a dirty page with a newer LSN out.
+// flush() — group commit. A flush writes at the log's tracked end, which
+// advances only when the write succeeds: a flush that fails part way
+// keeps its records buffered, and the next flush writes them again over
+// the torn bytes. durable_lsn() is the last LSN actually on disk; the
+// BufferPool's write-back ordering invariant (WAL before data) calls
+// flush_up_to() before letting a dirty page with a newer LSN out.
 // With a FaultInjector every group flush is one crash-injection point
 // (see pgf/util/file.hpp); the file header is not.
 #pragma once
@@ -120,12 +123,13 @@ public:
     static constexpr std::size_t kAutoFlushBytes = 1u << 20;
 
 private:
-    WriteAheadLog(File file, std::uint64_t last_lsn);
+    WriteAheadLog(File file, std::uint64_t end, std::uint64_t last_lsn);
     void flush_locked() PGF_REQUIRES(latch_);
 
     std::string path_;
     mutable Mutex latch_;
     File file_ PGF_GUARDED_BY(latch_);
+    std::uint64_t end_ PGF_GUARDED_BY(latch_);  // where the next flush writes
     std::vector<std::byte> buf_ PGF_GUARDED_BY(latch_);  // encoded, unflushed
     std::uint64_t last_lsn_ PGF_GUARDED_BY(latch_) = 0;
     std::atomic<std::uint64_t> durable_lsn_{0};

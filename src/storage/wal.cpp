@@ -40,9 +40,11 @@ void encode_record(std::vector<std::byte>& out, std::uint64_t lsn,
 
 // ---------------------------------------------------------------- WAL writer
 
-WriteAheadLog::WriteAheadLog(File file, std::uint64_t last_lsn)
+WriteAheadLog::WriteAheadLog(File file, std::uint64_t end,
+                             std::uint64_t last_lsn)
     : path_(file.path()),
       file_(std::move(file)),
+      end_(end),
       last_lsn_(last_lsn),
       durable_lsn_(last_lsn) {}
 
@@ -53,7 +55,7 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::create(const std::string& path,
     std::memcpy(header, kWalMagic, sizeof(kWalMagic));
     file.write_at(0, header, CrashSite::kNo);
     return std::unique_ptr<WriteAheadLog>(
-        new WriteAheadLog(std::move(file), 0));
+        new WriteAheadLog(std::move(file), kFileHeaderBytes, 0));
 }
 
 std::unique_ptr<WriteAheadLog> WriteAheadLog::open(const std::string& path) {
@@ -68,7 +70,7 @@ std::unique_ptr<WriteAheadLog> WriteAheadLog::resume(const std::string& path,
     // Drop the torn tail so the resumed LSN sequence stays dense.
     file.truncate(length);
     return std::unique_ptr<WriteAheadLog>(
-        new WriteAheadLog(std::move(file), last_lsn));
+        new WriteAheadLog(std::move(file), length, last_lsn));
 }
 
 WriteAheadLog::~WriteAheadLog() {
@@ -114,7 +116,10 @@ WriteAheadLog::Stats WriteAheadLog::stats() const {
 
 void WriteAheadLog::flush_locked() {
     if (buf_.empty()) return;
-    file_.append(buf_);
+    // At the tracked end, not the file's size: a write that failed part
+    // way left torn bytes there, and this retry overwrites them.
+    file_.write_at(end_, buf_);
+    end_ += buf_.size();
     buf_.clear();
     ++stats_.flushes;
     durable_lsn_.store(last_lsn_, std::memory_order_release);

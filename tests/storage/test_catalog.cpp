@@ -355,6 +355,33 @@ TEST_F(CatalogTest, RecordCountAboveCapacityRejected) {
     EXPECT_THROW(Paged2(Paged2::OpenTag{}, path_.string()), CheckError);
 }
 
+TEST_F(CatalogTest, InsertChecksTheCountWordAgainstTheCatalog) {
+    // A catalog count one below its page's count word opens (it is within
+    // capacity), but an insert into that bucket, which has room by the
+    // catalog's count and appends in place, must refuse to write.
+    const State<2> state = build(points(300, 53));
+    const auto last = static_cast<std::uint32_t>(state.counts.size() - 1);
+    ASSERT_GT(state.counts[last], 0u);
+    restamp([&](std::vector<std::byte>& body) {
+        store_le<std::uint64_t>(body.data() + body.size() - 8,
+                                state.counts[last] - 1);
+    });
+    Paged2 pf(Paged2::OpenTag{}, path_.string());
+    ASSERT_LT(pf.bucket_record_count(last), pf.capacity());
+    const Rect<2> region = pf.bucket_region(last);
+    const Point<2> inside{{0.5 * (region.lo[0] + region.hi[0]),
+                           0.5 * (region.lo[1] + region.hi[1])}};
+    ASSERT_EQ(pf.directory().at(pf.locate_cell(inside)), last);
+    try {
+        pf.insert(inside, 9999);
+        ADD_FAILURE() << "insert wrote past a disagreeing count word";
+    } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("page header disagrees"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST_F(CatalogTest, CountsAreCheckedBeforeTheyAllocate) {
     // Counts far beyond the catalog's length must fail on the length check
     // rather than size a vector from them.
@@ -444,6 +471,18 @@ TEST_F(CatalogTest, JournaledFileOpensReadOnlyWithoutItsLog) {
         EXPECT_TRUE(report.ok()) << report.summary();
         // A later replay of the log would silently revert any change.
         EXPECT_THROW(pf.insert({{0.5, 0.5}}, 7777), CheckError);
+        // Also into a bucket with room, which an insert fills by append.
+        std::uint32_t roomy = 0;
+        while (roomy < pf.bucket_count() &&
+               pf.bucket_record_count(roomy) >= pf.capacity()) {
+            ++roomy;
+        }
+        ASSERT_LT(roomy, pf.bucket_count());
+        const Rect<2> region = pf.bucket_region(roomy);
+        const Point<2> inside{{0.5 * (region.lo[0] + region.hi[0]),
+                               0.5 * (region.lo[1] + region.hi[1])}};
+        ASSERT_EQ(pf.directory().at(pf.locate_cell(inside)), roomy);
+        EXPECT_THROW(pf.insert(inside, 7778), CheckError);
         EXPECT_THROW(pf.erase(pts[0], 0), CheckError);
         EXPECT_EQ(pf.record_count(), pts.size());
         pf.flush();

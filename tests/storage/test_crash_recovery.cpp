@@ -527,10 +527,10 @@ TEST_F(CrashRecoveryTest, MalformedPageRangesAreRejectedByLsn) {
 }
 
 TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
-    // Writer property: after every store, each page's zero image plus
-    // every range logged for it so far equals its frame in the pool. The
-    // store is driven directly, through inserts that split, erases from
-    // the middle of a page, and batch sessions.
+    // Writer property: after every store and every append, each page's
+    // zero image plus every range logged for it so far equals its frame in
+    // the pool. The store is driven directly, through appends, inserts
+    // that split, erases from the middle of a page, and batch sessions.
     using Store = PagedBucketStore<2>;
     const std::size_t page_size = Store::page_size_for(8);
     const std::size_t payload = page_size - kPageHeaderBytes;
@@ -574,18 +574,21 @@ TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
     Rng rng(57);
     std::uint64_t next_id = 0;
     const auto insert = [&](std::uint32_t b) {
-        Store::Records& records = store.edit(b);
-        records.push_back({{{rng.uniform(), rng.uniform()}}, next_id++});
-        if (records.size() > capacity) {
-            const std::uint32_t fresh = store.create_bucket({}, 0);
-            expect_log_rebuilds_frames("create");
-            const std::size_t pivot = 1 + rng.below(8);
-            const bool upper = rng.below(2) == 1;
-            store.split_active(b, fresh, pivot, upper);
-            expect_log_rebuilds_frames("split");
-            if (upper) b = fresh;
+        const GridRecord<2> record{{{rng.uniform(), rng.uniform()}},
+                                   next_id++};
+        if (store.size(b) < capacity) {
+            store.append(b, record);
+            expect_log_rebuilds_frames("append");
+            return;
         }
-        store.commit(b);
+        store.edit(b).push_back(record);
+        const std::uint32_t fresh = store.create_bucket({}, 0);
+        expect_log_rebuilds_frames("create");
+        const std::size_t pivot = 1 + rng.below(8);
+        const bool upper = rng.below(2) == 1;
+        store.split_active(b, fresh, pivot, upper);
+        expect_log_rebuilds_frames("split");
+        store.commit(upper ? fresh : b);
         expect_log_rebuilds_frames("commit");
     };
     const auto erase = [&](std::uint32_t b) {

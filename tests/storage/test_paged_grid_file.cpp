@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 
@@ -308,6 +310,172 @@ TEST_F(PagedGridFileTest, RejectsTinyPages) {
     cfg4.page_size = 72;  // (72-16-8)/40 = 1 record: too small for 4-d
     Rect<4> domain4{{{0, 0, 0, 0}}, {{1, 1, 1, 1}}};
     EXPECT_THROW(PagedGridFile<4>(path_.string(), domain4, cfg4), CheckError);
+}
+
+TEST_F(PagedGridFileTest, InsertAtTheCapacityBoundary) {
+    // Both stores: an insert into a bucket holding capacity - 1 records
+    // appends (on the paged file with one pool fetch), one into a full
+    // bucket splits it; an oversized in-memory bucket stays oversized.
+    constexpr std::size_t kCapacity = 8;
+    struct Case {
+        const char* name;
+        std::size_t held;  ///< records in the root bucket before the insert
+        bool splits;
+    };
+    const Case cases[] = {
+        {"capacity - 1 appends", kCapacity - 1, false},
+        {"capacity splits", kCapacity, true},
+    };
+    Rng rng(23);
+    for (const Case& c : cases) {
+        std::vector<Point<2>> pts(c.held + 1);
+        for (auto& p : pts) p = {{rng.uniform(), rng.uniform()}};
+        GridFile<2> memory(domain_, {kCapacity});
+        auto paged = make(PagedBucketStore<2>::page_size_for(kCapacity), 4);
+        for (std::uint64_t i = 0; i < c.held; ++i) {
+            memory.insert(pts[i], i);
+            paged.insert(pts[i], i);
+        }
+        ASSERT_EQ(memory.bucket_count(), 1u) << c.name;
+        ASSERT_EQ(paged.bucket_count(), 1u) << c.name;
+        const auto fetches = [&] {
+            return paged.pool().hits() + paged.pool().misses();
+        };
+        const std::uint64_t before = fetches();
+        memory.insert(pts[c.held], c.held);
+        paged.insert(pts[c.held], c.held);
+        EXPECT_EQ(memory.bucket_count() > 1, c.splits) << c.name;
+        EXPECT_EQ(paged.bucket_count(), memory.bucket_count()) << c.name;
+        EXPECT_EQ(memory.oversized_bucket_count(), 0u) << c.name;
+        if (c.splits) {
+            EXPECT_GT(fetches() - before, 1u) << c.name;
+        } else {
+            EXPECT_EQ(fetches() - before, 1u) << c.name;
+        }
+        EXPECT_EQ(memory.query_records(domain_).size(), c.held + 1)
+            << c.name;
+        EXPECT_EQ(paged.query_records(domain_).size(), c.held + 1)
+            << c.name;
+    }
+
+    // Copies of one point cannot be separated: the in-memory bucket goes
+    // oversized, and a further copy joins it without another split.
+    GridFile<2> memory(domain_, {4});
+    const Point<2> p{{0.25, 0.75}};
+    for (std::uint64_t i = 0; i < 6; ++i) memory.insert(p, i);
+    ASSERT_EQ(memory.oversized_bucket_count(), 1u);
+    const std::size_t buckets = memory.bucket_count();
+    const std::uint64_t refinements = memory.refinement_count();
+    memory.insert(p, 6);
+    EXPECT_EQ(memory.oversized_bucket_count(), 1u);
+    EXPECT_EQ(memory.bucket_count(), buckets);
+    EXPECT_EQ(memory.refinement_count(), refinements);
+    const std::uint32_t held = memory.directory().at(memory.locate_cell(p));
+    EXPECT_EQ(memory.bucket_record_count(held), 7u);
+}
+
+TEST(PagedBucketStoreAppend, WritesTheFilesAnEditSessionWrites) {
+    // One insert/erase sequence with splits and a batch session drives two
+    // journaled stores whose four-frame pools evict: one takes each insert
+    // into a bucket with room through append(), the other through edit(),
+    // push_back and commit(). The data files and the logs must match byte
+    // for byte, with fewer pool fetches on the append side.
+    using Store = PagedBucketStore<2>;
+    const std::size_t page_size = Store::page_size_for(8);
+    const std::size_t capacity = Store::capacity_for(page_size);
+    const std::filesystem::path data[] = {
+        test::unique_temp_path("pgf_append_data"),
+        test::unique_temp_path("pgf_edit_data")};
+    const std::filesystem::path logs[] = {
+        test::unique_temp_path("pgf_append_wal"),
+        test::unique_temp_path("pgf_edit_wal")};
+    const auto open = [&](int k) {
+        WalSetup<2> setup;
+        setup.path = logs[k].string();
+        setup.domain = Rect<2>{{{0.0, 0.0}}, {{1.0, 1.0}}};
+        return std::make_unique<Store>(data[k].string(), page_size, 4,
+                                       setup);
+    };
+    const std::unique_ptr<Store> stores[] = {open(0), open(1)};
+    Store& via_append = *stores[0];
+    Store& via_edit = *stores[1];
+    for (const auto& s : stores) {
+        s->create_bucket({}, 0);
+        s->note_op_end();
+    }
+
+    Rng rng(71);
+    std::uint64_t next_id = 0;
+    const auto insert = [&](std::uint32_t b) {
+        const GridRecord<2> record{{{rng.uniform(), rng.uniform()}},
+                                   next_id++};
+        if (via_append.size(b) < capacity) {
+            via_append.append(b, record);
+            via_edit.edit(b).push_back(record);
+            via_edit.commit(b);
+        } else {
+            const std::size_t pivot = 1 + rng.below(8);
+            const bool upper = rng.below(2) == 1;
+            for (const auto& s : stores) {
+                s->edit(b).push_back(record);
+                const std::uint32_t fresh = s->create_bucket({}, 0);
+                s->split_active(b, fresh, pivot, upper);
+                s->commit(upper ? fresh : b);
+            }
+        }
+    };
+    const auto erase = [&](std::uint32_t b) {
+        if (via_edit.size(b) == 0) return;
+        const std::size_t k =
+            rng.below(static_cast<std::uint32_t>(via_edit.size(b)));
+        for (const auto& s : stores) {
+            Store::Records& records = s->edit(b);
+            records[k] = records.back();
+            records.pop_back();
+            s->commit(b);
+        }
+    };
+    const auto step = [&](std::uint32_t b, int k) {
+        if (k % 4 == 3) {
+            erase(b);
+        } else {
+            insert(b);
+        }
+        for (const auto& s : stores) s->note_op_end();
+    };
+    const auto pick = [&] {
+        return rng.below(static_cast<std::uint32_t>(via_edit.bucket_count()));
+    };
+
+    for (int k = 0; k < 600; ++k) step(pick(), k);
+    for (const auto& s : stores) s->begin_batch();
+    for (int k = 0; k < 90; ++k) {
+        const std::uint32_t b = pick();
+        for (int run = 0; run < 3; ++run) step(b, run);
+    }
+    for (const auto& s : stores) s->end_batch();
+    for (int k = 0; k < 200; ++k) step(pick(), k);
+
+    ASSERT_GT(via_edit.bucket_count(), 20u);
+    const auto a = via_append.pool().stats();
+    const auto e = via_edit.pool().stats();
+    EXPECT_GT(a.evictions, 100u);
+    EXPECT_EQ(a.evictions, e.evictions);
+    EXPECT_EQ(a.writebacks, e.writebacks);
+    EXPECT_EQ(a.misses, e.misses);
+    EXPECT_LT(a.hits, e.hits);
+    for (const auto& s : stores) s->flush();
+
+    const auto bytes = [](const std::filesystem::path& p) {
+        std::ifstream in(p, std::ios::binary);
+        return std::vector<char>(std::istreambuf_iterator<char>(in),
+                                 std::istreambuf_iterator<char>());
+    };
+    EXPECT_EQ(bytes(data[0]), bytes(data[1])) << "data files differ";
+    EXPECT_EQ(bytes(logs[0]), bytes(logs[1])) << "logs differ";
+    for (const auto& path : {data[0], data[1], logs[0], logs[1]}) {
+        std::filesystem::remove(path);
+    }
 }
 
 TEST(PagedBucketStoreDecode, CountWordIsBoundedByThePage) {

@@ -1,10 +1,13 @@
 // Write-ahead log unit tests: append/flush/reopen round trips, LSN
-// discipline, torn-tail and corruption detection, the commit-boundary
-// bookkeeping recovery truncates at, and the refusal of a format-1 log.
+// discipline, torn-tail and corruption detection, a flush retried after a
+// failed write, the commit-boundary bookkeeping recovery truncates at, and
+// the refusal of a format-1 log.
 #include "pgf/storage/wal.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,6 +19,30 @@
 
 namespace pgf {
 namespace {
+
+/// Caps this process's file size while alive, with SIGXFSZ ignored so a
+/// write past the cap fails (EFBIG) instead of killing the process; the
+/// destructor restores the limit and the handler.
+class FileSizeCap {
+public:
+    explicit FileSizeCap(std::uint64_t bytes) {
+        EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
+        handler_ = std::signal(SIGXFSZ, SIG_IGN);
+        rlimit cap = saved_;
+        cap.rlim_cur = static_cast<rlim_t>(bytes);
+        EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+    }
+    ~FileSizeCap() {
+        ::setrlimit(RLIMIT_FSIZE, &saved_);
+        std::signal(SIGXFSZ, handler_);
+    }
+    FileSizeCap(const FileSizeCap&) = delete;
+    FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+private:
+    rlimit saved_{};
+    void (*handler_)(int) = SIG_DFL;
+};
 
 class WalTest : public ::testing::Test {
 protected:
@@ -131,6 +158,44 @@ TEST_F(WalTest, TornTailIsDetectedAndTruncatedOnOpen) {
     const auto scan = reader.scan();
     EXPECT_EQ(scan.records, 3u);
     EXPECT_EQ(scan.last_lsn, 3u);
+}
+
+TEST_F(WalTest, FlushRetriedAfterAFailedWriteKeepsEveryRecord) {
+    // A flush that fails part way leaves torn bytes at the end of the log.
+    // The retry must write over them: written after them, its records are
+    // reported durable, yet the reader stops at the torn record and a
+    // reopen cuts them away.
+    auto wal = WriteAheadLog::create(path_.string());
+    for (int k = 0; k < 10; ++k) wal->append(WalRecordKind::kCommit, {});
+    wal->flush();
+    const std::uint64_t flushed = std::filesystem::file_size(path_);
+    const std::vector<std::byte> kb(1024, std::byte{0x5a});
+    for (int k = 0; k < 10; ++k) wal->append(WalRecordKind::kPage, kb);
+    {
+        FileSizeCap cap(flushed + 2560);  // two and a half records fit
+        EXPECT_THROW(wal->flush(), IoError);
+    }
+    ASSERT_EQ(std::filesystem::file_size(path_), flushed + 2560);
+    EXPECT_EQ(wal->durable_lsn(), 10u);
+    EXPECT_EQ(wal->append(WalRecordKind::kCommit, {}), 21u);
+    wal->flush();
+    EXPECT_EQ(wal->durable_lsn(), 21u);
+
+    const auto expect_lsns_1_to_21 = [&](const char* when) {
+        WalReader reader(path_.string());
+        const auto scan = reader.scan();
+        EXPECT_EQ(scan.records, 21u) << when;
+        EXPECT_EQ(scan.last_lsn, 21u) << when;
+        EXPECT_EQ(scan.last_commit_lsn, 21u) << when;
+        EXPECT_EQ(scan.valid_bytes, std::filesystem::file_size(path_))
+            << when;
+    };
+    expect_lsns_1_to_21("after the retried flush");
+    wal.reset();
+    wal = WriteAheadLog::open(path_.string());
+    EXPECT_EQ(wal->last_lsn(), 21u);
+    wal.reset();
+    expect_lsns_1_to_21("after a reopen");
 }
 
 TEST_F(WalTest, CorruptRecordEndsTheValidPrefix) {
