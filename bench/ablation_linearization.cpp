@@ -46,11 +46,11 @@ int run(int argc, char** argv) {
     auto inner_pool = make_inner_pool(opt);
     Rng rng(opt.seed);
     panel(opt,
-          *make_workbench<2>(opt, rng,
+          *make_workbench<2>(rng,
                              [](Rng& r) { return make_hotspot2d(r); }),
           0.05, inner_pool.get());
     panel(opt,
-          *make_workbench<3>(opt, rng, [](Rng& r) { return make_stock3d(r); }),
+          *make_workbench<3>(rng, [](Rng& r) { return make_stock3d(r); }),
           0.01, inner_pool.get());
     return 0;
 }

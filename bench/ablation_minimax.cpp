@@ -23,7 +23,7 @@ int run(int argc, char** argv) {
                  "quality under variations of weights/seeding/refinement");
     auto inner_pool = make_inner_pool(opt);
     Rng rng(opt.seed);
-    auto wb = make_workbench<2>(opt, rng,
+    auto wb = make_workbench<2>(rng,
                                 [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";

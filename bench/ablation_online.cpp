@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
                  "hot.2d, r = 0.01; streaming placement in creation order / "
                  "random order vs offline Algorithm 2 and round-robin");
     Rng rng(opt.seed);
-    auto wb = make_workbench<2>(opt, rng,
+    auto wb = make_workbench<2>(rng,
                                 [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";

@@ -11,13 +11,6 @@
 namespace pgf::bench {
 namespace {
 
-std::string default_backend() {
-    if (const char* env = std::getenv("PGF_BACKEND")) {
-        if (*env != '\0') return env;
-    }
-    return "memory";
-}
-
 [[noreturn]] void usage_exit(const std::string& message) {
     std::cerr << message << "\n";
     std::exit(2);
@@ -28,8 +21,8 @@ std::string default_backend() {
 Options::Options(int argc, const char* const* argv) {
     Cli cli(argc, argv);
     if (!cli.check_flags({"csv-dir", "queries", "seed", "threads",
-                          "inner-threads", "bench-json", "backend",
-                          "node-pool-pages", "full"})) {
+                          "inner-threads", "bench-json", "node-pool-pages",
+                          "full"})) {
         std::exit(2);
     }
     try {
@@ -43,18 +36,12 @@ Options::Options(int argc, const char* const* argv) {
             "inner-threads",
             env_int<unsigned>("PGF_INNER_THREADS").value_or(1));
         bench_json = cli.get_string("bench-json", "");
-        backend = cli.get_string("backend", default_backend());
         node_pool_pages = cli.get_int<std::size_t>("node-pool-pages", 1024);
         const char* env = std::getenv("PGF_FULL_SCALE");
         full_scale =
             cli.get_bool("full", env != nullptr && std::string(env) == "1");
     } catch (const UsageError& e) {
         usage_exit(cli.program() + ": " + e.what());
-    }
-    if (backend != "memory" && backend != "paged") {
-        std::cerr << "unknown --backend '" << backend
-                  << "' (expected memory|paged)\n";
-        std::exit(2);
     }
 }
 

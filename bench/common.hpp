@@ -18,13 +18,6 @@
 //                       Output is byte-identical at every setting.
 //   --bench-json <f>    write the run's timings to <f> as a pgf-bench-v2
 //                       report (report.hpp; compare with tools/bench_diff)
-//   --backend <b>       grid-file backend: memory (default) or paged.
-//                       Paged builds the workbench's dataset into a real
-//                       one-bucket-per-page disk file too; experiments
-//                       that support it (table45_sp2) then run the
-//                       parallel server over the paged file. (PGF_BACKEND
-//                       in the environment sets the default.) Every
-//                       column is identical across backends.
 //   --node-pool-pages <n>  buffer-pool frames per serving node
 //                       (ext_serving; default 1024)
 //   --full              full paper scale for the SP-2 experiment
@@ -34,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -48,6 +42,7 @@
 #include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/util/cli.hpp"
 #include "pgf/util/table.hpp"
+#include "pgf/util/temp_dir.hpp"
 #include "pgf/util/thread_pool.hpp"
 #include "pgf/workload/datasets.hpp"
 #include "pgf/workload/query_gen.hpp"
@@ -61,14 +56,11 @@ struct Options {
     unsigned threads = 0;  ///< 0 = hardware concurrency
     unsigned inner_threads = 1;  ///< intra-algorithm scans; 0 = hw concurrency
     std::string bench_json;
-    std::string backend = "memory";  ///< "memory" or "paged"
     std::size_t node_pool_pages = 1024;  ///< serving per-node pool frames
     bool full_scale = false;
 
     /// Parses the flags above; any other --flag exits 2, naming it.
     Options(int argc, const char* const* argv);
-
-    bool paged() const { return backend == "paged"; }
 
     /// Thread count after resolving 0 to the hardware concurrency.
     unsigned resolved_threads() const;
@@ -166,43 +158,16 @@ private:
     double total_ms_ = 0.0;
 };
 
-/// Builder-pool frames of a paged workbench: enough to keep every
-/// default-scale file resident, so servers that read bucket records
-/// through the file (table45_sp2 --backend=paged) hit the pool.
-inline constexpr std::size_t kWorkbenchPoolPages = 4096;
-
 /// A dataset loaded into a grid file with its structural snapshot — the
-/// starting state of every simulation experiment. With `with_paged` the
-/// same dataset is also bulk-loaded into a disk-backed grid file whose
-/// page capacity equals the in-memory bucket capacity, so the two
-/// backends are cell-for-cell identical; the backing file is removed
-/// when the last handle drops.
+/// starting state of every simulation experiment.
 template <std::size_t D>
 struct Workbench {
     Dataset<D> dataset;
     GridFile<D> gf;
     GridStructure gs;
-    std::shared_ptr<PagedGridFile<D>> paged;  ///< set only with with_paged
 
-    explicit Workbench(Dataset<D> ds, bool with_paged = false)
-        : dataset(std::move(ds)), gf(dataset.build()), gs(gf.structure()) {
-        if (with_paged) {
-            typename PagedGridFile<D>::Config cfg;
-            cfg.page_size = PagedBucketStore<D>::page_size_for(
-                dataset.bucket_capacity);
-            cfg.pool_pages = kWorkbenchPoolPages;
-            paged = std::shared_ptr<PagedGridFile<D>>(
-                new PagedGridFile<D>(unique_backing_path(dataset.name),
-                                     dataset.domain, cfg),
-                [](PagedGridFile<D>* p) {
-                    const std::string path = p->path();
-                    delete p;
-                    std::remove(path.c_str());
-                });
-            paged->bulk_load(dataset.points);
-            paged->flush();
-        }
-    }
+    explicit Workbench(Dataset<D> ds)
+        : dataset(std::move(ds)), gf(dataset.build()), gs(gf.structure()) {}
 
     /// Precollects the bucket sets of a fresh random square-query workload
     /// (reused across every method/M configuration). A pool fans the
@@ -224,12 +189,31 @@ struct Workbench {
     }
 };
 
-/// Builds the Workbench for the dataset `maker(rng)` returns, with the
-/// paged backend too when --backend=paged.
+/// Builder-pool frames of paged_copy: enough to keep every default-scale
+/// file resident, so serial reference queries through the file hit.
+inline constexpr std::size_t kPagedCopyPoolPages = 4096;
+
+/// `ds` bulk-loaded into a flushed paged grid file at `path`, one bucket
+/// per page of the dataset's bucket capacity, so it is cell-for-cell the
+/// workbench's in-memory file: the disk image the threaded serving benches
+/// read.
+template <std::size_t D>
+std::unique_ptr<PagedGridFile<D>> paged_copy(const Dataset<D>& ds,
+                                             const std::filesystem::path& path) {
+    typename PagedGridFile<D>::Config cfg;
+    cfg.page_size = PagedBucketStore<D>::page_size_for(ds.bucket_capacity);
+    cfg.pool_pages = kPagedCopyPoolPages;
+    auto file =
+        std::make_unique<PagedGridFile<D>>(path.string(), ds.domain, cfg);
+    file->bulk_load(ds.points);
+    file->flush();
+    return file;
+}
+
+/// Builds the Workbench for the dataset `maker(rng)` returns.
 template <std::size_t D, typename Maker>
-std::unique_ptr<const Workbench<D>> make_workbench(const Options& opt,
-                                                   Rng& rng, Maker&& maker) {
-    return std::make_unique<const Workbench<D>>(maker(rng), opt.paged());
+std::unique_ptr<const Workbench<D>> make_workbench(Rng& rng, Maker&& maker) {
+    return std::make_unique<const Workbench<D>>(maker(rng));
 }
 
 }  // namespace pgf::bench

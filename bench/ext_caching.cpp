@@ -108,10 +108,6 @@ std::vector<Rect<2>> scan_mix_queries(const Dataset<2>& ds,
 
 int run(int argc, char** argv) {
     Options opt(argc, argv);
-    // Hit rates are a property of the disk image; force the paged
-    // workbench regardless of --backend.
-    Options paged_opt = opt;
-    paged_opt.backend = "paged";
 
     print_banner(opt,
                  "Extension — LRU pool size vs hit rate",
@@ -119,13 +115,15 @@ int run(int argc, char** argv) {
                  "hit rate, physical reads/query and p50/p99 latency vs "
                  "pool-pages x workload");
     Rng rng(opt.seed);
-    auto wb = make_workbench<2>(paged_opt, rng, [](Rng& r) {
-        return make_hotspot2d(r, 10000);
-    });
+    auto wb = make_workbench<2>(
+        rng, [](Rng& r) { return make_hotspot2d(r, 10000); });
     const Workbench<2>& bench = *wb;
-    PGF_CHECK(bench.paged != nullptr, "caching bench needs the paged build");
-    const PagedGridFile<2>& pgf2 = *bench.paged;
     std::cout << bench.summary() << "\n";
+
+    // Hit rates are a property of the disk image.
+    util::TempDir dir("pgf-ext-caching");
+    const auto paged = paged_copy(bench.dataset, dir.file("hotspot.pgf"));
+    const PagedGridFile<2>& pgf2 = *paged;
 
     // Every bucket on the one node's one disk: this bench isolates the
     // caching behavior, not the declustering (ext_serving covers that).

@@ -21,7 +21,7 @@ int run(int argc, char** argv) {
                  "4-d DSMC data, 16 nodes, 200 random r = 0.01 queries; "
                  "elapsed seconds vs closed-loop concurrency");
     Rng rng(opt.seed);
-    auto wb = make_workbench<4>(opt, rng, [](Rng& r) {
+    auto wb = make_workbench<4>(rng, [](Rng& r) {
         return make_dsmc4d(r, 12, 15000);
     });
     const Workbench<4>& bench = *wb;

@@ -18,7 +18,7 @@ int run(int argc, char** argv) {
                  "r = 0.01, data-balance conflict resolution; expected: the "
                  "Fig. 6 ranking (MiniMax < SSP <= HCAM/D << DM/D, FX/D)");
     Rng rng(opt.seed);
-    auto wb = make_workbench<3>(opt, rng, [](Rng& r) { return make_mhd3d(r); });
+    auto wb = make_workbench<3>(rng, [](Rng& r) { return make_mhd3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << bench.summary() << "\n";
     auto qb = bench.workload(0.01, opt.queries, opt.seed + 13000);

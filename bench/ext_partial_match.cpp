@@ -47,7 +47,7 @@ int run(int argc, char** argv) {
     // Table B: partial match on a real grid file (stock.3d: "all quotes of
     // stock X", "all stocks at price Y on day Z", ...).
     Rng rng(opt.seed);
-    auto wb = make_workbench<3>(opt, rng, [](Rng& r) {
+    auto wb = make_workbench<3>(rng, [](Rng& r) {
         return make_stock3d(r, 60000);
     });
     const Workbench<3>& bench = *wb;

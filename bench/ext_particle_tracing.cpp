@@ -28,7 +28,7 @@ int run(int argc, char** argv) {
                      "the 16x7-disk SP-2 configuration");
     Rng rng(opt.seed);
     auto wb = make_workbench<4>(
-        opt, rng, [&](Rng& r) { return make_dsmc4d(r, snapshots, 12000); });
+        rng, [&](Rng& r) { return make_dsmc4d(r, snapshots, 12000); });
     const Workbench<4>& bench = *wb;
     std::cout << bench.summary() << "\n";
 

@@ -64,10 +64,6 @@ bool same_records(const std::vector<GridRecord<D>>& a,
 
 int run(int argc, char** argv) {
     Options opt(argc, argv);
-    // The engine serves the *disk* image: force the paged workbench
-    // regardless of --backend (the in-memory file has no pages to read).
-    Options paged_opt = opt;
-    paged_opt.backend = "paged";
 
     constexpr std::uint32_t kNodes = 4;
     print_banner(opt, "Extension — threaded serving on the paged backend",
@@ -75,13 +71,15 @@ int run(int argc, char** argv) {
                      "-node QueryEngine; queries/sec and p50/p99 latency "
                      "vs workers-per-node x concurrency x declustering");
     Rng rng(opt.seed);
-    auto wb = make_workbench<4>(paged_opt, rng, [](Rng& r) {
-        return make_dsmc4d(r, 12, 15000);
-    });
+    auto wb = make_workbench<4>(
+        rng, [](Rng& r) { return make_dsmc4d(r, 12, 15000); });
     const Workbench<4>& bench = *wb;
-    PGF_CHECK(bench.paged != nullptr, "serving bench needs the paged build");
-    const PagedGridFile<4>& pgf4 = *bench.paged;
     std::cout << bench.summary() << "\n";
+
+    // The engine serves the disk image (the in-memory file has no pages).
+    util::TempDir dir("pgf-ext-serving");
+    const auto paged = paged_copy(bench.dataset, dir.file("dsmc4d.pgf"));
+    const PagedGridFile<4>& pgf4 = *paged;
 
     Rng qrng(opt.seed + 14000);
     auto queries = square_queries(bench.dataset.domain, 0.01, opt.queries,

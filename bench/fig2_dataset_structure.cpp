@@ -61,15 +61,15 @@ int run(int argc, char** argv) {
                      "paper merged"});
     Rng rng(opt.seed);
     report(opt,
-           *make_workbench<2>(opt, rng,
+           *make_workbench<2>(rng,
                               [](Rng& r) { return make_uniform2d(r); }),
            252, 4, table);
     report(opt,
-           *make_workbench<2>(opt, rng,
+           *make_workbench<2>(rng,
                               [](Rng& r) { return make_hotspot2d(r); }),
            241, 169, table);
     report(opt,
-           *make_workbench<2>(opt, rng,
+           *make_workbench<2>(rng,
                               [](Rng& r) { return make_correl2d(r); }),
            242, 164, table);
     emit(opt, table, "fig2_dataset_structure");

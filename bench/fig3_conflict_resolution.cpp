@@ -34,7 +34,7 @@ int run(int argc, char** argv) {
                  "r = 0.05; data balance should win, HCAM should be "
                  "insensitive, FX most sensitive");
     Rng rng(opt.seed);
-    auto wb = make_workbench<2>(opt, rng,
+    auto wb = make_workbench<2>(rng,
                                 [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";

@@ -77,7 +77,7 @@ int run(int argc, char** argv) {
                            PanelSpec{"hotspot.2d", &make_hotspot2d},
                            PanelSpec{"correl.2d", &make_correl2d}}) {
         auto wb = make_workbench<2>(
-            opt, rng, [&spec](Rng& r) { return spec.maker(r, 10000); });
+            rng, [&spec](Rng& r) { return spec.maker(r, 10000); });
         std::cout << "\n" << wb->summary() << "\n";
         panel(opt, harness, *wb);
     }

@@ -17,7 +17,7 @@ namespace pgf::bench {
 namespace {
 
 void dsmc_panel(const Options& opt, Rng& rng) {
-    auto wb = make_workbench<3>(opt, rng,
+    auto wb = make_workbench<3>(rng,
                                 [](Rng& r) { return make_dsmc3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << "\n" << bench.summary() << "  (paper: 52857 records, 1536 "
@@ -52,7 +52,7 @@ void dsmc_panel(const Options& opt, Rng& rng) {
 }
 
 void stock_panel(const Options& opt, Rng& rng) {
-    auto wb = make_workbench<3>(opt, rng,
+    auto wb = make_workbench<3>(rng,
                                 [](Rng& r) { return make_stock3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << "\n" << bench.summary() << "  (paper: 127026 records, 6336 "

@@ -74,12 +74,12 @@ int run(int argc, char** argv) {
                  "MiniMax < SSP <= HCAM/D << DM/D, FX/D");
     Rng rng(opt.seed);
     panel(opt, harness,
-          *make_workbench<2>(opt, rng,
+          *make_workbench<2>(rng,
                              [](Rng& r) { return make_hotspot2d(r); }));
     panel(opt, harness,
-          *make_workbench<3>(opt, rng, [](Rng& r) { return make_dsmc3d(r); }));
+          *make_workbench<3>(rng, [](Rng& r) { return make_dsmc3d(r); }));
     panel(opt, harness,
-          *make_workbench<3>(opt, rng, [](Rng& r) { return make_stock3d(r); }));
+          *make_workbench<3>(rng, [](Rng& r) { return make_stock3d(r); }));
     return harness.write_timings() ? 0 : 1;
 }
 

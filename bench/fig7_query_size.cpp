@@ -18,7 +18,7 @@ int run(int argc, char** argv) {
                  "HCAM/D vs MiniMax across r = 0.01 / 0.05 / 0.10; speedup "
                  "= response(4 disks) / response(M disks)");
     Rng rng(opt.seed);
-    auto wb = make_workbench<3>(opt, rng,
+    auto wb = make_workbench<3>(rng,
                                 [](Rng& r) { return make_stock3d(r); });
     const Workbench<3>& bench = *wb;
     std::cout << bench.summary() << "\n";

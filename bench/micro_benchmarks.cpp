@@ -373,6 +373,30 @@ void BM_PagedBuild(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_PagedBuild, 2)->Arg(10000)->Arg(100000);
 BENCHMARK_TEMPLATE(BM_PagedBuild, 3)->Arg(10000)->Arg(100000);
 
+// The same random-order build through the default 128-frame pool, then
+// a flush: serve_cold's set-up shape, where the file outgrows the pool,
+// so every page the build touches again must come back in.
+template <std::size_t D>
+void BM_PagedBuildSmallPool(benchmark::State& state) {
+    const auto n = static_cast<std::size_t>(state.range(0));
+    const auto pts = uniform_points<D>(n);
+    const std::string path = paged_backing_path("build-small-pool");
+    typename PagedGridFile<D>::Config cfg;
+    cfg.page_size = PagedBucketStore<D>::page_size_for(56);
+    for (auto _ : state) {
+        PagedGridFile<D> pf(path, build_domain<D>(), cfg);
+        pf.bulk_load(pts);
+        pf.flush();
+        benchmark::DoNotOptimize(pf.bucket_count());
+    }
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(n));
+}
+BENCHMARK_TEMPLATE(BM_PagedBuildSmallPool, 2)->Arg(100000);
+BENCHMARK_TEMPLATE(BM_PagedBuildSmallPool, 4)->Arg(100000);
+
 /// The paged file the streamed-build benchmarks load: capacity 56 (the
 /// uniform.2d dataset's) behind a 1024-frame pool.
 PagedGridFile<2>::Config stream_build_config() {

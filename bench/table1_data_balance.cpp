@@ -19,7 +19,7 @@ int run(int argc, char** argv) {
                  "B_max * M / B_sum per declustering method with the data "
                  "balance heuristic; 1.00 = perfect");
     Rng rng(opt.seed);
-    auto wb = make_workbench<2>(opt, rng,
+    auto wb = make_workbench<2>(rng,
                                 [](Rng& r) { return make_hotspot2d(r); });
     const Workbench<2>& bench = *wb;
     std::cout << bench.summary() << "\n";

@@ -64,11 +64,11 @@ int run(int argc, char** argv) {
                  "MiniMax should be at or near zero, DM/FX high");
     Rng rng(opt.seed);
     table_for(opt, harness,
-              *make_workbench<3>(opt, rng,
+              *make_workbench<3>(rng,
                                  [](Rng& r) { return make_dsmc3d(r); }),
               "table2_closest_pairs_dsmc3d");
     table_for(opt, harness,
-              *make_workbench<3>(opt, rng,
+              *make_workbench<3>(rng,
                                  [](Rng& r) { return make_stock3d(r); }),
               "table3_closest_pairs_stock3d");
     return harness.write_timings() ? 0 : 1;

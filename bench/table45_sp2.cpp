@@ -12,19 +12,13 @@
 //
 // Default scale is reduced for a laptop run (16 snapshots x ~25k records);
 // --full or PGF_FULL_SCALE=1 selects the paper's 59 x ~51k (~3M records).
-//
-// --backend=paged additionally bulk-loads the dataset into a real
-// one-bucket-per-page disk file and runs every server over it: the
-// records each worker filters come out of the paged file's pages. Block
-// residency stays the simulated per-disk LRU, so both tables are
-// byte-identical to --backend=memory. (Real per-node page I/O against
-// the response metric is ext_io_validation's measurement.)
+// (Real per-node page I/O against the response metric is
+// ext_io_validation's measurement.)
 #include <iostream>
 
 #include "common.hpp"
 
 #include "pgf/parallel/pgf_server.hpp"
-#include "pgf/util/annotations.hpp"
 
 namespace pgf::bench {
 namespace {
@@ -41,7 +35,7 @@ int run(int argc, char** argv) {
                      std::to_string(per_snapshot) + " records");
 
     Rng rng(opt.seed);
-    auto wb = make_workbench<4>(opt, rng, [&](Rng& r) {
+    auto wb = make_workbench<4>(rng, [&](Rng& r) {
         return make_dsmc4d(r, snapshots, per_snapshot);
     });
     const Workbench<4>& bench = *wb;
@@ -50,30 +44,11 @@ int run(int argc, char** argv) {
               << "x" << shape[2] << "x" << shape[3]
               << "  (paper: 3M records, 7x28x21x39 subspaces -> 19956 "
               << "buckets of 8 KB)\n";
-    if (opt.paged()) {
-        // Extra line only in paged mode so the memory-backend output stays
-        // byte-identical to earlier releases.
-        std::cout << "backend: paged (" << bench.paged->bucket_count()
-                  << " page buckets of "
-                  << bench.paged->config().page_size << " B)\n";
-    }
 
-    // In paged mode the servers read each bucket's records from the
-    // workbench's paged file; everything they report is structural or
-    // simulated, so the tables match the memory backend byte for byte.
-    // A PagedGridFile decodes reads into one shared buffer, so the paged
-    // servers take turns; memory-backend sweeps stay parallel.
-    Mutex paged_mutex;
     auto execute = [&](const Assignment& a, std::uint32_t nodes,
                        const std::vector<Rect<4>>& queries) {
         ClusterConfig cfg;
         cfg.nodes = nodes;
-        if (opt.paged()) {
-            MutexLock lock(paged_mutex);
-            ParallelGridFileServer<4, PagedGridFile<4>> server(*bench.paged,
-                                                              a, cfg);
-            return server.execute(queries);
-        }
         ParallelGridFileServer<4> server(bench.gf, a, cfg);
         return server.execute(queries);
     };

@@ -9,8 +9,8 @@ set -euo pipefail
 [ $# -eq 0 ] || { echo "usage: scripts/rebaseline.sh" >&2; exit 2; }
 cd "$(dirname "$0")/.."
 # Environment overrides would change what the artifacts measure.
-unset PGF_THREADS PGF_INNER_THREADS PGF_BACKEND \
-      PGF_FULL_SCALE PGF_EXTBUILD_N PGF_EXTBUILD_HUGE PGF_WAL_N
+unset PGF_THREADS PGF_INNER_THREADS PGF_FULL_SCALE PGF_EXTBUILD_N \
+      PGF_EXTBUILD_HUGE PGF_WAL_N
 
 cmake --preset release-bench
 cmake --build --preset release-bench

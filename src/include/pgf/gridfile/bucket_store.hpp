@@ -13,18 +13,21 @@
 //   const CellBox<D>& cells(std::uint32_t b) const;   // + mutable overload
 //   std::size_t size(std::uint32_t b) const;  // records held by bucket b
 //   const Records& read(std::uint32_t b) const;       // query access
-//   void append(std::uint32_t b, const GridRecord<D>& record);
+//   void append(std::uint32_t b, std::span<const GridRecord<D>> run);
 //   Records& edit(std::uint32_t b);           // open an edit session on b
 //   Records& active();                        // the session's open buffer
 //   void split_active(std::uint32_t b, std::uint32_t new_id,
 //                     std::size_t pivot, bool continue_with_upper);
 //   void commit(std::uint32_t b);             // close the session
 //
-// append(b, record) adds one record to a bucket with room (size(b) below
-// the engine's capacity) without opening a session: it leaves the store
-// exactly as edit(b), a push_back and commit(b) would, so a store may
-// write just the record instead of the whole bucket. The engine calls it
-// for every insert that does not overflow.
+// append(b, run) adds a run of records, in order, to a bucket with room
+// for all of them (size(b) + run.size() at most the engine's capacity)
+// without opening a session: it leaves the store exactly as edit(b), a
+// push_back of each record and commit(b) would, so a store may write just
+// the run and the count instead of the whole bucket. The engine calls it
+// with a one-record run for every insert that does not overflow, and the
+// bulk loader with each bucket's pending run at the end of a block. Runs
+// are never empty.
 //
 // Edit protocol: the engine opens at most one session at a time with
 // edit(b), mutates the returned buffer, and finishes with commit() on the
@@ -45,6 +48,7 @@
 
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <vector>
 
 #include "pgf/geom/point.hpp"
@@ -95,8 +99,9 @@ public:
     }
     const Records& read(std::uint32_t b) const { return buckets_[b].records; }
 
-    void append(std::uint32_t b, const GridRecord<D>& record) {
-        buckets_[b].records.push_back(record);
+    void append(std::uint32_t b, std::span<const GridRecord<D>> run) {
+        Records& records = buckets_[b].records;
+        for (const GridRecord<D>& record : run) records.push_back(record);
     }
 
     Records& edit(std::uint32_t b) {

@@ -23,12 +23,14 @@
 // order, so every store that receives the same insertion sequence produces
 // byte-identical scales, directory, and bucket numbering.
 //
-// Every build (bulk_load, bulk_load_stream) drains through insert(),
-// which remembers the last cell it located (bounds and bucket): sorted
-// input lands in one cell record after record, and such a record skips
-// the scale searches and the directory read. retile() alone rebuilds the
-// directory from bucket boxes (catalog open, crash recovery); range and
-// partial-match queries share one cell walk and one record filter.
+// Both builds (bulk_load, bulk_load_stream) go through one block loader
+// that makes the insert() loop's file while writing each touched page once
+// per block (load_block). Both paths remember the last cell they located
+// (bounds and bucket): sorted input lands in one cell record after record,
+// and such a record skips the scale searches and the directory read.
+// retile() alone rebuilds the directory from bucket boxes (catalog open,
+// crash recovery); range and partial-match queries share one cell walk and
+// one record filter.
 //
 // Supports insertion, deletion (without bucket re-merging: emptied buckets
 // simply stay under-full, which is the common simplification and does not
@@ -116,6 +118,10 @@ public:
 
     // -- modification ------------------------------------------------------
 
+    /// Points per block of the bulk loader: bulk_load cuts its input into
+    /// blocks of this size, and bulk_load_stream refills one buffer of it.
+    static constexpr std::size_t kLoadBlock = 16384;
+
     /// Inserts one record. Out-of-domain coordinates are clamped into the
     /// boundary cells (the scales' locate() semantics). On a strict-
     /// capacity store (paged), records that cannot be separated by
@@ -123,73 +129,62 @@ public:
     /// rejected with CheckError instead of growing an oversized bucket;
     /// every record already accepted stays (the refinements and splits
     /// the attempt made stay too, as empty buckets). A bucket with room
-    /// takes the record through the store's append(); only an overflow
-    /// opens an edit session.
+    /// takes the record as a one-record run through the store's append();
+    /// only an overflow opens an edit session.
     void insert(const Point<D>& p, std::uint64_t id) {
-        BucketId b = locate_bucket(p);
+        const BucketId b = locate_bucket(p);
         const GridRecord<D> record{p, id};
+        bool accepted = true;
         if (store_.size(b) < bucket_capacity_) {
-            store_.append(b, record);
+            store_.append(b, {&record, 1});
         } else {
             store_.edit(b).push_back(record);
-            b = resolve_overflow(b, record);
-            store_.commit(b);
+            accepted = resolve_overflow(b, record);
         }
+        if (!accepted) note_op_end();
+        PGF_CHECK(accepted, kInseparable);
         ++record_count_;
         note_op_end();
     }
 
-    /// Bulk insertion: the insert() loop over `points` in order, with ids
-    /// id_base..id_base+n-1.
+    /// Bulk insertion of `points` in order, with ids
+    /// id_base..id_base+n-1, through the block loader (load_block): the
+    /// same file as the insert() loop, with each touched page written once
+    /// per kLoadBlock points.
     void bulk_load(const std::vector<Point<D>>& points,
                    std::uint64_t id_base = 0) {
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            insert(points[i], id_base + i);
+        const std::span<const Point<D>> all(points);
+        LoadScratch scratch;
+        for (std::size_t i = 0; i < all.size(); i += kLoadBlock) {
+            load_block(all.subspan(i, std::min(kLoadBlock, all.size() - i)),
+                       id_base + i, scratch);
         }
     }
 
     /// Streaming bulk load: drains `source` — any object with
     /// `std::size_t next(std::span<Point<D>> out)` filling a prefix of
-    /// `out` and returning the count (0 = exhausted) — through insert(),
-    /// never holding more than one 16,384-point refill buffer. The
-    /// structure is independent of how the source chunks its output.
+    /// `out` and returning the count (0 = exhausted) — through the block
+    /// loader, never holding more than one kLoadBlock-point refill buffer.
+    /// The structure is independent of how the source chunks its output.
     ///
     /// Ids are assigned sequentially from `id_base` in arrival order.
-    /// Returns the number of records loaded. On stores that support batch
-    /// sessions (PagedBucketStore::begin_batch), page encode/decode is
-    /// deferred while consecutive records land in the same bucket — the
-    /// reason the pipeline wants Hilbert-ordered input.
+    /// Returns the number of records loaded. Sorted input (a Hilbert-
+    /// ordered stream) touches few buckets per block, so each block writes
+    /// few pages.
     template <typename Source>
     std::uint64_t bulk_load_stream(Source& source, std::uint64_t id_base = 0) {
-        std::vector<Point<D>> buf(16384);
+        std::vector<Point<D>> buf(kLoadBlock);
+        LoadScratch scratch;
         std::uint64_t loaded = 0;
-        constexpr bool kBatch = requires { store_.begin_batch(); };
-        if constexpr (kBatch) store_.begin_batch();
-        try {
-            for (;;) {
-                const std::size_t filled =
-                    source.next(std::span<Point<D>>(buf.data(), buf.size()));
-                if (filled == 0) break;
-                PGF_CHECK(filled <= buf.size(),
-                          "bulk_load_stream: source overfilled the block");
-                for (std::size_t i = 0; i < filled; ++i) {
-                    insert(buf[i], id_base + loaded + i);
-                }
-                loaded += filled;
-            }
-        } catch (...) {
-            // Leave batch mode keeping what was accepted, so the file stays
-            // usable after a rejected record or a failing source. The first
-            // error is the one reported.
-            if constexpr (kBatch) {
-                try {
-                    store_.end_batch();
-                } catch (...) {  // NOLINT(bugprone-empty-catch)
-                }
-            }
-            throw;
+        for (;;) {
+            const std::size_t filled =
+                source.next(std::span<Point<D>>(buf.data(), buf.size()));
+            if (filled == 0) break;
+            PGF_CHECK(filled <= buf.size(),
+                      "bulk_load_stream: source overfilled the block");
+            load_block({buf.data(), filled}, id_base + loaded, scratch);
+            loaded += filled;
         }
-        if constexpr (kBatch) store_.end_batch();
         return loaded;
     }
 
@@ -560,20 +555,23 @@ private:
         return n;
     }
 
-    /// Resolves an overflow of the session's active bucket after `added`
-    /// joined it. A split may leave one half still overflowing (skewed
-    /// data), so iterate until resolved or refinement becomes impossible.
-    /// Returns the bucket that owns the session's remaining records.
-    BucketId resolve_overflow(BucketId overflowing,
-                              const GridRecord<D>& added) {
+    static constexpr const char* kInseparable =
+        "records cannot be separated (too many duplicates for one bucket "
+        "page)";
+
+    /// Resolves an overflow of the session's bucket `b` after `added`
+    /// joined it, and commits the session. A split may leave one half
+    /// still overflowing (skewed data), so iterate until resolved or
+    /// refinement becomes impossible. Returns false when a strict-capacity
+    /// store cannot separate the records: `added` then leaves the session,
+    /// and the rest is committed.
+    bool resolve_overflow(BucketId b, const GridRecord<D>& added) {
         memo_ = CellMemo{};  // the splits below redraw the directory
-        BucketId b = overflowing;
         while (store_.active().size() > bucket_capacity_) {
             if (max_cell_extent(b) == 1 && !refine_grid(b)) {
                 if constexpr (Store::kStrictCapacity) {
                     // The bucket held at most a page before `added`, so
-                    // all of it is still in the session: give `added`
-                    // back and commit the rest before rejecting it.
+                    // all of it is still in the session.
                     Records& records = store_.active();
                     auto it = std::find_if(
                         records.rbegin(), records.rend(),
@@ -584,16 +582,111 @@ private:
                               "rejected record left the session");
                     records.erase(std::next(it).base());
                     store_.commit(b);
-                    note_op_end();
-                    PGF_CHECK(false,
-                              "records cannot be separated (too many "
-                              "duplicates for one bucket page)");
+                    return false;
                 }
-                return b;  // cannot separate further; bucket stays oversized
+                break;  // cannot separate further; bucket stays oversized
             }
             b = split_bucket(b);
         }
-        return b;
+        store_.commit(b);
+        return true;
+    }
+
+    // -- the block loader ----------------------------------------------------
+    //
+    // A block's records wait in per-bucket runs instead of reaching their
+    // pages one by one. Split decisions, bucket numbering and each
+    // bucket's record order are the insert() loop's, because every record
+    // meets the stored-plus-pending count that loop's page would have
+    // shown it, and an overflow's session holds that page's records in
+    // that page's order.
+
+    /// A bucket's pending run: a list through LoadScratch::next of block
+    /// indices, in arrival order.
+    struct Run {
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
+        std::uint32_t count = 0;
+    };
+
+    /// The loader's working memory, kept across the blocks of one load.
+    /// Between blocks every run is empty.
+    struct LoadScratch {
+        std::vector<Run> runs;               ///< one per bucket
+        std::vector<std::uint32_t> next;     ///< run links, per block index
+        std::vector<BucketId> touched;       ///< buckets given a run
+        Records landing;                     ///< one run, gathered to land
+    };
+
+    /// Loads `block` (ids from `id_base`). A record joins its bucket's run
+    /// while the stored records plus the run stay below capacity; one that
+    /// would overflow takes the run into an edit session (the run never
+    /// reaches the page on its own) and splits exactly as insert() does.
+    /// The runs land at the end (land_runs). record_count() grows as each
+    /// run lands. A record rejected as inseparable lands every run
+    /// gathered before it, then throws as insert() does.
+    void load_block(std::span<const Point<D>> block, std::uint64_t id_base,
+                    LoadScratch& s) {
+        s.runs.resize(store_.bucket_count());
+        s.next.resize(block.size());
+        for (std::uint32_t i = 0; i < block.size(); ++i) {
+            const BucketId b = locate_bucket(block[i]);
+            Run& run = s.runs[b];
+            if (store_.size(b) + run.count < bucket_capacity_) {
+                if (run.count == 0) {
+                    run.head = i;
+                    s.touched.push_back(b);
+                } else {
+                    s.next[run.tail] = i;
+                }
+                run.tail = i;
+                ++run.count;
+                continue;
+            }
+            Records& records = store_.edit(b);
+            gather(run, block, id_base, s, records);
+            const std::size_t taken = run.count;
+            run.count = 0;
+            const GridRecord<D> record{block[i], id_base + i};
+            records.push_back(record);
+            const bool accepted = resolve_overflow(b, record);
+            record_count_ += taken + (accepted ? 1 : 0);
+            s.runs.resize(store_.bucket_count());  // the splits' buckets
+            if (!accepted) land_runs(block, id_base, s);
+            PGF_CHECK(accepted, kInseparable);
+        }
+        land_runs(block, id_base, s);
+    }
+
+    /// Lands the block's pending runs through the store's append(), in
+    /// ascending bucket order (bucket b lives on page b, so one page fetch
+    /// per touched bucket, in page order), then writes the block's commit
+    /// marker. A bucket listed twice (its run went into a split, and a new
+    /// one began) lands once.
+    void land_runs(std::span<const Point<D>> block, std::uint64_t id_base,
+                   LoadScratch& s) {
+        std::sort(s.touched.begin(), s.touched.end());
+        for (BucketId b : s.touched) {
+            Run& run = s.runs[b];
+            if (run.count == 0) continue;
+            s.landing.clear();
+            gather(run, block, id_base, s, s.landing);
+            store_.append(b, s.landing);
+            record_count_ += run.count;
+            run.count = 0;
+        }
+        s.touched.clear();
+        note_op_end();
+    }
+
+    /// Appends `run`'s records to `out`, in arrival order.
+    static void gather(const Run& run, std::span<const Point<D>> block,
+                       std::uint64_t id_base, const LoadScratch& s,
+                       Records& out) {
+        for (std::uint32_t k = run.head, n = run.count; n > 0;
+             --n, k = s.next[k]) {
+            out.push_back({block[k], id_base + k});
+        }
     }
 
     std::uint32_t max_cell_extent(BucketId b) const {

@@ -8,13 +8,12 @@
 // queries are processed one at a time (the workloads in Tables 4-5 are
 // sequential query streams).
 //
-// The server is generic over the grid-file backend (GF): it reads only
-// the structure (query_buckets) and each bucket's records, so the
-// in-memory GridFile and the PagedGridFile give identical results. Block
-// residency is decided by each SimulatedDisk's internal LRU model. Real
-// page I/O through per-node buffer pools is QueryEngine's job
-// (query_engine.hpp); response blocks depend only on structure +
-// assignment, so they agree with it by construction.
+// The server reads the in-memory GridFile: its structure (query_buckets)
+// and each bucket's records. Block residency is decided by each
+// SimulatedDisk's internal LRU model. Real page I/O through per-node
+// buffer pools is QueryEngine's job (query_engine.hpp); response blocks
+// depend only on structure + assignment, so they agree with it by
+// construction.
 //
 // Reported quantities match the paper's three columns:
 //   - response blocks: sum over queries of max_i N_i(q) (Sec. 2.2 metric),
@@ -46,12 +45,12 @@ struct BatchResult {
     double elapsed_s = 0.0;
 };
 
-template <std::size_t D, typename GF = GridFile<D>>
+template <std::size_t D>
 class ParallelGridFileServer {
 public:
     /// `assignment` maps every bucket of `gf` to a *disk* in
     /// [0, nodes * disks_per_node); disk d lives on node d / disks_per_node.
-    ParallelGridFileServer(const GF& gf, Assignment assignment,
+    ParallelGridFileServer(const GridFile<D>& gf, Assignment assignment,
                            ClusterConfig config)
         : gf_(gf), assignment_(std::move(assignment)), config_(config) {
         PGF_CHECK(config_.disks_per_node >= 1,
@@ -191,7 +190,7 @@ private:
         return disks_[disk].read(b);
     }
 
-    const GF& gf_;
+    const GridFile<D>& gf_;
     Assignment assignment_;
     ClusterConfig config_;
     std::vector<SimulatedDisk> disks_;

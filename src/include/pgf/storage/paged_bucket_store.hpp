@@ -15,13 +15,14 @@
 // record with the grid parameters (dims, page size, capacity, a u8 split
 // rule, 0 = midpoint, and the domain), a page record for every page
 // write, a metadata record for every bucket create / split / refinement,
-// and a commit marker at each operation boundary. A page record carries
+// and a commit marker at each operation boundary (an insert, an erase, a
+// bulk-load block). A page record carries
 // only the payload words the write changed: the new words are compared
 // with the page in 8-byte words, and the differing runs are copied into
 // the page and logged as (offset, length, bytes) ranges, so a page is its
 // zero allocation image plus every range logged for it. An encode
 // compares its whole encoded prefix; an append compares only the count
-// word and the new record's words, the only ones it can change. The
+// word and the run's words, the only ones it can change. The
 // BufferPool enforces WAL-before-data ordering on eviction (a dirty
 // page's log records are flushed before its image may overwrite the
 // on-disk pre-image), so after a crash anywhere, pgf/storage/recovery.hpp
@@ -30,15 +31,17 @@
 // no extra writes, and on-disk bytes identical to the pre-durability
 // format apart from the page header.
 //
-// Edit protocol (see bucket_store.hpp): append(b, record) writes the new
-// record at slot `count` and the count word in place — one pool fetch, no
-// decode, no encode — and is how an insert into a page with room lands.
+// Edit protocol (see bucket_store.hpp): append(b, run) writes the run's
+// records from slot `count` on and the new count word in place — one pool
+// fetch, no decode, no encode — and is how an insert into a page with room
+// and each run of the bulk loader land.
 // edit(b) decodes b's page into one in-memory buffer; the engine mutates
 // it (an overflowing buffer may transiently exceed the page capacity — it
 // lives in memory until splits produce page-sized halves); split_active
 // encodes the non-continuing half to its page; commit(b) encodes the
-// buffer back to b's page. For the same insert, an append and an edit
-// session write the same page bytes and log the same ranges. A strict-
+// buffer back to b's page. For the same records, an append of a run and
+// an edit session that pushes them write the same page bytes and log the
+// same ranges. A strict-
 // capacity store: a bucket can never stay oversized, so the engine rejects
 // inseparable duplicate overflows with CheckError.
 #pragma once
@@ -177,95 +180,41 @@ public:
     std::size_t size(std::uint32_t b) const { return metas_[b].count; }
 
     const Records& read(std::uint32_t b) const {
-        // Inside a batch session the active bucket's page is stale by
-        // design; its truth is the edit buffer.
-        if (session_open_ && b == active_) return edit_buf_;
         load(b, read_buf_);
         return read_buf_;
     }
 
-    /// Writes `record` at slot `count` of bucket `b`'s page and bumps the
-    /// page's count word, in place (see the file comment); the bucket must
-    /// have room. Inside a batch session the record joins the session like
-    /// any edit.
-    void append(std::uint32_t b, const GridRecord<D>& record) {
-        if (batch_) {
-            edit(b).push_back(record);
-            commit(b);
-            return;
-        }
+    /// Writes `run` from slot `count` of bucket `b`'s page on and the new
+    /// count word, in place (see the file comment); the page must have room
+    /// for the whole run.
+    void append(std::uint32_t b, std::span<const GridRecord<D>> run) {
         check_writable();
         Meta& meta = metas_[b];
-        PGF_CHECK(meta.count < capacity_, "store: bucket exceeds its page");
+        PGF_CHECK(run.size() <= capacity_ - meta.count,
+                  "store: bucket exceeds its page");
         auto page = fetch_checked(b);
         std::byte count_word[kCountBytes];
-        store_le<std::uint64_t>(count_word, meta.count + 1);
-        std::byte words[kRecordBytes];
-        encode_record(words, record);
+        store_le<std::uint64_t>(count_word, meta.count + run.size());
         const std::size_t slot = kCountBytes + meta.count * kRecordBytes;
         if (wal_ == nullptr) {
             std::memcpy(page.data().data(), count_word, kCountBytes);
-            std::memcpy(page.data().data() + slot, words, kRecordBytes);
+            encode_records(page.data().data() + slot, run);
         } else {
+            encoded_.resize(run.size() * kRecordBytes);
+            encode_records(encoded_.data(), run);
             page.set_lsn(journal_changed_words(
-                meta.page, page.data(), {{0, count_word}, {slot, words}}));
+                meta.page, page.data(), {{0, count_word}, {slot, encoded_}}));
         }
         page.mark_dirty();
-        ++meta.count;
+        meta.count += run.size();
     }
 
     Records& edit(std::uint32_t b) {
         check_writable();
-        if (batch_) {
-            if (session_open_ && active_ == b) return edit_buf_;
-            sync_session();  // persist the previous bucket before switching
-            active_ = b;
-            load(b, edit_buf_);
-            session_open_ = true;
-            return edit_buf_;
-        }
-        active_ = b;
         load(b, edit_buf_);
         return edit_buf_;
     }
     Records& active() { return edit_buf_; }
-
-    // -- batch sessions ------------------------------------------------------
-    //
-    // The streaming bulk loader feeds records in Hilbert order, so runs of
-    // consecutive edit/commit pairs land in the same bucket. In batch mode
-    // commit() only updates the bucket's metadata count and defers the
-    // O(page) encode until the session moves to a different bucket (or the
-    // batch ends / the file is flushed / the page is read raw), turning
-    // ~capacity encodes + decodes per bucket into one of each. Observable
-    // behavior is unchanged: read()/size() serve the live buffer and
-    // metadata, and every page is consistent again after end_batch().
-    //
-    // With a WAL, each session sync also logs the page's changed ranges and
-    // a commit marker — a crash mid-batch recovers to the last synced
-    // boundary.
-
-    /// Enters batch mode. Only one batch may be open at a time.
-    void begin_batch() {
-        PGF_CHECK(!batch_, "begin_batch: batch already open");
-        batch_ = true;
-        session_open_ = false;
-        session_dirty_ = false;
-    }
-
-    /// Persists any pending session and leaves batch mode — also when the
-    /// final sync throws.
-    void end_batch() {
-        PGF_CHECK(batch_, "end_batch: no batch open");
-        struct Close {
-            PagedBucketStore& store;
-            ~Close() {
-                store.batch_ = store.session_open_ = store.session_dirty_ =
-                    false;
-            }
-        } close{*this};
-        sync_session();
-    }
 
     void split_active(std::uint32_t b, std::uint32_t new_id, std::size_t pivot,
                       bool continue_with_upper) {
@@ -274,25 +223,13 @@ public:
             // Persist the lower half to b's page; keep the upper in memory.
             store(b, edit_buf_.data(), pivot);
             edit_buf_.erase(edit_buf_.begin(), split);
-            active_ = new_id;
         } else {
             store(new_id, edit_buf_.data() + pivot, edit_buf_.size() - pivot);
             edit_buf_.erase(split, edit_buf_.end());
         }
-        // Either way the continuing half now differs from its page.
-        if (batch_) session_dirty_ = true;
     }
 
     void commit(std::uint32_t b) {
-        if (batch_) {
-            PGF_CHECK(session_open_ && b == active_,
-                      "batch commit outside the open session");
-            PGF_CHECK(edit_buf_.size() <= capacity_,
-                      "store: bucket exceeds its page");
-            metas_[b].count = edit_buf_.size();
-            session_dirty_ = true;
-            return;
-        }
         store(b, edit_buf_.data(), edit_buf_.size());
     }
 
@@ -322,11 +259,10 @@ public:
     }
 
     /// Journals a commit marker: the grid is consistent at this LSN. The
-    /// engine calls this after each completed insert/erase; inside a batch
-    /// session the marker is deferred to the next sync_session() (the
-    /// per-record granularity would defeat the batch).
+    /// engine calls this after each completed insert/erase and after each
+    /// block of a bulk load.
     void note_op_end() {
-        if (wal_ == nullptr || batch_) return;
+        if (wal_ == nullptr) return;
         wal_->append(WalRecordKind::kCommit, {});
     }
 
@@ -346,7 +282,6 @@ public:
 
     /// Writes back every dirty page and syncs the file (and the log).
     void flush() {
-        sync_session();
         pool_.flush_all();
         if (wal_ != nullptr) wal_->flush();
     }
@@ -366,7 +301,6 @@ public:
     /// pool) into `out` — the audit layer's window for header/roundtrip
     /// checks.
     void read_bucket_page(std::uint32_t b, std::vector<std::byte>& out) const {
-        sync_session();  // an open batch session's page is stale until synced
         auto page = pool_.fetch(metas_[b].page);
         auto data = page.data();
         out.assign(data.begin(), data.end());
@@ -426,19 +360,22 @@ public:
                             const GridRecord<D>* records, std::size_t count) {
         std::byte* p = data.data();
         store_le<std::uint64_t>(p, count);
-        for (std::size_t k = 0; k < count; ++k) {
-            encode_record(p + kCountBytes + k * kRecordBytes, records[k]);
-        }
+        encode_records(p + kCountBytes, {records, count});
     }
 
 private:
-    /// One record's (D+1) words: the coordinates (bit-cast), then the id.
-    static void encode_record(std::byte* out, const GridRecord<D>& record) {
-        for (std::size_t i = 0; i < D; ++i) {
-            store_le<std::uint64_t>(
-                out + i * 8, std::bit_cast<std::uint64_t>(record.point[i]));
+    /// The records' (D+1) words each: the coordinates (bit-cast), then the
+    /// id.
+    static void encode_records(std::byte* out,
+                               std::span<const GridRecord<D>> records) {
+        for (const GridRecord<D>& record : records) {
+            for (std::size_t i = 0; i < D; ++i) {
+                store_le<std::uint64_t>(
+                    out + i * 8, std::bit_cast<std::uint64_t>(record.point[i]));
+            }
+            store_le<std::uint64_t>(out + D * 8, record.id);
+            out += kRecordBytes;
         }
-        store_le<std::uint64_t>(out + D * 8, record.id);
     }
 
     void check_writable() const {
@@ -480,7 +417,7 @@ private:
     /// logs its record: LSNs and page headers do not depend on the diff.
     std::uint64_t journal_changed_words(
         std::uint64_t page_id, std::span<std::byte> frame,
-        std::initializer_list<NewWords> writes) const {
+        std::initializer_list<NewWords> writes) {
         std::byte* to = frame.data();
         wal_body_.clear();
         wal_put_u64(wal_body_, page_id);
@@ -527,10 +464,9 @@ private:
     /// Encodes `count` records to bucket `b`'s page; with a WAL, into
     /// scratch first and through journal_changed_words. encode_page writes
     /// nothing past the encoded prefix, so the stale tail an erase leaves
-    /// behind is equal on both sides. const for sync_session's sake: the
-    /// page cache and the mirrored count are not observable state.
+    /// behind is equal on both sides.
     void store(std::uint32_t b, const GridRecord<D>* records,
-               std::size_t count) const {
+               std::size_t count) {
         PGF_CHECK(count <= capacity_, "store: bucket exceeds its page");
         auto page = pool_.fetch(metas_[b].page);
         if (wal_ == nullptr) {
@@ -545,32 +481,16 @@ private:
         metas_[b].count = count;
     }
 
-    /// Encodes the open batch session's buffer back to its page (no-op
-    /// when nothing is pending). const because it only refreshes the page
-    /// cache and the mirrored count — observable state doesn't change.
-    /// With a WAL this is also a commit point: the batch reaches a
-    /// consistent boundary exactly when a session syncs.
-    void sync_session() const {
-        if (!session_open_ || !session_dirty_) return;
-        store(active_, edit_buf_.data(), edit_buf_.size());
-        session_dirty_ = false;
-        if (wal_ != nullptr) wal_->append(WalRecordKind::kCommit, {});
-    }
-
     std::unique_ptr<PageFile> file_;
-    mutable std::unique_ptr<WriteAheadLog> wal_;  // null = durability off
+    std::unique_ptr<WriteAheadLog> wal_;  // null = durability off
     mutable BufferPool pool_;
     std::size_t capacity_;
-    mutable std::vector<Meta> metas_;
-    std::uint32_t active_ = 0;
+    std::vector<Meta> metas_;
     Records edit_buf_;
     mutable Records read_buf_;
-    mutable std::vector<std::byte> encoded_;   ///< store's journaled encode
-    mutable std::vector<std::byte> wal_body_;  ///< kPage body scratch
-    bool read_only_ = false;        ///< journaled, opened without its log
-    bool batch_ = false;            ///< inside begin_batch()/end_batch()
-    bool session_open_ = false;     ///< edit_buf_ holds active_'s records
-    mutable bool session_dirty_ = false;  ///< edit_buf_ differs from page
+    std::vector<std::byte> encoded_;   ///< a journaled encode or append
+    std::vector<std::byte> wal_body_;  ///< kPage body scratch
+    bool read_only_ = false;           ///< journaled, opened without its log
 };
 
 }  // namespace pgf

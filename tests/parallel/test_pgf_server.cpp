@@ -2,14 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "pgf/decluster/registry.hpp"
 #include "pgf/disksim/simulator.hpp"
-#include "pgf/storage/paged_grid_file.hpp"
 #include "pgf/util/rng.hpp"
 #include "pgf/workload/query_gen.hpp"
-#include "../storage/temp_path.hpp"
 
 namespace pgf {
 namespace {
@@ -244,67 +240,6 @@ TEST(PgfServer, ZeroConcurrencyRejected) {
     Assignment a = f.assignment(2);
     ParallelGridFileServer<2> server(f.gf, a, f.config(2));
     EXPECT_THROW(server.execute({}, 0), CheckError);
-}
-
-/// The in-memory fixture plus a paged twin loaded with the same insertion
-/// sequence — identical structure by the backend-equivalence contract.
-struct PagedFixture : Fixture {
-    std::filesystem::path path =
-        test::unique_temp_path("pgf_server_backing");
-    PagedGridFile<2> pf;
-
-    static PagedGridFile<2>::Config small_pages() {
-        PagedGridFile<2>::Config cfg;
-        cfg.page_size = PagedBucketStore<2>::page_size_for(8);
-        return cfg;
-    }
-
-    explicit PagedFixture(std::size_t n_points = 2000)
-        : Fixture(n_points), pf(path.string(), domain, small_pages()) {
-        Rng rng(3);  // replay the Fixture's exact insertion sequence
-        for (std::uint64_t i = 0; i < n_points; ++i) {
-            pf.insert({{rng.uniform(), rng.uniform()}}, i);
-        }
-    }
-
-    ~PagedFixture() { std::filesystem::remove(path); }
-};
-
-void expect_same_batch(const BatchResult& got, const BatchResult& want) {
-    EXPECT_EQ(got.queries, want.queries);
-    EXPECT_EQ(got.response_blocks, want.response_blocks);
-    EXPECT_EQ(got.total_blocks, want.total_blocks);
-    EXPECT_EQ(got.records_returned, want.records_returned);
-    EXPECT_EQ(got.physical_reads, want.physical_reads);
-    EXPECT_EQ(got.cache_hits, want.cache_hits);
-    EXPECT_EQ(got.comm_time_s, want.comm_time_s);
-    EXPECT_EQ(got.elapsed_s, want.elapsed_s);
-}
-
-// The server reads only structure and bucket records, and block residency
-// is the simulated LRU, so the paged backend reports exactly what its
-// in-memory twin does — every field, cold and warm, at any concurrency.
-TEST(PgfServer, PagedBackendMatchesInMemoryTwin) {
-    PagedFixture f;
-    ASSERT_EQ(f.pf.bucket_count(), f.gf.bucket_count());
-    Assignment a = f.assignment(4);
-    Rng rng(47);
-    auto queries = square_queries(f.domain, 0.05, 40, rng);
-
-    ParallelGridFileServer<2> mem(f.gf, a, f.config(4));
-    ParallelGridFileServer<2, PagedGridFile<2>> paged(f.pf, a, f.config(4));
-    for (std::uint32_t concurrency : {1u, 4u}) {
-        SCOPED_TRACE(concurrency);
-        const BatchResult cold = mem.execute(queries, concurrency);
-        EXPECT_GT(cold.records_returned, 0u);
-        EXPECT_GT(cold.physical_reads, 0u);
-        expect_same_batch(paged.execute(queries, concurrency), cold);
-        const BatchResult warm = mem.execute(queries, concurrency);
-        EXPECT_GT(warm.cache_hits, 0u);
-        expect_same_batch(paged.execute(queries, concurrency), warm);
-        mem.drop_caches();
-        paged.drop_caches();
-    }
 }
 
 TEST(PgfServer, MultiDiskAssignmentWidthValidated) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -170,15 +172,23 @@ TEST(QueryEngine, MatchesSerialPathAndIsDeterministicAcrossThreadCounts) {
 
 TEST(QueryEngine, AgreesWithDesServerOnWorkCounters) {
     // The threaded engine and the DES simulation partition identically, so
-    // their structural counters must agree exactly.
+    // their structural counters must agree exactly. The DES server reads
+    // the paged file's in-memory twin: the same insertion sequence at the
+    // same capacity, so the same buckets and records.
     Fixture f;
     Assignment a = f.assignment(4);
     Rng rng(19);
     auto rects = square_queries(f.domain, 0.05, 25, rng);
 
+    GridFile<2> twin(f.domain, {.bucket_capacity = f.pf.capacity()});
+    Rng twin_rng(3);  // the Fixture's insertion sequence
+    for (std::uint64_t i = 0; i < f.pf.record_count(); ++i) {
+        twin.insert({{twin_rng.uniform(), twin_rng.uniform()}}, i);
+    }
+    ASSERT_EQ(twin.bucket_count(), f.pf.bucket_count());
     ClusterConfig cc;
     cc.nodes = 4;
-    ParallelGridFileServer<2, PagedGridFile<2>> server(f.pf, a, cc);
+    ParallelGridFileServer<2> server(twin, a, cc);
     BatchResult des = server.execute(rects);
 
     QueryEngine<2> engine(f.pf, a, f.config(2));
@@ -371,6 +381,80 @@ TEST(QueryEngine, InvalidQueryFailsItsBatchAndTheEngineServesOn) {
     EXPECT_TRUE(engine.result(ticket - 1).empty());
     expect_same_records(sorted_by_id(engine.result(ticket)),
                         sorted_by_id(f.serial(queries.front())));
+}
+
+TEST(QueryEngine, CorruptPageFailsOnlyTheQueriesThatReadIt) {
+    // Each page of a small flushed file is corrupted on disk in turn, and
+    // a fresh engine (cold node pools) serves a mixed batch over it. The
+    // queries whose bucket lists hold that page fail with its checksum
+    // error and return nothing; every other query equals the serial path.
+    // The run drains, and no node pool keeps a page pinned.
+    Fixture f(300);
+    Assignment a = f.assignment(4);
+    const auto queries = f.mixed_queries(24, 47);
+    std::vector<Records> serial;
+    std::vector<std::vector<std::uint32_t>> buckets;
+    for (const auto& q : queries) {
+        serial.push_back(sorted_by_id(f.serial(q)));
+        buckets.push_back(std::visit(
+            [&](const auto& query) { return f.pf.query_buckets(query); }, q));
+    }
+    const std::size_t page_size = f.pf.config().page_size;
+    const auto flip = [&](std::uint64_t page) {
+        std::fstream io(f.path, std::ios::binary | std::ios::in |
+                                    std::ios::out);
+        const auto at =
+            static_cast<std::streamoff>(24 + page * page_size + page_size / 2);
+        io.seekg(at);
+        const char c = static_cast<char>(io.get());
+        io.seekp(at);
+        io.put(static_cast<char>(c ^ 0x5a));
+    };
+
+    ASSERT_GT(f.pf.bucket_count(), 20u);
+    std::size_t failures = 0;
+    for (std::uint32_t bad = 0; bad < f.pf.bucket_count(); ++bad) {
+        SCOPED_TRACE("corrupt bucket " + std::to_string(bad));
+        const std::uint64_t page = f.pf.bucket_page(bad);
+        flip(page);
+        {
+            QueryEngine<2> engine(f.pf, a, f.config(2, 4, 16));
+            const auto out = engine.run(queries);
+            std::size_t expected = 0;
+            for (std::size_t i = 0; i < queries.size(); ++i) {
+                const bool reads_bad =
+                    std::find(buckets[i].begin(), buckets[i].end(), bad) !=
+                    buckets[i].end();
+                expected += reads_bad ? 1u : 0u;
+                if (reads_bad) {
+                    ASSERT_NE(out.errors[i], nullptr) << "query " << i;
+                    EXPECT_THROW(std::rethrow_exception(out.errors[i]),
+                                 CheckError);
+                    EXPECT_TRUE(out.results[i].empty()) << "query " << i;
+                } else {
+                    EXPECT_EQ(out.errors[i], nullptr) << "query " << i;
+                    expect_same_records(sorted_by_id(out.results[i]),
+                                        serial[i]);
+                }
+            }
+            EXPECT_EQ(out.report.queries, queries.size());
+            EXPECT_EQ(out.report.failed, expected);
+            failures += expected;
+            for (std::uint32_t n = 0; n < 4; ++n) {
+                EXPECT_EQ(engine.node_pool(n).pinned_frames(), 0u)
+                    << "node " << n;
+            }
+        }
+        flip(page);
+    }
+    EXPECT_GT(failures, queries.size());
+
+    QueryEngine<2> engine(f.pf, a, f.config(2, 4, 16));
+    const auto out = engine.run(queries);
+    EXPECT_EQ(out.report.failed, 0u);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+        expect_same_records(sorted_by_id(out.results[i]), serial[i]);
+    }
 }
 
 TEST(QueryEngine, ConcurrentSubmittersMatchSerialPath) {

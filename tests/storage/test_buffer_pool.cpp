@@ -14,6 +14,8 @@
 
 #include "pgf/storage/page.hpp"
 #include "pgf/util/check.hpp"
+#include "file_size_cap.hpp"
+#include "pgf/util/file.hpp"
 #include "pgf/util/rng.hpp"
 #include "temp_path.hpp"
 
@@ -232,6 +234,45 @@ TEST_F(BufferPoolTest, FailedMissReadHandsItsFrameBack) {
         auto p1 = pool.fetch(1);
         EXPECT_EQ(pool.pinned_frames(), 2u);
     }
+}
+
+TEST_F(BufferPoolTest, FailedWriteBackKeepsTheFrameDirtyAndResident) {
+    // A one-frame pool holds page 63 of a 64-page file, dirty. With the
+    // file size capped below that page's offset, evicting it fails, and
+    // the fetch that forced the eviction throws IoError. The page must
+    // stay resident, dirty and unpinned, so that once the cap is lifted
+    // the next eviction writes the new bytes.
+    constexpr std::size_t kPageSize = 128;
+    constexpr std::uint64_t kFar = 63;
+    {
+        auto pf = PageFile::create(path_.string(), kPageSize);
+        for (std::uint64_t i = 0; i <= kFar; ++i) pf.allocate();
+    }
+    auto pf = PageFile::open(path_.string());
+    BufferPool pool(pf, 1);
+    {
+        auto page = pool.fetch(kFar);
+        page.data()[0] = std::byte{0xC3};
+        page.mark_dirty();
+    }
+    {
+        test::FileSizeCap cap(24 + kFar * kPageSize);  // below page 63
+        EXPECT_THROW(pool.fetch(0), IoError);
+    }
+    EXPECT_EQ(pool.writebacks(), 0u);
+    EXPECT_EQ(pool.pinned_frames(), 0u);
+    EXPECT_EQ(pool.resident(), 1u);
+    const std::uint64_t hits = pool.hits();
+    EXPECT_EQ(pool.fetch(kFar).data()[0], std::byte{0xC3});
+    EXPECT_EQ(pool.hits(), hits + 1) << "the page left the pool";
+
+    EXPECT_NO_THROW(pool.fetch(0));  // evicts page 63 again
+    EXPECT_EQ(pool.writebacks(), 1u);
+    EXPECT_EQ(pool.pinned_frames(), 0u);
+    auto fresh = PageFile::open(path_.string());
+    std::vector<std::byte> image(kPageSize);
+    fresh.read(kFar, image);
+    EXPECT_EQ(image[kPageHeaderBytes], std::byte{0xC3});
 }
 
 // ------------------------------------------------- golden LRU trace --

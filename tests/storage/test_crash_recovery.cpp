@@ -432,8 +432,121 @@ TEST_F(CrashRecoveryTest, RejectedDuplicateInsertKeepsAcceptedRecords) {
     EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+TEST_F(CrashRecoveryTest, RejectedDuplicateInMidBlockKeepsEarlierRecords) {
+    // Capacity 4, one bulk_load block: 500 scattered points, five copies
+    // of one point, then 500 more. The fifth copy cannot be separated, so
+    // the load throws. The 504 records before it are kept and counted
+    // (the pending runs of the block land first), the file takes more
+    // records, and the log recovers all of them.
+    PagedGridFile<2>::Config cfg = durable_config(wal_.string(), nullptr);
+    cfg.page_size = PagedBucketStore<2>::page_size_for(4);
+    Rng rng(67);
+    std::vector<Point<2>> points;
+    for (int i = 0; i < 500; ++i) points.push_back({{rng.uniform(), rng.uniform()}});
+    for (int i = 0; i < 5; ++i) points.push_back({{0.3, 0.3}});
+    for (int i = 0; i < 500; ++i) points.push_back({{rng.uniform(), rng.uniform()}});
+    std::vector<Point<2>> more(200);
+    for (auto& q : more) q = {{rng.uniform(), rng.uniform()}};
+    const auto expect_ids = [&](const PagedGridFile<2>& pf,
+                                std::size_t extra, const char* when) {
+        std::vector<std::uint64_t> ids;
+        for (const auto& r : pf.query_records(domain_)) ids.push_back(r.id);
+        std::sort(ids.begin(), ids.end());
+        ASSERT_EQ(ids.size(), 504u + extra) << when;
+        for (std::uint64_t i = 0; i < 504; ++i) {
+            ASSERT_EQ(ids[i], i) << when;
+        }
+        const auto report = analysis::audit_paged_grid_file(
+            pf, analysis::ValidationLevel::kDeep);
+        EXPECT_TRUE(report.ok()) << when << ":\n" << report.summary();
+    };
+    {
+        PagedGridFile<2> pf(data_.string(), domain_, cfg);
+        EXPECT_THROW(pf.bulk_load(points), CheckError);
+        EXPECT_EQ(pf.record_count(), 504u);
+        expect_ids(pf, 0, "after the rejection");
+        pf.insert({{0.9, 0.1}}, 10'000);
+        VectorPointSource<2> stream(more);
+        EXPECT_EQ(pf.bulk_load_stream(stream, 20'000), more.size());
+        EXPECT_EQ(pf.record_count(), 505u + more.size());
+        expect_ids(pf, 1 + more.size(), "after more records");
+        pf.flush();
+    }
+    PagedGridFile<2> pf(PagedGridFile<2>::RecoverTag{}, data_.string(), cfg);
+    EXPECT_EQ(pf.record_count(), 505u + more.size());
+    expect_ids(pf, 1 + more.size(), "after recovery");
+}
+
+TEST_F(CrashRecoveryTest, BulkLoadRecoversToAWholeNumberOfBlocks) {
+    // A journaled bulk_load of three and a half blocks writes one commit
+    // marker per block. A crash anywhere in it recovers to the blocks
+    // whose markers reached the log: the first records of a whole number
+    // of blocks, with a clean deep audit.
+    constexpr std::size_t kBlock = PagedGridFile<2>::kLoadBlock;
+    Rng rng(61);
+    std::vector<Point<2>> points(3 * kBlock + kBlock / 2);
+    for (auto& p : points) p = {{rng.uniform(), rng.uniform()}};
+    const auto config = [&](FaultInjector* injector) {
+        PagedGridFile<2>::Config cfg =
+            durable_config(wal_.string(), injector);
+        cfg.page_size = PagedBucketStore<2>::page_size_for(32);
+        cfg.pool_pages = 64;
+        return cfg;
+    };
+
+    std::uint64_t total_ops = 0;
+    {
+        fresh_files();
+        FaultInjector counter;
+        PagedGridFile<2> pf(data_.string(), domain_, config(&counter));
+        const std::uint64_t base = counter.ops_seen();
+        pf.bulk_load(points);
+        pf.flush();
+        total_ops = counter.ops_seen() - base;
+        EXPECT_EQ(count_commits(wal_.string()), 5u);  // baseline + 4 blocks
+    }
+    ASSERT_GE(total_ops, 100u);
+
+    std::set<std::size_t> recovered_blocks;
+    for (std::uint64_t k = 0; k < 12; ++k) {
+        const std::uint64_t budget = k * (total_ops - 1) / 11;
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        fresh_files();
+        {
+            FaultInjector injector;
+            PagedGridFile<2> pf(data_.string(), domain_, config(&injector));
+            injector.arm(budget);
+            try {
+                pf.bulk_load(points);
+                pf.flush();
+            } catch (const CrashError&) {
+            }
+            ASSERT_TRUE(injector.crashed());
+        }
+        PagedGridFile<2> pf(PagedGridFile<2>::RecoverTag{}, data_.string(),
+                            config(nullptr));
+        const std::uint64_t commits = count_commits(wal_.string());
+        ASSERT_GE(commits, 1u);
+        const std::size_t blocks = static_cast<std::size_t>(commits - 1);
+        ASSERT_LE(blocks, 4u);
+        const std::size_t want = std::min(blocks * kBlock, points.size());
+        EXPECT_EQ(pf.record_count(), want);
+        std::vector<std::uint64_t> ids;
+        for (const auto& r : pf.query_records(domain_)) ids.push_back(r.id);
+        std::sort(ids.begin(), ids.end());
+        ASSERT_EQ(ids.size(), want);
+        for (std::size_t i = 0; i < want; ++i) ASSERT_EQ(ids[i], i);
+        const auto report = analysis::audit_paged_grid_file(
+            pf, analysis::ValidationLevel::kDeep);
+        EXPECT_TRUE(report.ok()) << report.summary();
+        recovered_blocks.insert(blocks);
+    }
+    EXPECT_GE(recovered_blocks.size(), 3u) << "the budgets crashed in too "
+                                              "few blocks";
+}
+
 TEST_F(CrashRecoveryTest, ReplayFromTheLogAloneRebuildsEveryPage) {
-    // A durable insert/erase workload and a batched stream, flushed; then
+    // A durable insert/erase workload and a streamed load, flushed; then
     // the data file is cut to its superblock, so no page survives. Replay
     // must rebuild every page from the zero page plus its logged ranges,
     // byte for byte, the stale tails that erases leave behind included.
@@ -530,7 +643,7 @@ TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
     // Writer property: after every store and every append, each page's
     // zero image plus every range logged for it so far equals its frame in
     // the pool. The store is driven directly, through appends, inserts
-    // that split, erases from the middle of a page, and batch sessions.
+    // that split, erases from the middle of a page, and runs of appends.
     using Store = PagedBucketStore<2>;
     const std::size_t page_size = Store::page_size_for(8);
     const std::size_t payload = page_size - kPageHeaderBytes;
@@ -577,7 +690,7 @@ TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
         const GridRecord<2> record{{{rng.uniform(), rng.uniform()}},
                                    next_id++};
         if (store.size(b) < capacity) {
-            store.append(b, record);
+            store.append(b, {&record, 1});
             expect_log_rebuilds_frames("append");
             return;
         }
@@ -614,20 +727,22 @@ TEST_F(CrashRecoveryTest, LoggedRangesRebuildTheFrameAfterEveryStore) {
                 insert(pick());
             }
         }
-        // A batch session: runs of edits to one bucket, then a switch.
-        store.begin_batch();
+        // Runs of two or three records into one bucket, then an erase.
         for (int k = 0; k < 30; ++k) {
             const std::uint32_t b = pick();
-            for (int run = 0; run < 3; ++run) {
-                if (run == 2) {
-                    erase(b);
-                } else {
-                    insert(b);
+            const std::size_t n = 2 + rng.below(2);
+            if (store.size(b) + n > capacity) {
+                insert(b);
+            } else {
+                std::vector<GridRecord<2>> run;
+                for (std::size_t r = 0; r < n; ++r) {
+                    run.push_back({{{rng.uniform(), rng.uniform()}}, next_id++});
                 }
+                store.append(b, run);
+                expect_log_rebuilds_frames("run");
             }
+            erase(b);
         }
-        store.end_batch();
-        expect_log_rebuilds_frames("end_batch");
     }
     EXPECT_GT(store.bucket_count(), 10u);
     EXPECT_GT(checks, 500u);

@@ -185,10 +185,10 @@ TEST_F(PagedGridFileTest, RejectedDuplicateKeepsAcceptedRecords) {
     EXPECT_TRUE(report.ok()) << report.summary();
 }
 
-TEST_F(PagedGridFileTest, RejectedStreamLeavesBatchMode) {
+TEST_F(PagedGridFileTest, RejectedStreamKeepsTheFileUsable) {
     // Ten copies of one point at capacity 4: the stream throws on the
-    // fifth. The file must leave batch mode with the four accepted
-    // records, so a second stream and a plain insert both work.
+    // fifth. The file must keep the four accepted records and stay
+    // usable, so a second stream and a plain insert both work.
     auto pf = make(PagedBucketStore<2>::page_size_for(4));
     const std::vector<Point<2>> same(10, Point<2>{{0.25, 0.75}});
     VectorPointSource<2> dup(same);
@@ -375,11 +375,12 @@ TEST_F(PagedGridFileTest, InsertAtTheCapacityBoundary) {
 }
 
 TEST(PagedBucketStoreAppend, WritesTheFilesAnEditSessionWrites) {
-    // One insert/erase sequence with splits and a batch session drives two
-    // journaled stores whose four-frame pools evict: one takes each insert
-    // into a bucket with room through append(), the other through edit(),
-    // push_back and commit(). The data files and the logs must match byte
-    // for byte, with fewer pool fetches on the append side.
+    // One insert/erase sequence with splits and runs of up to three
+    // records drives two journaled stores whose four-frame pools evict: one
+    // takes each insert or run into a bucket with room through append(),
+    // the other through edit(), push_back and commit(). The data files and
+    // the logs must match byte for byte, with fewer pool fetches on the
+    // append side.
     using Store = PagedBucketStore<2>;
     const std::size_t page_size = Store::page_size_for(8);
     const std::size_t capacity = Store::capacity_for(page_size);
@@ -410,7 +411,7 @@ TEST(PagedBucketStoreAppend, WritesTheFilesAnEditSessionWrites) {
         const GridRecord<2> record{{{rng.uniform(), rng.uniform()}},
                                    next_id++};
         if (via_append.size(b) < capacity) {
-            via_append.append(b, record);
+            via_append.append(b, {&record, 1});
             via_edit.edit(b).push_back(record);
             via_edit.commit(b);
         } else {
@@ -447,13 +448,24 @@ TEST(PagedBucketStoreAppend, WritesTheFilesAnEditSessionWrites) {
         return rng.below(static_cast<std::uint32_t>(via_edit.bucket_count()));
     };
 
+    const auto append_run = [&](std::uint32_t b, std::size_t n) {
+        if (via_edit.size(b) + n > capacity) {
+            step(b, 0);
+            return;
+        }
+        std::vector<GridRecord<2>> run;
+        for (std::size_t k = 0; k < n; ++k) {
+            run.push_back({{{rng.uniform(), rng.uniform()}}, next_id++});
+        }
+        via_append.append(b, run);
+        Store::Records& records = via_edit.edit(b);
+        records.insert(records.end(), run.begin(), run.end());
+        via_edit.commit(b);
+        for (const auto& s : stores) s->note_op_end();
+    };
+
     for (int k = 0; k < 600; ++k) step(pick(), k);
-    for (const auto& s : stores) s->begin_batch();
-    for (int k = 0; k < 90; ++k) {
-        const std::uint32_t b = pick();
-        for (int run = 0; run < 3; ++run) step(b, run);
-    }
-    for (const auto& s : stores) s->end_batch();
+    for (int k = 0; k < 90; ++k) append_run(pick(), 1 + rng.below(3));
     for (int k = 0; k < 200; ++k) step(pick(), k);
 
     ASSERT_GT(via_edit.bucket_count(), 20u);

@@ -5,44 +5,19 @@
 #include "pgf/storage/wal.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/resource.h>
 
-#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "pgf/storage/recovery.hpp"
+#include "file_size_cap.hpp"
 #include "pgf/util/check.hpp"
 #include "temp_path.hpp"
 
 namespace pgf {
 namespace {
-
-/// Caps this process's file size while alive, with SIGXFSZ ignored so a
-/// write past the cap fails (EFBIG) instead of killing the process; the
-/// destructor restores the limit and the handler.
-class FileSizeCap {
-public:
-    explicit FileSizeCap(std::uint64_t bytes) {
-        EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_), 0);
-        handler_ = std::signal(SIGXFSZ, SIG_IGN);
-        rlimit cap = saved_;
-        cap.rlim_cur = static_cast<rlim_t>(bytes);
-        EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
-    }
-    ~FileSizeCap() {
-        ::setrlimit(RLIMIT_FSIZE, &saved_);
-        std::signal(SIGXFSZ, handler_);
-    }
-    FileSizeCap(const FileSizeCap&) = delete;
-    FileSizeCap& operator=(const FileSizeCap&) = delete;
-
-private:
-    rlimit saved_{};
-    void (*handler_)(int) = SIG_DFL;
-};
 
 class WalTest : public ::testing::Test {
 protected:
@@ -172,7 +147,7 @@ TEST_F(WalTest, FlushRetriedAfterAFailedWriteKeepsEveryRecord) {
     const std::vector<std::byte> kb(1024, std::byte{0x5a});
     for (int k = 0; k < 10; ++k) wal->append(WalRecordKind::kPage, kb);
     {
-        FileSizeCap cap(flushed + 2560);  // two and a half records fit
+        test::FileSizeCap cap(flushed + 2560);  // two and a half records fit
         EXPECT_THROW(wal->flush(), IoError);
     }
     ASSERT_EQ(std::filesystem::file_size(path_), flushed + 2560);
